@@ -21,7 +21,6 @@ from .ground import (
 )
 from .parser import load_program, parse_text, pretty_print
 from .solver import (
-    BranchOrder,
     CheckResult,
     NotTwoValued,
     Sat,
@@ -53,7 +52,6 @@ from .wfs import FixpointTrace, well_founded
 __all__ = [
     "AlpError",
     "Atom",
-    "BranchOrder",
     "CheckResult",
     "Clause",
     "Constraint",

@@ -29,6 +29,7 @@ from .syntax import (
     Atom,
     Builtin,
     Clause,
+    ConstantDecl,
     Constraint,
     Declarations,
     Diagnostic,
@@ -146,6 +147,10 @@ class GroundTheory:
     constraints: list[GroundConstraint]
     universe: tuple[int, ...]
     forced: tuple[int, ...]
+    # The solver's compiled clause database, built on first use by
+    # solve or check_delta (solver._clause_db); the theory must not be
+    # changed after that.
+    _clause_db: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_atoms(self) -> int:
@@ -746,8 +751,7 @@ class BaseModel:
 
 
 def base_model(program: Program, domains: DomainTable) -> BaseModel:
-    """Evaluate the part of the program independent of any hypothesis."""
-    program = normalize(program)
+    """Evaluate the part of a normalized program independent of any hypothesis."""
     kinds = classify_predicates(program)
     dependent = _abducible_dependent(program, kinds)
     fragment = [cl for cl in program.definitions if cl.head.key not in dependent]
@@ -809,9 +813,8 @@ def abducible_universe(
     Argument domains come from the declaration when it lists them, and
     otherwise from typing constraints ``d(Vi) <- p(...,Vi,...)`` whose
     typing predicate d is abducible independent; several typing
-    constraints on one slot intersect.
+    constraints on one slot intersect.  The program is normalized.
     """
-    program = normalize(program)
     atoms: list[GroundAtom] = []
     for decl in program.decls.abducibles:
         if decl.arity == 0:
@@ -896,7 +899,6 @@ def collect_forced(program: Program, kinds: dict, constants: dict[str, int]) -> 
 
 def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -> GroundTheory:
     """Instantiate a normalized program over its abducible universe."""
-    program = normalize(program)
     kinds = classify_predicates(program)
     constants = domains.constants
     table = AtomTable()
@@ -992,7 +994,7 @@ def apply_const_overrides(program: Program, overrides: dict[str, int]) -> Progra
         replaced = False
         for i, c in enumerate(constants):
             if c.name == name:
-                constants[i] = ConstantDecl_replace(c, value)
+                constants[i] = ConstantDecl(name, IntConst(value), span=c.span)
                 replaced = True
                 break
         if replaced:
@@ -1009,8 +1011,6 @@ def apply_const_overrides(program: Program, overrides: dict[str, int]) -> Progra
                 )
                 replaced = True
         if not replaced:
-            from .syntax import ConstantDecl
-
             constants.append(ConstantDecl(name, IntConst(value)))
     return Program(
         Declarations(program.decls.abducibles, tuple(constants), program.decls.domains),
@@ -1018,8 +1018,3 @@ def apply_const_overrides(program: Program, overrides: dict[str, int]) -> Progra
         program.constraints,
     )
 
-
-def ConstantDecl_replace(decl, value: int):
-    from .syntax import ConstantDecl
-
-    return ConstantDecl(decl.name, IntConst(value), span=decl.span)

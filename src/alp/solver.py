@@ -22,13 +22,12 @@ workload tractable.
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import wfs
-from .ground import GroundConstraint, GroundTheory
+from .ground import GroundClause, GroundConstraint, GroundTheory, _typing_positions
 from .syntax import (
     AbducibleDecl,
     Atom,
@@ -79,70 +78,31 @@ def check_delta(theory: GroundTheory, delta: Iterable[int]) -> CheckResult:
     it to be total, and then tests every ground constraint.  The delta
     must stay inside universe plus forced atoms.
     """
+    db = _clause_db(theory)
     dset = set(delta)
-    allowed = set(theory.universe) | set(theory.forced)
-    stray = sorted(dset - allowed)
+    stray = sorted(dset - db.candidates)
     if stray:
         names = ", ".join(theory.atoms.render(i) for i in stray[:5])
         raise SolveError(f"delta atoms outside the abducible universe: {names}")
-    truth, trace = wfs.well_founded(
-        [(c.head, c.pos, c.neg) for c in theory.clauses], dset, theory.n_atoms
-    )
+    truth, trace = wfs.well_founded(db.definitions, dset, theory.n_atoms)
     two_valued, undef = wfs.is_two_valued(truth)
     if not two_valued:
         return NotTwoValued(tuple(undef), trace)
-    TRUE = wfs.TRUE
-    for gc in theory.constraints:
-        body = all(truth[a] == TRUE for a in gc.pos) and not any(
-            truth[a] == TRUE for a in gc.neg
-        )
-        if not body:
-            continue
-        if gc.heads and any((truth[a] == TRUE) == wanted for a, wanted in gc.heads):
-            continue
-        return UnsatConstraint(gc, theory.render_constraint(gc), trace)
-    return Sat(trace)
-
-
-def _violated_strict(theory: GroundTheory, truth: Sequence[int]) -> GroundConstraint | None:
-    """First constraint whose body is definitely true and heads all
-    definitely fail; used when undefined atoms are tolerated."""
-    TRUE, FALSE = wfs.TRUE, wfs.FALSE
-    for gc in theory.constraints:
-        body = all(truth[a] == TRUE for a in gc.pos) and all(
-            truth[a] == FALSE for a in gc.neg
-        )
-        if not body:
-            continue
-        ok = False
-        for a, wanted in gc.heads:
-            if (truth[a] == TRUE) if wanted else (truth[a] == FALSE):
-                ok = True
-                break
-        if not ok:
-            return gc
-    return None
+    idx = db.first_falsified(truth)
+    if idx is None:
+        return Sat(trace)
+    gc = theory.constraints[db.origins[idx]]
+    return UnsatConstraint(gc, theory.render_constraint(gc), trace)
 
 
 # ---------------------------------------------------------------------------
 # options and reports
 
 
-class BranchOrder(enum.Enum):
-    """Child order at decisions: LEX_ASC tries the branch atom absent
-    first, LEX_DESC present first.  Either way the emission order of
-    solutions is a deterministic function of the theory."""
-
-    LEX_ASC = "lex-asc"
-    LEX_DESC = "lex-desc"
-
-
 @dataclass
 class SolveOptions:
     max_models: int | None = None  # None enumerates every solution
     minimal_only: bool = False
-    require_two_valued: bool = True
-    branch_order: BranchOrder = BranchOrder.LEX_ASC
 
 
 @dataclass
@@ -168,19 +128,28 @@ class SolveReport:
 
 
 class _ClauseDb:
-    """CNF over atom ids plus auxiliaries, with per-clause counters.
+    """A ground theory compiled once for both the search and the leaf check.
 
-    Literal encoding: 2*v is "v true", 2*v+1 is "v false".  sat_count
-    tracks disjuncts currently satisfied, unk_count disjuncts not yet
-    falsified; both are reversible by plain decrements.
+    Literal encoding: 2*v is "v true", 2*v+1 is "v false".  Clauses are
+    literal sets in order of first occurrence, deduplicated (the denial
+    flag is ORed over duplicates) and without tautologies.  The first
+    n_constraint_clauses encode the ground constraints, each as the
+    disjunction of its head verdicts and negated body literals, with
+    origins[i] the index of the first constraint giving that set; the
+    rest encode the completion of the definition layer, with origins[i]
+    the defined atom.  definitions holds the definition layer in the
+    form wfs.well_founded takes.
+
+    The theory owns its database as a cache, so the database keeps no
+    reference back to it: a cycle would keep every theory alive until
+    the cyclic garbage collector runs.
     """
 
     def __init__(self, theory: GroundTheory):
-        self.theory = theory
         self.n_atoms = theory.n_atoms
         self.nvars = theory.n_atoms
         self.clauses: list[tuple[int, ...]] = []
-        self.origins: list[tuple[str, int]] = []
+        self.origins: list[int] = []
         self.is_denial: list[bool] = []
         self._index: dict[tuple[int, ...], int] = {}
 
@@ -188,28 +157,29 @@ class _ClauseDb:
         in_universe = set(theory.universe)
         candidates += [i for i in theory.forced if i not in in_universe]
         self.branch_vars = sorted(candidates, key=lambda i: theory.atoms.atom(i).sort_key)
-        self.is_candidate = bytearray(self.n_atoms)
-        for v in self.branch_vars:
-            self.is_candidate[v] = 1
+        self.candidates = frozenset(candidates)
 
         for ci, gc in enumerate(theory.constraints):
             lits = [2 * a + (0 if wanted else 1) for a, wanted in gc.heads]
             lits += [2 * a + 1 for a in gc.pos]
             lits += [2 * a for a in gc.neg]
-            self._add(lits, ("constraint", ci), denial=not gc.heads)
-        self._add_completion()
+            self._add(lits, ci, denial=not gc.heads)
+        self.n_constraint_clauses = len(self.clauses)
+        self._add_completion(theory.clauses)
+        del self._index  # only dedup needs it, and the database outlives the search
 
         self.occ: list[list[int]] = [[] for _ in range(2 * self.nvars)]
         for idx, cl in enumerate(self.clauses):
             for lit in cl:
                 self.occ[lit].append(idx)
+        self.definitions = wfs.clause_arrays([(c.head, c.pos, c.neg) for c in theory.clauses])
 
     def _new_aux(self) -> int:
         v = self.nvars
         self.nvars += 1
         return v
 
-    def _add(self, lits: list[int], origin: tuple[str, int], denial: bool = False):
+    def _add(self, lits: list[int], origin: int, denial: bool = False):
         uniq = set(lits)
         key = tuple(sorted(uniq))
         for lit in key:
@@ -224,10 +194,10 @@ class _ClauseDb:
         self.origins.append(origin)
         self.is_denial.append(denial)
 
-    def _add_completion(self):
+    def _add_completion(self, clauses: list[GroundClause]):
         bodies_by_head: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
         order: list[int] = []
-        for gc in self.theory.clauses:
+        for gc in clauses:
             if gc.head not in bodies_by_head:
                 bodies_by_head[gc.head] = []
                 order.append(gc.head)
@@ -237,7 +207,7 @@ class _ClauseDb:
         for head in order:
             bodies = bodies_by_head[head]
             if any(not pos and not neg for pos, neg in bodies):
-                self._add([2 * head], ("completion", head))
+                self._add([2 * head], head)
                 continue
             support = [2 * head + 1]
             for pos, neg in bodies:
@@ -248,21 +218,44 @@ class _ClauseDb:
                     aux = self._new_aux()
                     dj = 2 * aux
                     for lit in lits:
-                        self._add([dj ^ 1, lit], ("completion", head))
-                    self._add([dj] + [lit ^ 1 for lit in lits], ("completion", head))
-                self._add([dj ^ 1, 2 * head], ("completion", head))
+                        self._add([dj ^ 1, lit], head)
+                    self._add([dj] + [lit ^ 1 for lit in lits], head)
+                self._add([dj ^ 1, 2 * head], head)
                 support.append(dj)
-            self._add(support, ("completion", head))
+            self._add(support, head)
         # Atoms that are neither derivable nor assumable are simply false.
         for a in range(self.n_atoms):
-            if a not in bodies_by_head and not self.is_candidate[a]:
-                self._add([2 * a + 1], ("completion", a))
+            if a not in bodies_by_head and a not in self.candidates:
+                self._add([2 * a + 1], a)
 
-    def describe_origin(self, idx: int) -> str:
-        kind, ref = self.origins[idx]
-        if kind == "constraint":
-            return self.theory.render_constraint(self.theory.constraints[ref])
-        return f"definition of {self.theory.atoms.render(ref)}"
+    def first_falsified(self, truth: Sequence[int]) -> int | None:
+        """First constraint clause with every literal false under a total
+        truth array; under a total model a constraint is violated exactly
+        when its clause is falsified."""
+        true_lit = bytearray(2 * self.n_atoms)
+        true_lit[0::2] = bytes(t == wfs.TRUE for t in truth)
+        true_lit[1::2] = bytes(t != wfs.TRUE for t in truth)
+        clauses = self.clauses
+        for idx in range(self.n_constraint_clauses):
+            for lit in clauses[idx]:
+                if true_lit[lit]:
+                    break
+            else:
+                return idx
+        return None
+
+    def describe_origin(self, theory: GroundTheory, idx: int) -> str:
+        ref = self.origins[idx]
+        if idx < self.n_constraint_clauses:
+            return theory.render_constraint(theory.constraints[ref])
+        return f"definition of {theory.atoms.render(ref)}"
+
+
+def _clause_db(theory: GroundTheory) -> _ClauseDb:
+    """The theory's compiled clause database, built on first use."""
+    if theory._clause_db is None:
+        theory._clause_db = _ClauseDb(theory)
+    return theory._clause_db
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +267,7 @@ class _Search:
         self.theory = theory
         self.options = options
         self.stats = stats
-        self.db = _ClauseDb(theory)
+        self.db = _clause_db(theory)
         n = self.db.nvars
         self.status = [-1] * n
         self.sat_count = [0] * len(self.db.clauses)
@@ -285,10 +278,10 @@ class _Search:
             if self.db.is_denial[idx]:
                 for lit in cl:
                     v = lit >> 1
-                    if v < self.db.n_atoms and self.db.is_candidate[v]:
+                    if v in self.db.candidates:
                         self.score[v] += 1
         self.solutions: list[tuple[int, ...]] = []
-        self.conflict_origin: str | None = None
+        self.minimal_sets: list[frozenset[int]] = []
 
     # -- assignment machinery -------------------------------------------
 
@@ -308,7 +301,7 @@ class _Search:
             if was == 0 and db.is_denial[ci]:
                 for lit in db.clauses[ci]:
                     v = lit >> 1
-                    if v < db.n_atoms and db.is_candidate[v]:
+                    if v in db.candidates:
                         self.score[v] -= 1
         conflict = None
         for ci in occ[tlit ^ 1]:
@@ -327,7 +320,7 @@ class _Search:
             if now == 0 and db.is_denial[ci]:
                 for lit in db.clauses[ci]:
                     v = lit >> 1
-                    if v < db.n_atoms and db.is_candidate[v]:
+                    if v in db.candidates:
                         self.score[v] += 1
         for ci in db.occ[tlit ^ 1]:
             self.unk_count[ci] += 1
@@ -405,8 +398,7 @@ class _Search:
         var = self.pick()
         if var is None:
             return self._leaf()
-        first = 0 if self.options.branch_order is BranchOrder.LEX_ASC else 1
-        for val in (first, 1 - first):
+        for val in (0, 1):
             self.stats.nodes += 1
             mark = len(self.trail)
             conflict = self.propagate(var, val)
@@ -422,27 +414,25 @@ class _Search:
 
     def _leaf(self) -> bool:
         delta = tuple(v for v in self.db.branch_vars if self.status[v] == 1)
+        if self.options.minimal_only:
+            # Two leaves first differ at a decision on some variable, and
+            # a subset takes it absent there, so absent-first search
+            # reaches every solution before its strict supersets.  A leaf
+            # containing no emitted solution is therefore minimal: any
+            # solution inside it was reached earlier and was either
+            # emitted or itself contains an emitted one.
+            dset = frozenset(delta)
+            if any(s <= dset for s in self.minimal_sets):
+                return True
         self.stats.checks += 1
-        result = check_delta(self.theory, delta)
-        accept = isinstance(result, Sat)
-        if (
-            not accept
-            and not self.options.require_two_valued
-            and isinstance(result, NotTwoValued)
-        ):
-            truth, _ = wfs.well_founded(
-                [(c.head, c.pos, c.neg) for c in self.theory.clauses],
-                set(delta),
-                self.theory.n_atoms,
-            )
-            accept = _violated_strict(self.theory, truth) is None
-        if accept:
-            self.solutions.append(delta)
-            self.stats.models += 1
-            cap = self.options.max_models
-            if cap is not None and self.stats.models >= cap:
-                return False
-        return True
+        if not isinstance(check_delta(self.theory, delta), Sat):
+            return True
+        self.solutions.append(delta)
+        if self.options.minimal_only:
+            self.minimal_sets.append(dset)
+        self.stats.models += 1
+        cap = self.options.max_models
+        return cap is None or self.stats.models < cap
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +500,7 @@ def _stratification_warning(theory: GroundTheory) -> str | None:
                 return (
                     "definition layer is not stratified "
                     f"(negative loop through {theory.atoms.render(gc.head)}); "
-                    "leaf checks fall back to full well-founded evaluation"
+                    "candidates that wake the loop are rejected as not two-valued"
                 )
     return None
 
@@ -538,20 +528,12 @@ def solve(theory: GroundTheory, options: SolveOptions | None = None) -> SolveRep
     if conflict is not None:
         report.unsat_reason = (
             "constraints are contradictory before any hypothesis: "
-            + search.db.describe_origin(conflict)
+            + search.db.describe_origin(theory, conflict)
         )
         stats.wall_time = time.perf_counter() - t0
         return report
     search.run()
-    solutions = search.solutions
-    if options.minimal_only:
-        sets = [frozenset(s) for s in solutions]
-        solutions = [
-            s
-            for i, s in enumerate(solutions)
-            if not any(j != i and sets[j] < sets[i] for j in range(len(sets)))
-        ]
-    report.solutions = solutions
+    report.solutions = search.solutions
     stats.wall_time = time.perf_counter() - t0
     return report
 
@@ -599,8 +581,6 @@ def translate_query(query: Sequence[Atom], program: Program) -> Program:
                     seen_vars.append(arg.name)
             elif not isinstance(arg, (IntConst, SymConst)):
                 raise ProgramError(f"query arguments must be constants or variables: {atom}")
-
-    from .ground import _typing_positions  # typing mirrors universe extraction
 
     domain_names: dict[str, str] = {}
     typing_preds: dict[str, list[str]] = {}

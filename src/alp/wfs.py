@@ -14,7 +14,7 @@ limits are undefined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 FALSE = 0
 UNDEF = 1
@@ -47,7 +47,18 @@ class FixpointTrace:
         return up and down
 
 
-def _clause_arrays(clauses: Sequence[GroundClauseLike]):
+class ClauseArrays(NamedTuple):
+    """Clauses split into parallel arrays plus a positive-occurrence
+    index; well_founded accepts these in place of a clause list so that
+    callers evaluating many fact sets against one program build them once."""
+
+    heads: list[int]
+    pos: list[tuple[int, ...]]
+    neg: list[tuple[int, ...]]
+    occ: dict[int, list[int]]
+
+
+def clause_arrays(clauses: Sequence[GroundClauseLike]) -> ClauseArrays:
     heads = []
     pos = []
     neg = []
@@ -59,7 +70,7 @@ def _clause_arrays(clauses: Sequence[GroundClauseLike]):
     for idx, body in enumerate(pos):
         for a in body:
             occ.setdefault(a, []).append(idx)
-    return heads, pos, neg, occ
+    return ClauseArrays(heads, pos, neg, occ)
 
 
 def _least_model_of_reduct(heads, pos, neg, occ, facts, n_atoms, allowed) -> bytearray:
@@ -115,16 +126,18 @@ def least_model(
     for _h, _p, n in clauses:
         if n:
             raise ValueError("least_model requires definite clauses (no negation)")
-    heads, pos, neg, occ = _clause_arrays(clauses)
+    heads, pos, neg, occ = clause_arrays(clauses)
     truth = _least_model_of_reduct(heads, pos, neg, occ, tuple(facts), n_atoms, None)
     return {i for i in range(n_atoms) if truth[i]}
 
 
 def well_founded(
-    clauses: Sequence[GroundClauseLike], facts: Iterable[int], n_atoms: int
+    clauses: Sequence[GroundClauseLike] | ClauseArrays, facts: Iterable[int], n_atoms: int
 ) -> tuple[list[int], FixpointTrace]:
     """Well-founded model as a truth array plus the fixpoint trace."""
-    heads, pos, neg, occ = _clause_arrays(clauses)
+    if not isinstance(clauses, ClauseArrays):
+        clauses = clause_arrays(clauses)
+    heads, pos, neg, occ = clauses
     facts = tuple(facts)
     true_set = bytearray(n_atoms)
     true_sizes = []

@@ -70,6 +70,17 @@ def test_solve_json_lines_round_trip(tiny, tmp_path, capsys):
         assert out == "Sat\n"
 
 
+def test_solve_minimal_cap_counts_only_minimal_solutions(tmp_path, capsys):
+    path = tmp_path / "picks.alp"
+    path.write_text(
+        "abducible pick(item). domain item == 1..3. ok :- pick(1). ok :- pick(2). ok <- true.",
+        encoding="utf-8",
+    )
+    code, out, _err = run(capsys, "solve", str(path), "--max-models", "2", "--minimal")
+    assert code == 0
+    assert out == "% solution 1\npick(2).\n\n% solution 2\npick(1).\n\n"
+
+
 def test_solve_stats_footer(tiny, capsys):
     code, out, _err = run(capsys, "solve", tiny, "--all", "--stats")
     assert code == 0

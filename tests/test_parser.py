@@ -1,6 +1,8 @@
 """Parser and pretty printer: grammar coverage, diagnostics, round-trips."""
 
 import importlib.resources as res
+import re
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +204,11 @@ def test_load_program_reads_files(tmp_path):
     path.write_text("abducible a/0.\nfalse <- not a.\n", encoding="utf-8")
     prog = load_program(str(path))
     assert prog.decls.abducibles[0].pred == "a"
+
+
+def test_readme_program_blocks_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```alp\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) >= 4
+    for i, text in enumerate(blocks, start=1):
+        parse_text(text, f"README.md alp block {i}")

@@ -1,13 +1,21 @@
 """Search engine: candidate checking, enumeration, query translation."""
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 
-from alp.ground import build_theory
+from alp.ground import (
+    AtomTable,
+    GroundAtom,
+    GroundClause,
+    GroundConstraint,
+    GroundTheory,
+    build_theory,
+)
 from alp.parser import parse_text, pretty_print
 from alp.solver import (
-    BranchOrder,
     NotTwoValued,
     Sat,
     SolveOptions,
@@ -17,6 +25,7 @@ from alp.solver import (
     translate_query,
 )
 from alp.syntax import Atom, IntConst, ProgramError, SolveError, SymConst, Var
+from alp.wfs import TRUE, is_two_valued, well_founded
 
 
 def theory_for(text, name="t"):
@@ -88,6 +97,93 @@ def test_check_delta_negative_heads():
     assert isinstance(check_delta(theory, [a]), Sat)  # body fails, head moot
 
 
+def reference_check(theory, delta):
+    """check_delta's verdict from the raw ground constraints, field by
+    field: (verdict class, undefined atoms or violated instance)."""
+    truth, _trace = well_founded(
+        [(c.head, c.pos, c.neg) for c in theory.clauses], set(delta), theory.n_atoms
+    )
+    two_valued, undef = is_two_valued(truth)
+    if not two_valued:
+        return NotTwoValued, tuple(undef)
+    for gc in theory.constraints:
+        body = all(truth[a] == TRUE for a in gc.pos) and not any(
+            truth[a] == TRUE for a in gc.neg
+        )
+        if not body:
+            continue
+        if gc.heads and any((truth[a] == TRUE) == wanted for a, wanted in gc.heads):
+            continue
+        return UnsatConstraint, gc
+    return Sat, None
+
+
+def random_ground_theory(rng):
+    """A small ground theory whose constraints repeat, permute and
+    contradict themselves: equal copies, shuffled copies, tautologies and
+    negative heads, over few atoms so that accidental repeats occur too."""
+    table = AtomTable()
+    universe = tuple(table.intern(GroundAtom("u", (i,))) for i in range(rng.randint(1, 5)))
+    defined = tuple(table.intern(GroundAtom("d", (i,))) for i in range(rng.randint(0, 4)))
+    atoms = universe + defined
+    cyclic = rng.random() < 0.3  # else each d(i) rests on u and lower d only
+    clauses = []
+    for i, head in enumerate(defined):
+        below = atoms if cyclic else universe + defined[:i]
+        for _ in range(rng.randint(0, 2)):
+            pos = tuple(rng.choice(below) for _ in range(rng.randint(0, 2)))
+            neg = tuple(rng.choice(below) for _ in range(rng.randint(0, 1)))
+            clauses.append(GroundClause(head, pos, neg))
+    constraints = []
+    for _ in range(rng.randint(1, 10)):
+        roll = rng.random()
+        if constraints and roll < 0.2:
+            constraints.append(dataclasses.replace(rng.choice(constraints)))
+        elif constraints and roll < 0.35:
+            gc = rng.choice(constraints)
+            constraints.append(
+                GroundConstraint(
+                    tuple(rng.sample(gc.heads, len(gc.heads))),
+                    tuple(rng.sample(gc.pos, len(gc.pos))),
+                    tuple(rng.sample(gc.neg, len(gc.neg))),
+                )
+            )
+        else:
+            heads = [(rng.choice(atoms), rng.random() < 0.6) for _ in range(rng.randint(0, 2))]
+            pos = [rng.choice(atoms) for _ in range(rng.randint(0, 3))]
+            neg = [rng.choice(atoms) for _ in range(rng.randint(0, 2))]
+            if roll > 0.85:  # a tautology: some literal and its complement
+                a = rng.choice(atoms)
+                pos.append(a)
+                if rng.random() < 0.5:
+                    neg.append(a)
+                else:
+                    heads.append((a, True))
+            constraints.append(GroundConstraint(tuple(heads), tuple(pos), tuple(neg)))
+    forced = tuple(a for a in universe if rng.random() < 0.1)
+    return GroundTheory(table, clauses, constraints, universe, forced)
+
+
+def test_check_delta_matches_field_by_field_reference():
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(400):
+        theory = random_ground_theory(rng)
+        candidates = sorted(set(theory.universe) | set(theory.forced))
+        for _ in range(6):
+            delta = [a for a in candidates if rng.random() < 0.5]
+            kind, detail = reference_check(theory, delta)
+            result = check_delta(theory, delta)
+            assert type(result) is kind
+            seen.add(kind)
+            if kind is NotTwoValued:
+                assert result.atoms == detail
+            elif kind is UnsatConstraint:
+                assert result.instance is detail  # the first violated instance itself
+                assert result.rendered == theory.render_constraint(detail)
+    assert seen == {Sat, UnsatConstraint, NotTwoValued}
+
+
 # -- solve ------------------------------------------------------------------
 
 
@@ -130,6 +226,28 @@ def test_solve_minimal_only():
     assert sols == {frozenset({"a"}), frozenset({"b"})}
 
 
+def test_solve_minimal_cap_counts_minimal_solutions():
+    theory = theory_for(
+        "abducible pick(item).\ndomain item == 1..3.\n"
+        "ok :- pick(1).\nok :- pick(2).\nok <- true.\n"
+    )
+    report = solve(theory, SolveOptions(max_models=2, minimal_only=True))
+    assert sorted(solution_strs(theory, report)) == [("pick(1)",), ("pick(2)",)]
+
+
+def test_solve_minimal_is_the_filtered_enumeration_in_order():
+    rng = random.Random(7)
+    for _ in range(200):
+        theory = random_ground_theory(rng)
+        everything = solve(theory, SolveOptions()).solutions
+        sets = [frozenset(s) for s in everything]
+        minimal = [s for s, x in zip(everything, sets) if not any(y < x for y in sets)]
+        assert solve(theory, SolveOptions(minimal_only=True)).solutions == minimal
+        cap = rng.randint(1, 3)
+        capped = solve(theory, SolveOptions(max_models=cap, minimal_only=True))
+        assert capped.solutions == minimal[:cap]
+
+
 def test_solve_forced_atoms_in_every_solution():
     theory = theory_for(
         "domain v == 1..3.\nabducible pick(v).\npick(2) <- true.\nfalse <- pick(1).\n"
@@ -157,28 +275,6 @@ def test_solve_warns_on_unstratified_definitions():
     assert report.warnings and "stratified" in report.warnings[0]
     # and the even loop keeps every candidate three-valued
     assert not report.solutions
-
-
-def test_solve_tolerates_undefined_when_asked():
-    theory = theory_for(
-        "abducible a/0.\np :- not q.\nq :- not p.\nr <- true.\nr :- a.\n"
-    )
-    report = solve(theory, SolveOptions(require_two_valued=False))
-    assert solution_strs(theory, report) == [("a",)]
-
-
-def test_branch_orders_agree_on_the_solution_set():
-    text = (
-        "domain v == 1..4.\nabducible pick(v).\n"
-        "some :- pick(V).\nsome <- true.\nfalse <- pick(1), pick(2).\n"
-    )
-    theory = theory_for(text)
-    asc = solve(theory, SolveOptions(branch_order=BranchOrder.LEX_ASC))
-    desc = solve(theory, SolveOptions(branch_order=BranchOrder.LEX_DESC))
-    assert {frozenset(s) for s in asc.solutions} == {
-        frozenset(s) for s in desc.solutions
-    }
-    assert len(asc.solutions) == len(desc.solutions)
 
 
 def test_solve_empty_universe():
