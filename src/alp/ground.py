@@ -20,6 +20,8 @@ truncation does not change which hypothesis sets are admissible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 
 from . import wfs
 from .syntax import (
@@ -54,6 +56,7 @@ Value = int | str
 
 _DOMAIN_CAP = 1_000_000
 _ATOM_CAP = 2_000_000
+_CONSTRAINT_CAP = 2_000_000  # ground constraint instances, before deduplication
 
 
 def value_key(v: Value):
@@ -461,7 +464,7 @@ def _plan_rule(body: tuple[Literal, ...], head_vars: set[str], span, label: str)
                 ok, binds = _builtin_placeable(lit, bound)
                 if ok:
                     pending.remove(lit)
-                    steps.append(("builtin", lit))
+                    steps.append(("builtin", lit, binds))
                     if binds is not None:
                         bound.add(binds)
                     progress = True
@@ -531,62 +534,138 @@ def _head_item_vars(lit: Literal) -> set[str]:
     return out
 
 
-def _match_args(pattern: tuple[Term, ...], values: tuple[Value, ...], binding: dict) -> dict | None:
-    """Extend a binding by matching constant or variable argument patterns
-    against a candidate value tuple."""
-    nb = binding
-    copied = False
-    for pat, val in zip(pattern, values):
-        if isinstance(pat, Var):
-            have = nb.get(pat.name, _MISSING)
-            if have is _MISSING:
-                if not copied:
-                    nb = dict(nb)
-                    copied = True
-                nb[pat.name] = val
-            elif have != val:
-                return None
-        elif isinstance(pat, IntConst):
-            if val != pat.value:
-                return None
-        elif isinstance(pat, SymConst):
-            if val != pat.name:
-                return None
-        else:  # pragma: no cover - excluded by _plan_rule
-            return None
-    return nb
+class _Candidates:
+    """Candidate (args, atom id) lists per predicate key, with hash indexes
+    built on first use.
+
+    An index drops the candidates whose repeated-variable positions
+    disagree, groups the rest by the values at some constant positions,
+    and groups each group by the values at some variable positions.
+    Every bucket keeps the order of the list, so probing a bucket yields
+    the same candidates in the same order as filtering the whole list.
+    The lists must not change once an index on them exists.
+    """
+
+    def __init__(self, fixed: dict, possible: dict):
+        """fixed maps predicate keys to (args, id) lists, possible to
+        args -> id dicts, whose current items are copied."""
+        self.lists: dict[tuple[str, int], list[tuple[tuple[Value, ...], int]]] = dict(fixed)
+        for key, ext in possible.items():
+            self.lists[key] = list(ext.items())
+        self._indexes: dict[tuple, dict] = {}
+
+    def table(self, key, repeats, const_pos, const_vals, var_pos):
+        """The candidates whose repeated positions agree and whose const_pos
+        hold const_vals: a list when var_pos is empty, else a dict from the
+        values at var_pos (a single value for one position) to lists."""
+        ikey = (key, repeats, const_pos, var_pos)
+        index = self._indexes.get(ikey)
+        if index is None:
+            index = {}
+            var_key = itemgetter(*var_pos) if var_pos else None
+            for cand in self.lists.get(key, ()):
+                args = cand[0]
+                if any(args[i] != args[j] for i, j in repeats):
+                    continue
+                const_key = tuple(args[i] for i in const_pos)
+                if var_key is None:
+                    index.setdefault(const_key, []).append(cand)
+                else:
+                    index.setdefault(const_key, {}).setdefault(var_key(args), []).append(cand)
+            self._indexes[ikey] = index
+        return index.get(const_vals, {} if var_pos else ())
 
 
-_MISSING = object()
+def _enumerate_plan(plan: _Plan, candidates: _Candidates, constants: dict[str, int], emit) -> None:
+    """Call emit(binding, pos_ids) for every way to satisfy the body, in
+    the order of a nested-loop join over the candidate lists.
 
-
-def _enumerate_plan(plan: _Plan, candidates_for, constants: dict[str, int]):
-    """Yield (binding, pos_ids) for every way to satisfy the body."""
-
-    steps = plan.steps
-
-    def rec(i: int, binding: dict, pos_ids: tuple):
-        if i == len(steps):
-            yield binding, pos_ids
-            return
-        kind, lit = steps[i]
-        if kind == "pos":
-            pattern = lit.atom.args
-            for values, atom_id in candidates_for(lit.atom):
-                nb = _match_args(pattern, values, binding)
-                if nb is not None:
-                    yield from rec(i + 1, nb, pos_ids + (atom_id,))
-        else:
-            res = eval_builtin(lit, binding, constants)
-            if res is True:
-                yield from rec(i + 1, binding, pos_ids)
-            elif res is False:
-                return
+    The plan compiles into one step function per body literal.  Each
+    positive step knows which argument positions hold constants or
+    variables bound by earlier steps and probes the candidate index on
+    them; the other positions bind fresh variables.  The binding dict is
+    extended in place and restored when a step is exhausted, so emit
+    must copy what it keeps.  The chain is folded from the last step
+    back, so no step function refers to itself.
+    """
+    bound: set[str] = set()
+    makers = []
+    for step in plan.steps:
+        if step[0] == "builtin":
+            _, lit, binds = step
+            if binds is not None:
+                bound.add(binds)
+            elif lit.op in ("=", "\\=") and isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var):
+                makers.append(partial(_var_test_step, lit.lhs.name, lit.rhs.name, lit.op == "="))
+                continue
+            makers.append(partial(_builtin_step, lit, constants))
+            continue
+        atom = step[1].atom
+        const_pos, const_vals, var_pos, var_names, fresh, repeats = [], [], [], [], [], []
+        first_at: dict[str, int] = {}
+        for i, arg in enumerate(atom.args):
+            if isinstance(arg, Var):
+                if arg.name in bound:
+                    var_pos.append(i)
+                    var_names.append(arg.name)
+                elif arg.name in first_at:
+                    repeats.append((first_at[arg.name], i))
+                else:
+                    first_at[arg.name] = i
+                    fresh.append((arg.name, i))
             else:
-                for nb in res:
-                    yield from rec(i + 1, nb, pos_ids)
+                const_pos.append(i)
+                const_vals.append(arg.value if isinstance(arg, IntConst) else arg.name)
+        bound.update(first_at)
+        table = candidates.table(
+            atom.key, tuple(repeats), tuple(const_pos), tuple(const_vals), tuple(var_pos)
+        )
+        probe = itemgetter(*var_names) if var_names else None
+        makers.append(partial(_pos_step, table, probe, tuple(fresh)))
 
-    yield from rec(0, {}, ())
+    step = emit
+    for make in reversed(makers):
+        step = make(step)
+    step({}, ())
+
+
+def _pos_step(table, probe, fresh, nxt):
+    """Step over the candidates of one positive literal: the whole bucket
+    list when probe is None, else the bucket the bound values select."""
+
+    def step(binding, pos_ids):
+        bucket = table if probe is None else table.get(probe(binding), ())
+        for args, atom_id in bucket:
+            for name, i in fresh:
+                binding[name] = args[i]
+            nxt(binding, pos_ids + (atom_id,))
+        for name, _ in fresh:
+            binding.pop(name, None)
+
+    return step
+
+
+def _var_test_step(left: str, right: str, equal: bool, nxt):
+    """``X = Y`` or ``X \\= Y`` on two bound variables, as eval_builtin
+    decides it."""
+
+    def step(binding, pos_ids):
+        if (binding[left] == binding[right]) is equal:
+            nxt(binding, pos_ids)
+
+    return step
+
+
+def _builtin_step(lit: Builtin, constants: dict[str, int], nxt):
+    def step(binding, pos_ids):
+        res = eval_builtin(lit, binding, constants)
+        if res is True:
+            nxt(binding, pos_ids)
+        elif res is not False:
+            for extended in res:
+                nxt(extended, pos_ids)
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -679,38 +758,38 @@ def _close_definitions(
 
     clauses: list[GroundClause] = []
     seen: set[tuple] = set()
-
-    def candidates_for(atom: Atom):
-        key = atom.key
-        if key in abd_candidates:
-            return abd_candidates[key]
-        return snapshot.get(key, ())
-
     grew = True
+
+    def emit_clause(idx: int, cl: Clause, plan: _Plan):
+        def emit(binding, pos_ids):
+            nonlocal grew
+            neg_ids = tuple(
+                table.intern(_subst_atom(n.atom, binding, constants)) for n in plan.negs
+            )
+            head_atom = _subst_atom(cl.head, binding, constants)
+            head_id = table.intern(head_atom)
+            key = (idx, head_id, pos_ids, neg_ids)
+            if key in seen:
+                return
+            seen.add(key)
+            clauses.append(GroundClause(head_id, pos_ids, neg_ids))
+            if len(table) > _ATOM_CAP:
+                msg = f"grounding exceeded {_ATOM_CAP} atoms in {plan.label}"
+                raise GroundError(msg, [Diagnostic(plan.span, msg)])
+            if _within_hull(head_atom, hull):
+                ext = possible[cl.head.key]
+                if head_atom.args not in ext:
+                    ext[head_atom.args] = head_id
+                    grew = True
+
+        return emit
+
     while grew:
         grew = False
-        snapshot = {k: list(v.items()) for k, v in possible.items()}
+        candidates = _Candidates(abd_candidates, possible)
         for idx, cl in enumerate(definitions):
             plan = plans[idx]
-            for binding, pos_ids in _enumerate_plan(plan, candidates_for, constants):
-                neg_ids = tuple(
-                    table.intern(_subst_atom(n.atom, binding, constants)) for n in plan.negs
-                )
-                head_atom = _subst_atom(cl.head, binding, constants)
-                head_id = table.intern(head_atom)
-                key = (idx, head_id, pos_ids, neg_ids)
-                if key in seen:
-                    continue
-                seen.add(key)
-                clauses.append(GroundClause(head_id, pos_ids, neg_ids))
-                if len(table) > _ATOM_CAP:
-                    raise GroundError(f"grounding exceeded {_ATOM_CAP} atoms")
-                pkey = cl.head.key
-                if _within_hull(head_atom, hull):
-                    ext = possible[pkey]
-                    if head_atom.args not in ext:
-                        ext[head_atom.args] = head_id
-                        grew = True
+            _enumerate_plan(plan, candidates, constants, emit_clause(idx, cl, plan))
     return clauses, possible
 
 
@@ -897,8 +976,16 @@ def collect_forced(program: Program, kinds: dict, constants: dict[str, int]) -> 
 # full grounding
 
 
+def _sorted_set(items) -> tuple:
+    return tuple(sorted(set(items))) if len(items) > 1 else tuple(items)
+
+
 def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -> GroundTheory:
-    """Instantiate a normalized program over its abducible universe."""
+    """Instantiate a normalized program over its abducible universe.
+
+    Ground constraints are kept once: of the instances with the same set
+    of head disjuncts, positive and negative body atoms, the first.
+    """
     kinds = classify_predicates(program)
     constants = domains.constants
     table = AtomTable()
@@ -928,39 +1015,48 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
         definitions, plans, kinds, table, abd_candidates, constants, hull
     )
 
-    def candidates_for(atom: Atom):
-        key = atom.key
-        if key in abd_candidates:
-            return abd_candidates[key]
-        return [(args, i) for args, i in possible.get(key, {}).items()]
-
+    candidates = _Candidates(abd_candidates, possible)
     constraints: list[GroundConstraint] = []
-    for origin, con in enumerate(program.constraints):
-        head_vars: set[str] = set()
-        for h in con.heads:
-            head_vars |= _head_item_vars(h)
-        plan = _plan_rule(con.body, head_vars, con.span, f"constraint {con}")
-        for binding, pos_ids in _enumerate_plan(plan, candidates_for, constants):
-            neg_ids = tuple(
-                table.intern(_subst_atom(n.atom, binding, constants)) for n in plan.negs
-            )
+    seen: set[tuple] = set()
+    instances = 0
+
+    def emit_constraint(origin: int, con: Constraint, plan: _Plan):
+        neg_atoms = [n.atom for n in plan.negs]
+
+        def emit(binding, pos_ids):
+            nonlocal instances
+            instances += 1
+            if instances > _CONSTRAINT_CAP:
+                msg = f"grounding exceeded {_CONSTRAINT_CAP} constraint instances in {plan.label}"
+                raise GroundError(msg, [Diagnostic(plan.span, msg)])
+            neg_ids = ()
+            if neg_atoms:
+                neg_ids = tuple(table.intern(_subst_atom(a, binding, constants)) for a in neg_atoms)
             heads: list[tuple[int, bool]] = []
-            satisfied = False
             for h in con.heads:
                 if isinstance(h, Builtin):
                     verdict = eval_builtin(h, binding, constants)
                     assert isinstance(verdict, bool), "head builtins are ground here"
                     if verdict:
-                        satisfied = True
-                        break
+                        return  # the constraint holds outright
                     continue  # false verdict: disjunct drops out
-                if isinstance(h, Pos):
-                    heads.append((table.intern(_subst_atom(h.atom, binding, constants)), True))
-                else:
-                    heads.append((table.intern(_subst_atom(h.atom, binding, constants)), False))
-            if satisfied:
-                continue
-            constraints.append(GroundConstraint(tuple(heads), pos_ids, neg_ids, origin))
+                heads.append((table.intern(_subst_atom(h.atom, binding, constants)), isinstance(h, Pos)))
+            # Of the instances with one set of head disjuncts, positive
+            # and negative body atoms, keep the first: the rest admit
+            # exactly the same hypothesis sets.
+            key = (_sorted_set(heads), _sorted_set(pos_ids), _sorted_set(neg_ids))
+            if key not in seen:
+                seen.add(key)
+                constraints.append(GroundConstraint(tuple(heads), pos_ids, neg_ids, origin))
+
+        return emit
+
+    for origin, con in enumerate(program.constraints):
+        head_vars: set[str] = set()
+        for h in con.heads:
+            head_vars |= _head_item_vars(h)
+        plan = _plan_rule(con.body, head_vars, con.span, f"constraint {con}")
+        _enumerate_plan(plan, candidates, constants, emit_constraint(origin, con, plan))
     return GroundTheory(table, clauses, constraints, universe_ids, forced_ids)
 
 

@@ -48,14 +48,24 @@ class FixpointTrace:
 
 
 class ClauseArrays(NamedTuple):
-    """Clauses split into parallel arrays plus a positive-occurrence
-    index; well_founded accepts these in place of a clause list so that
-    callers evaluating many fact sets against one program build them once."""
+    """Clauses split into parallel arrays plus what every reduct pass
+    starts from; well_founded accepts these in place of a clause list so
+    that callers evaluating many fact sets against one program build
+    them once.
+
+    occ indexes clauses by positive body atom, need holds each clause's
+    positive body length, units the heads of clauses with no body at
+    all, and negated the indices of clauses with a negative body, the
+    only ones a reduct can remove.
+    """
 
     heads: list[int]
     pos: list[tuple[int, ...]]
     neg: list[tuple[int, ...]]
     occ: dict[int, list[int]]
+    need: list[int]
+    units: list[int]
+    negated: list[int]
 
 
 def clause_arrays(clauses: Sequence[GroundClauseLike]) -> ClauseArrays:
@@ -70,31 +80,37 @@ def clause_arrays(clauses: Sequence[GroundClauseLike]) -> ClauseArrays:
     for idx, body in enumerate(pos):
         for a in body:
             occ.setdefault(a, []).append(idx)
-    return ClauseArrays(heads, pos, neg, occ)
+    need = [len(body) for body in pos]
+    units = [heads[idx] for idx in range(len(heads)) if not pos[idx] and not neg[idx]]
+    negated = [idx for idx in range(len(heads)) if neg[idx]]
+    return ClauseArrays(heads, pos, neg, occ, need, units, negated)
 
 
-def _least_model_of_reduct(heads, pos, neg, occ, facts, n_atoms, allowed) -> bytearray:
+def _least_model_of_reduct(arrays: ClauseArrays, facts, n_atoms, allowed) -> bytearray:
     """Least model of the clauses whose negative body survives `allowed`.
 
     allowed is a bytearray marking possibly-true atoms: a clause is kept
     when none of its negative body atoms is marked.  Plain source-counting
     propagation; each clause fires at most once.
     """
+    heads, pos, neg, occ, base_need, units, negated = arrays
     truth = bytearray(n_atoms)
     queue = []
     for a in facts:
         if not truth[a]:
             truth[a] = 1
             queue.append(a)
+    for h in units:
+        if not truth[h]:
+            truth[h] = 1
+            queue.append(h)
     # need counts every positive body occurrence, including atoms already
     # true: those sit in the queue and will decrement it exactly once.
-    need = [0] * len(heads)
-    for idx in range(len(heads)):
+    need = base_need.copy()
+    for idx in negated:
         if allowed is not None and any(allowed[b] for b in neg[idx]):
             need[idx] = -1  # clause removed by the reduct
-            continue
-        need[idx] = len(pos[idx])
-        if not pos[idx]:
+        elif not pos[idx]:
             h = heads[idx]
             if not truth[h]:
                 truth[h] = 1
@@ -126,8 +142,7 @@ def least_model(
     for _h, _p, n in clauses:
         if n:
             raise ValueError("least_model requires definite clauses (no negation)")
-    heads, pos, neg, occ = clause_arrays(clauses)
-    truth = _least_model_of_reduct(heads, pos, neg, occ, tuple(facts), n_atoms, None)
+    truth = _least_model_of_reduct(clause_arrays(clauses), tuple(facts), n_atoms, None)
     return {i for i in range(n_atoms) if truth[i]}
 
 
@@ -137,14 +152,13 @@ def well_founded(
     """Well-founded model as a truth array plus the fixpoint trace."""
     if not isinstance(clauses, ClauseArrays):
         clauses = clause_arrays(clauses)
-    heads, pos, neg, occ = clauses
     facts = tuple(facts)
     true_set = bytearray(n_atoms)
     true_sizes = []
     possible_sizes = []
     while True:
-        possible = _least_model_of_reduct(heads, pos, neg, occ, facts, n_atoms, true_set)
-        new_true = _least_model_of_reduct(heads, pos, neg, occ, facts, n_atoms, possible)
+        possible = _least_model_of_reduct(clauses, facts, n_atoms, true_set)
+        new_true = _least_model_of_reduct(clauses, facts, n_atoms, possible)
         true_sizes.append(sum(new_true))
         possible_sizes.append(sum(possible))
         if new_true == true_set:

@@ -1,9 +1,14 @@
 """Grounder: declarations, builtins, universe extraction, instantiation."""
 
+import gc
+import importlib
 import importlib.resources as res
+import random
+import weakref
 
 import pytest
 
+from alp import cli
 from alp.ground import (
     GroundAtom,
     apply_const_overrides,
@@ -12,7 +17,8 @@ from alp.ground import (
     eval_declarations,
 )
 from alp.parser import parse_text
-from alp.syntax import Builtin, GroundError, IntConst, Range, SymConst, Var
+from alp.solver import SolveOptions, solve
+from alp.syntax import Builtin, GroundError, IntConst, Range, SymConst, Var, normalize
 
 
 def bundled(name):
@@ -170,11 +176,11 @@ def test_base_model_must_be_two_valued():
 def test_queens_ground_counts_scale():
     t4 = theory_for(bundled("queens.alp"), "q4")
     # size defaults to 8 in the bundled file
-    assert (t4.n_atoms, len(t4.clauses), len(t4.constraints)) == (89, 81, 1088)
+    assert (t4.n_atoms, len(t4.clauses), len(t4.constraints)) == (89, 81, 864)
 
     prog = apply_const_overrides(parse_text(bundled("queens.alp"), "q"), {"size": 4})
     t = build_theory(prog)
-    assert (t.n_atoms, len(t.clauses), len(t.constraints)) == (29, 25, 136)
+    assert (t.n_atoms, len(t.clauses), len(t.constraints)) == (29, 25, 112)
     assert len(t.universe) == 16 and not t.forced
 
 
@@ -184,17 +190,79 @@ def test_head_builtin_folding():
     # in the head
     prog = apply_const_overrides(parse_text(bundled("queens.alp"), "q"), {"size": 2})
     theory = build_theory(prog)
-    norm_constraints = [c for c in theory.constraints if not c.heads and len(c.pos) == 2]
-    by_origin = {}
-    for c in theory.constraints:
-        by_origin.setdefault(c.origin, []).append(c)
-    # the C1 = C2 head survives as 4 denials: 2 rows x 2 ordered unequal pairs
-    eq_origin = [
+    (eq_origin,) = [
         o
-        for o, cs in by_origin.items()
-        if all(not c.heads for c in cs) and len(cs) == 4
+        for o, con in enumerate(normalize(prog).constraints)
+        if len(con.heads) == 1 and isinstance(con.heads[0], Builtin)
     ]
-    assert eq_origin, sorted((o, len(cs)) for o, cs in by_origin.items())
+    # 2 rows x 2 ordered unequal column pairs, one denial per row once the
+    # mirrored pair is dropped as a duplicate
+    rows = [
+        sorted(str(theory.atoms.atom(a)) for a in c.pos)
+        for c in theory.constraints
+        if c.origin == eq_origin
+    ]
+    assert all(not c.heads for c in theory.constraints if c.origin == eq_origin)
+    assert rows == [["position(1,1)", "position(1,2)"], ["position(2,1)", "position(2,2)"]]
+
+
+def canonical_key(c):
+    return (tuple(sorted(set(c.heads))), tuple(sorted(set(c.pos))), tuple(sorted(set(c.neg))))
+
+
+def random_program(rng):
+    """Safe random constraints over two abducibles and a defined predicate;
+    bodies that repeat a predicate ground to permuted duplicates."""
+    lines = [
+        "domain d == 1..3.",
+        "abducible a(d).",
+        "abducible b(d, d).",
+        "p(X) :- b(X,Y), not a(Y).",
+    ]
+    for _ in range(rng.randint(1, 4)):
+        body = []
+        for _ in range(rng.randint(1, 3)):
+            pred = rng.choice(("a(%s)", "b(%s,%s)", "p(%s)"))
+            body.append(pred % tuple(rng.choice("XYZ1") for _ in range(pred.count("%s"))))
+            if rng.random() < 0.5:
+                body.append(body[-1].translate(str.maketrans("XYZ", "YZX")))
+        bound = sorted({c for lit in body for c in lit if c in "XYZ"}) or ["1"]
+        for _ in range(rng.randint(0, 2)):
+            x, y = rng.choice(bound), rng.choice(bound + ["2"])
+            body.append(rng.choice((f"not a({x})", f"{x} \\= {y}", f"{x} < {y}")))
+        heads = [rng.choice(("a(%s)", "p(%s)", "%s = 1")) % rng.choice(bound) for _ in range(rng.randint(0, 2))]
+        lines.append(f"{' ; '.join(heads) or 'false'} <- {', '.join(body)}.")
+    return "\n".join(lines) + "\n"
+
+
+def test_ground_constraints_are_distinct():
+    # no two ground constraints share a set of head disjuncts, positive
+    # and negative body atoms
+    theories = [theory_for(bundled("queens.alp")), theory_for(bundled("blocks.alp"))]
+    rng = random.Random(6610)
+    theories += [theory_for(random_program(rng)) for _ in range(150)]
+    for theory in theories:
+        keys = [canonical_key(c) for c in theory.constraints]
+        assert len(set(keys)) == len(keys), theory.dump()
+
+
+def test_ground_theory_is_freed_without_the_cycle_collector():
+    # a reference cycle through the theory, its clause database or the
+    # grounder's closures would keep them alive until gc runs
+    prog = parse_text(bundled("queens.alp"), "q")
+    gc.disable()
+    try:
+        theory = build_theory(prog)
+        refs = [weakref.ref(theory), weakref.ref(theory.atoms)]
+        del theory
+        assert [r() for r in refs] == [None, None]
+        theory = build_theory(prog)
+        solve(theory, SolveOptions(max_models=3))
+        refs = [weakref.ref(theory), weakref.ref(theory.atoms), weakref.ref(theory._clause_db)]
+        del theory
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_ground_dump_deterministic():
@@ -257,6 +325,33 @@ def test_forced_facts_are_collected():
 def test_defined_unit_constraint_is_not_forced():
     theory = theory_for("abducible x/0.\np :- x.\np <- true.\n")
     assert not theory.forced
+
+
+CAPPED = (
+    "domain d == 1..3.\n"
+    "abducible a(d).\n"
+    "p(X) :- X in 1..40.\n"
+    "false <- a(X), a(Y), X \\= Y.\n"
+)
+
+
+@pytest.mark.parametrize(
+    "cap,value,line,what",
+    [("_ATOM_CAP", 20, 3, "atoms in clause p"), ("_CONSTRAINT_CAP", 5, 4, "constraint instances")],
+)
+def test_grounding_caps_report_the_rule(monkeypatch, tmp_path, capsys, cap, value, line, what):
+    monkeypatch.setattr(importlib.import_module("alp.ground"), cap, value)
+    with pytest.raises(GroundError, match=what) as info:
+        theory_for(CAPPED, "capped.alp")
+    (diag,) = info.value.diagnostics
+    assert (diag.span.line, diag.span.column) == (line, 1)
+
+    path = tmp_path / "capped.alp"
+    path.write_text(CAPPED, encoding="utf-8")
+    assert cli.main(["ground", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{path}:{line}:1: grounding exceeded {value} ")
 
 
 # -- overrides --------------------------------------------------------------

@@ -5,7 +5,16 @@ import random
 import pytest
 
 from alp.oracles import wfs_brute
-from alp.wfs import FALSE, TRUE, UNDEF, FixpointTrace, is_two_valued, least_model, well_founded
+from alp.wfs import (
+    FALSE,
+    TRUE,
+    UNDEF,
+    FixpointTrace,
+    clause_arrays,
+    is_two_valued,
+    least_model,
+    well_founded,
+)
 
 
 def names(truth, value):
@@ -122,3 +131,25 @@ SPOT_CASES = [
 def test_engine_matches_brute_oracle(clauses, n_atoms):
     truth, _ = well_founded(clauses, (), n_atoms)
     assert list(truth) == list(wfs_brute(clauses, n_atoms))
+
+
+def test_prebuilt_arrays_serve_many_fact_sets():
+    # one ClauseArrays evaluated against several fact sets must give each
+    # the model the oracle gives the program with those facts as clauses
+    rng = random.Random(5521)
+    for i in range(300):
+        n_atoms = rng.randint(1, 10)
+        clauses = [
+            (
+                rng.randrange(n_atoms),
+                tuple(rng.randrange(n_atoms) for _ in range(rng.randint(0, 3))),
+                tuple(rng.randrange(n_atoms) for _ in range(rng.randint(0, 2))),
+            )
+            for _ in range(rng.randint(0, 16))
+        ]
+        arrays = clause_arrays(clauses)
+        for _ in range(4):
+            facts = rng.sample(range(n_atoms), rng.randint(0, min(3, n_atoms)))
+            truth, _ = well_founded(arrays, facts, n_atoms)
+            expected = wfs_brute(clauses + [(a, (), ()) for a in facts], n_atoms)
+            assert list(truth) == expected, f"program {i}: {clauses} facts {facts}"
