@@ -10,20 +10,30 @@ propagation runs on a clause database built from two sources:
   * a supported-model (completion) encoding of the definition layer,
     with one auxiliary variable per multi-literal clause body.
 
+Binary clauses propagate through per-literal implication lists, longer
+ones through two watched literals each (Chaff, MiniSat), so assigning a
+literal visits only the clauses that may have become unit, and undoing
+it only resets its entry: backtracking pops the trail and touches no
+clause.  The search branches on the candidates in a static order, those
+occurring in the most denial clauses first, ties in atom order, each
+tried absent before present.
+
 Any two-valued well-founded model extends to a total assignment of this
 database, so propagation and conflict pruning never lose a solution;
 the converse does not hold in the presence of positive cycles, which is
-why every surviving leaf is verified with the reference check before it
-is emitted.  On acyclic definition layers, which cover the common case,
-propagation alone decides every derived atom, and it also regresses
-goals backwards through the rules, which is what makes the planning
-workload tractable.
+why every surviving leaf is decided by its well-founded model before it
+is emitted (see _Search._admissible).  On acyclic definition layers,
+which cover the common case, propagation alone decides every derived
+atom, and it also regresses goals backwards through the rules, which is
+what makes the planning workload tractable.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from . import wfs
@@ -168,10 +178,6 @@ class _ClauseDb:
         self._add_completion(theory.clauses)
         del self._index  # only dedup needs it, and the database outlives the search
 
-        self.occ: list[list[int]] = [[] for _ in range(2 * self.nvars)]
-        for idx, cl in enumerate(self.clauses):
-            for lit in cl:
-                self.occ[lit].append(idx)
         self.definitions = wfs.clause_arrays([(c.head, c.pos, c.neg) for c in theory.clauses])
 
     def _new_aux(self) -> int:
@@ -262,148 +268,219 @@ def _clause_db(theory: GroundTheory) -> _ClauseDb:
 # the search engine
 
 
+def _ints(n: int) -> memoryview:
+    """n zeroed 32-bit C ints in one flat buffer.  Unlike a list, it
+    holds no int object per entry."""
+    return memoryview(bytearray(4 * n)).cast("i")
+
+
+def _offsets(counts: Counter, n: int) -> memoryview:
+    """Start offsets of n consecutive slices sized by counts."""
+    starts = _ints(n)
+    total = 0
+    for i in range(n):
+        starts[i] = total
+        total += counts[i]
+    return starts
+
+
 class _Search:
+    """One depth-first enumeration over a theory's clause database.
+
+    The assignment is one value per literal (1 true, 0 false, -1
+    unassigned) plus a trail of the literals made true, in order.  A
+    binary clause (a, b) sits in two implication lists: implied[a]
+    holds b and implied[b] holds a, so when one literal goes false the
+    other must hold.  A longer clause watches two of its literals,
+    watch0[ci] and watch1[ci], and sits in the watch slice of each:
+    only a watch going false makes the clause look for a replacement
+    among its literals that are not false, and when there is none the
+    other watch is implied, or the clause is falsified.  A watch stays
+    false only while the other watch is true and was made true at the
+    same decision or an earlier one, so backtracking never invalidates
+    a watch and undo_to only unassigns the trail.  Unit clauses are
+    assigned once, at the root, and never undone.
+
+    Clause indices live in flat int buffers (_ints), because a list
+    would hold one int object per index; literal l's slice of such a
+    buffer starts at a fixed offset.  Implication lists hold literals,
+    which are shared with the clause tuples.
+    """
+
     def __init__(self, theory: GroundTheory, options: SolveOptions, stats: SolveStats):
         self.theory = theory
         self.options = options
         self.stats = stats
-        self.db = _clause_db(theory)
-        n = self.db.nvars
-        self.status = [-1] * n
-        self.sat_count = [0] * len(self.db.clauses)
-        self.unk_count = [len(cl) for cl in self.db.clauses]
+        self.db = db = _clause_db(theory)
+        clauses = db.clauses
+        n_lits = 2 * db.nvars
+        self.value = [-1] * n_lits
         self.trail: list[int] = []
-        self.score = [0] * n
-        for idx, cl in enumerate(self.db.clauses):
-            if self.db.is_denial[idx]:
-                for lit in cl:
-                    v = lit >> 1
-                    if v in self.db.candidates:
-                        self.score[v] += 1
+        self.units = [ci for ci, cl in enumerate(clauses) if len(cl) < 2]
+        binary = Counter(chain.from_iterable(cl for cl in clauses if len(cl) == 2))
+        longer = Counter(chain.from_iterable(cl for cl in clauses if len(cl) > 2))
+        # A literal in no binary clause shares the empty tuple.
+        self.implied = implied = [[] if binary[lit] else () for lit in range(n_lits)]
+        # implied_clause[implied_start[l] + j] is the clause of
+        # implied[l][j]; only conflicts read it.
+        self.implied_start = implied_start = _offsets(binary, n_lits)
+        self.implied_clause = implied_clause = _ints(sum(binary.values()))
+        # The clauses watching l fill watch_len[l] slots from
+        # watch_start[l]; there is room for every longer clause with l.
+        self.watch_start = watch_start = _offsets(longer, n_lits)
+        self.watch_len = watch_len = _ints(n_lits)
+        self.watched = watched = _ints(sum(longer.values()))
+        self.watch0 = watch0 = _ints(len(clauses))
+        self.watch1 = watch1 = _ints(len(clauses))
+        for ci, cl in enumerate(clauses):
+            if len(cl) == 2:
+                a, b = cl
+                implied_clause[implied_start[a] + len(implied[a])] = ci
+                implied[a].append(b)
+                implied_clause[implied_start[b] + len(implied[b])] = ci
+                implied[b].append(a)
+            elif len(cl) > 2:
+                a = watch0[ci] = cl[0]
+                b = watch1[ci] = cl[1]
+                watched[watch_start[a] + watch_len[a]] = ci
+                watch_len[a] += 1
+                watched[watch_start[b] + watch_len[b]] = ci
+                watch_len[b] += 1
+        # Static branching order: most denial clauses first, ties in
+        # branch_vars order (sorted is stable).
+        denial = Counter(chain.from_iterable(compress(clauses, db.is_denial)))
+        self.order = sorted(db.branch_vars, key=lambda v: -denial[2 * v] - denial[2 * v + 1])
         self.solutions: list[tuple[int, ...]] = []
         self.minimal_sets: list[frozenset[int]] = []
 
     # -- assignment machinery -------------------------------------------
 
-    def _apply(self, var: int, val: int) -> int | None:
-        """Set one variable and update counters; returns a conflicting
-        clause index if some clause just lost its last disjunct."""
-        db = self.db
-        self.status[var] = val
-        self.trail.append(var)
-        tlit = 2 * var + (0 if val else 1)
-        occ = db.occ
-        sat_count = self.sat_count
-        unk_count = self.unk_count
-        for ci in occ[tlit]:
-            was = sat_count[ci]
-            sat_count[ci] = was + 1
-            if was == 0 and db.is_denial[ci]:
-                for lit in db.clauses[ci]:
-                    v = lit >> 1
-                    if v in db.candidates:
-                        self.score[v] -= 1
-        conflict = None
-        for ci in occ[tlit ^ 1]:
-            unk_count[ci] -= 1
-            if conflict is None and sat_count[ci] == 0 and unk_count[ci] == 0:
-                conflict = ci
-        return conflict
-
-    def _unapply(self, var: int):
-        db = self.db
-        val = self.status[var]
-        tlit = 2 * var + (0 if val else 1)
-        for ci in db.occ[tlit]:
-            now = self.sat_count[ci] - 1
-            self.sat_count[ci] = now
-            if now == 0 and db.is_denial[ci]:
-                for lit in db.clauses[ci]:
-                    v = lit >> 1
-                    if v in db.candidates:
-                        self.score[v] += 1
-        for ci in db.occ[tlit ^ 1]:
-            self.unk_count[ci] += 1
-        self.status[var] = -1
-
     def undo_to(self, mark: int):
-        while len(self.trail) > mark:
-            self._unapply(self.trail.pop())
+        value = self.value
+        trail = self.trail
+        for lit in trail[mark:]:
+            value[lit] = value[lit ^ 1] = -1
+        del trail[mark:]
 
-    def propagate(self, var: int, val: int) -> int | None:
-        """Assign and run unit propagation to fixpoint; on conflict the
-        offending clause index comes back and the caller unwinds."""
-        conflict = self._apply(var, val)
-        if conflict is not None:
-            return conflict
-        db = self.db
-        status = self.status
-        qi = len(self.trail) - 1
-        while qi < len(self.trail):
-            v = self.trail[qi]
-            qi += 1
-            flit = 2 * v + (1 if status[v] else 0)
-            for ci in db.occ[flit]:
-                if self.sat_count[ci] != 0 or self.unk_count[ci] != 1:
-                    continue
-                unit = None
-                for lit in db.clauses[ci]:
-                    if status[lit >> 1] == -1:
-                        unit = lit
-                        break
-                if unit is None:  # pragma: no cover - counters keep this exact
-                    continue
-                self.stats.propagations += 1
-                conflict = self._apply(unit >> 1, 0 if unit & 1 else 1)
-                if conflict is not None:
-                    return conflict
-        return None
+    def propagate(self, lit: int) -> int | None:
+        """Make an unassigned literal true and run unit propagation to
+        fixpoint; on conflict the index of a clause that the current
+        assignment falsifies comes back and the caller unwinds."""
+        self.value[lit] = 1
+        self.value[lit ^ 1] = 0
+        self.trail.append(lit)
+        return self._propagate(len(self.trail) - 1)
 
     def propagate_pending(self) -> int | None:
-        """Initial propagation: fire all unit and empty clauses."""
-        for ci, cl in enumerate(self.db.clauses):
-            if self.sat_count[ci] != 0:
-                continue
-            if self.unk_count[ci] == 0:
+        """Root propagation: assign every unit clause, then propagate."""
+        value = self.value
+        for ci in self.units:
+            cl = self.db.clauses[ci]
+            if not cl or value[cl[0]] == 0:
                 return ci
-            if self.unk_count[ci] == 1:
-                unit = None
-                for lit in cl:
-                    if self.status[lit >> 1] == -1:
-                        unit = lit
-                        break
-                if unit is None:
-                    continue
+            lit = cl[0]
+            if value[lit] == -1:
                 self.stats.propagations += 1
-                conflict = self.propagate(unit >> 1, 0 if unit & 1 else 1)
-                if conflict is not None:
-                    return conflict
-        return None
+                value[lit] = 1
+                value[lit ^ 1] = 0
+                self.trail.append(lit)
+        return self._propagate(0)
+
+    def _propagate(self, head: int) -> int | None:
+        """Propagate the trail from position head on; a conflict leaves
+        the rest of the queue unprocessed, for the caller to undo."""
+        value = self.value
+        trail = self.trail
+        push = trail.append
+        implied = self.implied
+        watch_start = self.watch_start
+        watch_len = self.watch_len
+        watched = self.watched
+        watch0 = self.watch0
+        watch1 = self.watch1
+        clauses = self.db.clauses
+        implications = 0
+        conflict = None
+        while head < len(trail):
+            false_lit = trail[head] ^ 1
+            head += 1
+            for lit in implied[false_lit]:
+                val = value[lit]
+                if val == -1:
+                    implications += 1
+                    value[lit] = 1
+                    value[lit ^ 1] = 0
+                    push(lit)
+                elif val == 0:
+                    j = implied[false_lit].index(lit)
+                    conflict = self.implied_clause[self.implied_start[false_lit] + j]
+                    break
+            if conflict is not None:
+                break
+            count = watch_len[false_lit]
+            if not count:
+                continue
+            base = watch_start[false_lit]
+            end = base + count
+            kept = base  # the watch slice is compacted in place
+            for i in range(base, end):
+                ci = watched[i]
+                other = watch0[ci]
+                if other == false_lit:  # keep the false watch in watch1
+                    other = watch1[ci]
+                    watch0[ci] = other
+                    watch1[ci] = false_lit
+                val = value[other]
+                if val != 1:
+                    for lit in clauses[ci]:
+                        if lit != other and value[lit] != 0:
+                            break
+                    else:
+                        lit = -1
+                    if lit != -1:  # move the watch to lit
+                        watch1[ci] = lit
+                        watched[watch_start[lit] + watch_len[lit]] = ci
+                        watch_len[lit] += 1
+                        continue
+                    if val == 0:
+                        conflict = ci
+                        rest = watched[i:end]
+                        watched[kept : kept + len(rest)] = rest
+                        kept += len(rest)
+                        break
+                    implications += 1
+                    value[other] = 1
+                    value[other ^ 1] = 0
+                    push(other)
+                watched[kept] = ci
+                kept += 1
+            watch_len[false_lit] = kept - base
+            if conflict is not None:
+                break
+        self.stats.propagations += implications
+        return conflict
 
     # -- branching --------------------------------------------------------
 
-    def pick(self) -> int | None:
-        best = None
-        best_score = -1
-        status = self.status
-        score = self.score
-        for v in self.db.branch_vars:
-            if status[v] == -1 and score[v] > best_score:
-                best = v
-                best_score = score[v]
-        return best
+    def run(self, start: int = 0) -> bool:
+        """DFS; returns False when the model cap stopped the search.
 
-    def run(self) -> bool:
-        """DFS; returns False when the model cap stopped the search."""
-        var = self.pick()
-        if var is None:
+        Variables before order[start] are assigned on this path and stay
+        assigned below it, so the next decision is the first unassigned
+        variable from start on."""
+        order = self.order
+        value = self.value
+        while start < len(order) and value[2 * order[start]] != -1:
+            start += 1
+        if start == len(order):
             return self._leaf()
-        for val in (0, 1):
+        var = order[start]
+        for lit in (2 * var + 1, 2 * var):  # absent first
             self.stats.nodes += 1
             mark = len(self.trail)
-            conflict = self.propagate(var, val)
+            conflict = self.propagate(lit)
             if conflict is None:
-                more = self.run()
+                more = self.run(start + 1)
                 self.undo_to(mark)
                 if not more:
                     return False
@@ -413,7 +490,8 @@ class _Search:
         return True
 
     def _leaf(self) -> bool:
-        delta = tuple(v for v in self.db.branch_vars if self.status[v] == 1)
+        value = self.value
+        delta = tuple(v for v in self.db.branch_vars if value[2 * v] == 1)
         if self.options.minimal_only:
             # Two leaves first differ at a decision on some variable, and
             # a subset takes it absent there, so absent-first search
@@ -425,7 +503,7 @@ class _Search:
             if any(s <= dset for s in self.minimal_sets):
                 return True
         self.stats.checks += 1
-        if not isinstance(check_delta(self.theory, delta), Sat):
+        if not self._admissible(delta):
             return True
         self.solutions.append(delta)
         if self.options.minimal_only:
@@ -433,6 +511,26 @@ class _Search:
         self.stats.models += 1
         cap = self.options.max_models
         return cap is None or self.stats.models < cap
+
+    def _admissible(self, delta: tuple[int, ...]) -> bool:
+        """Whether check_delta(theory, delta) is Sat, from one WFS run.
+
+        When the well-founded model is two-valued and gives every atom
+        the value the search gave it, no constraint can be violated:
+        propagation reached its fixpoint without conflict and root units
+        are never undone, so every clause whose variables are all
+        assigned has a true literal, and the constraint clauses mention
+        atoms only.  Otherwise the constraints are scanned under the
+        model, as check_delta does.
+        """
+        db = self.db
+        n = db.n_atoms
+        truth, _trace = wfs.well_founded(db.definitions, delta, n)
+        if wfs.UNDEF in truth:
+            return False
+        if [t == wfs.TRUE for t in truth] == self.value[0 : 2 * n : 2]:
+            return True
+        return db.first_falsified(truth) is None
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +610,10 @@ def _stratification_warning(theory: GroundTheory) -> str | None:
 def solve(theory: GroundTheory, options: SolveOptions | None = None) -> SolveReport:
     """Enumerate admissible hypothesis sets in deterministic order.
 
-    Every emitted solution has been re-verified against check_delta, so
-    the report is sound by construction; completeness comes from the
-    propagation clauses being satisfied by every solution's model.
+    Every emitted solution gets check_delta's verdict Sat (computed as
+    in _Search._admissible), so the report is sound by construction;
+    completeness comes from the propagation clauses being satisfied by
+    every solution's model.
     """
     options = options or SolveOptions()
     stats = SolveStats()

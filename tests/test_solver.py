@@ -19,7 +19,9 @@ from alp.solver import (
     NotTwoValued,
     Sat,
     SolveOptions,
+    SolveStats,
     UnsatConstraint,
+    _Search,
     check_delta,
     solve,
     translate_query,
@@ -236,16 +238,126 @@ def test_solve_minimal_cap_counts_minimal_solutions():
 
 
 def test_solve_minimal_is_the_filtered_enumeration_in_order():
+    # The whole search on random theories: the enumeration against brute
+    # force, --minimal against the filtered enumeration, and each cap
+    # against a prefix of the uncapped list.
     rng = random.Random(7)
-    for _ in range(200):
+    for i in range(320):
         theory = random_ground_theory(rng)
         everything = solve(theory, SolveOptions()).solutions
         sets = [frozenset(s) for s in everything]
+        assert len(set(sets)) == len(sets), f"theory {i}: a solution repeats"
+        assert set(sets) == brute_solutions(theory), f"theory {i}"
         minimal = [s for s, x in zip(everything, sets) if not any(y < x for y in sets)]
         assert solve(theory, SolveOptions(minimal_only=True)).solutions == minimal
         cap = rng.randint(1, 3)
         capped = solve(theory, SolveOptions(max_models=cap, minimal_only=True))
         assert capped.solutions == minimal[:cap]
+        for k in range(1, len(everything) + 1):
+            assert solve(theory, SolveOptions(max_models=k)).solutions == everything[:k]
+
+
+def naive_propagation(clauses, true_lits):
+    """Unit propagation to fixpoint by rescanning every clause; the set
+    of true literals, or None on a falsified clause."""
+    true = set(true_lits)
+    changed = True
+    while changed:
+        changed = False
+        for cl in clauses:
+            if any(lit in true for lit in cl):
+                continue
+            free = [lit for lit in cl if lit ^ 1 not in true]
+            if not free:
+                return None
+            if len(free) == 1:
+                true.add(free[0])
+                changed = True
+    return true
+
+
+def true_literals(search):
+    return {lit for lit, val in enumerate(search.value) if val == 1}
+
+
+def assert_falsified(search, idx):
+    assert all(search.value[lit] == 0 for lit in search.db.clauses[idx])
+
+
+def test_propagation_matches_naive_unit_propagation():
+    rng = random.Random(5)
+    conflicts = {"root": 0, "decision": 0}
+    for _ in range(400):
+        theory = random_ground_theory(rng)
+        search = _Search(theory, SolveOptions(), SolveStats())
+        clauses = search.db.clauses
+        expected = naive_propagation(clauses, ())
+        conflict = search.propagate_pending()
+        if expected is None:
+            assert conflict is not None
+            assert_falsified(search, conflict)
+            conflicts["root"] += 1
+            continue
+        assert conflict is None and true_literals(search) == expected
+        # Decisions, each kept or undone at random, and undone on a
+        # conflict, so that the watches are exercised after backtracking.
+        marks = []
+        for _ in range(12):
+            free = [v for v in range(search.db.nvars) if search.value[2 * v] == -1]
+            if not free:
+                break
+            before = true_literals(search)
+            lit = 2 * rng.choice(free) + rng.randint(0, 1)
+            expected = naive_propagation(clauses, before | {lit})
+            mark = len(search.trail)
+            conflict = search.propagate(lit)
+            if expected is None:
+                assert conflict is not None
+                assert_falsified(search, conflict)
+                conflicts["decision"] += 1
+                search.undo_to(mark)
+                assert true_literals(search) == before
+                continue
+            assert conflict is None and true_literals(search) == expected
+            marks.append((mark, before))
+            if rng.random() < 0.3:
+                k = rng.randrange(len(marks))
+                mark, before = marks[k]
+                del marks[k:]
+                search.undo_to(mark)
+                assert true_literals(search) == before
+    assert conflicts["root"] > 0 and conflicts["decision"] > 0
+
+
+def root_conflict(text):
+    theory = theory_for(text)
+    search = _Search(theory, SolveOptions(), SolveStats())
+    idx = search.propagate_pending()
+    assert idx is not None
+    assert_falsified(search, idx)
+    report = solve(theory, SolveOptions())
+    assert report.unsat_reason == (
+        "constraints are contradictory before any hypothesis: "
+        + search.db.describe_origin(theory, idx)
+    )
+    return search.db.clauses[idx], report.unsat_reason
+
+
+def test_root_conflict_through_a_binary_clause_names_it():
+    clause, reason = root_conflict(
+        "abducible a/0.\nabducible b/0.\na <- true.\nb <- a.\nfalse <- b.\n"
+    )
+    assert len(clause) == 2
+    assert reason.endswith("b <- a.")
+
+
+def test_root_conflict_through_a_long_clause_names_it():
+    clause, reason = root_conflict(
+        "abducible a/0.\nabducible b/0.\nabducible c/0.\n"
+        "a <- true.\nb <- true.\nc <- true.\nfalse <- a, b, c.\n"
+    )
+    assert len(clause) == 3
+    assert reason.endswith("false <- a, b, c.")
 
 
 def test_solve_forced_atoms_in_every_solution():
