@@ -19,13 +19,18 @@ occurring in the most denial clauses first, ties in atom order, each
 tried absent before present.
 
 Any two-valued well-founded model extends to a total assignment of this
-database, so propagation and conflict pruning never lose a solution;
-the converse does not hold in the presence of positive cycles, which is
-why every surviving leaf is decided by its well-founded model before it
-is emitted (see _Search._admissible).  On acyclic definition layers,
-which cover the common case, propagation alone decides every derived
-atom, and it also regresses goals backwards through the rules, which is
-what makes the planning workload tractable.
+database, so propagation and conflict pruning never lose a solution.
+The converse fails on positive loops, where completion admits models
+whose loop atoms only support each other.  One pass over the definition
+layer's dependency graph finds its strongly connected components.  On
+the components with a positive loop, the search also falsifies the
+atoms left without a source body (_LoopSearch).  A conflict-free total
+assignment is then a stable model, and when no component holds a
+negative edge it is the total well-founded model, so such a leaf needs
+no well-founded run; a leaf is decided by its well-founded model only
+where a negative loop exists (see _Search._admissible).  Propagation
+also regresses goals backwards through the rules, which is what makes
+the planning workload tractable.
 """
 
 from __future__ import annotations
@@ -150,6 +155,11 @@ class _ClauseDb:
     the defined atom.  definitions holds the definition layer in the
     form wfs.well_founded takes.
 
+    The loop tables come from one pass over the strongly connected
+    components of the definition layer's dependency graph (head to
+    each body atom, either sign), made before the completion clauses
+    are added; see _find_loops.
+
     The theory owns its database as a cache, so the database keeps no
     reference back to it: a cycle would keep every theory alive until
     the cyclic garbage collector runs.
@@ -175,6 +185,7 @@ class _ClauseDb:
             lits += [2 * a for a in gc.neg]
             self._add(lits, ci, denial=not gc.heads)
         self.n_constraint_clauses = len(self.clauses)
+        self._find_loops(theory.clauses)
         self._add_completion(theory.clauses)
         del self._index  # only dedup needs it, and the database outlives the search
 
@@ -228,11 +239,64 @@ class _ClauseDb:
                     self._add([dj] + [lit ^ 1 for lit in lits], head)
                 self._add([dj ^ 1, 2 * head], head)
                 support.append(dj)
+                if head in self.loop_atoms:
+                    self._add_loop_body(head, dj, pos)
             self._add(support, head)
         # Atoms that are neither derivable nor assumable are simply false.
         for a in range(self.n_atoms):
             if a not in bodies_by_head and a not in self.candidates:
                 self._add([2 * a + 1], a)
+
+    def _find_loops(self, clauses: list[GroundClause]):
+        """Find the loops of the definition layer in one pass over its
+        strongly connected components.
+
+        negative_loop_atom is the head of the first clause with a
+        negative body atom in the head's own component, None when there
+        is none (the layer is then stratified).  loop_atoms maps each
+        loop atom to its component: the heads in a component where some
+        clause has a positive body atom of the head's own component,
+        except heads of a fact clause, which are always founded.  Their
+        bodies are numbered as _add_completion meets them (see
+        _add_loop_body).
+        """
+        succ: dict[int, list[int]] = {}
+        for gc in clauses:
+            succ.setdefault(gc.head, []).extend(gc.pos + gc.neg)
+        comp = _components(succ)
+        self.negative_loop_atom = next(
+            (gc.head for gc in clauses if any(comp.get(b) == comp[gc.head] for b in gc.neg)),
+            None,
+        )
+        looped = {
+            comp[gc.head] for gc in clauses if any(comp.get(b) == comp[gc.head] for b in gc.pos)
+        }
+        facts = {gc.head for gc in clauses if not gc.pos and not gc.neg}
+        self.loop_atoms = {h: comp[h] for h in succ if comp[h] in looped and h not in facts}
+        self.body_head: list[int] = []
+        self.body_lit: list[int] = []
+        self.body_internal: list[tuple[int, ...]] = []
+        self.bodies_of: dict[int, list[int]] = {}
+        self.dependents: dict[int, list[int]] = {}
+        self.body_watch: dict[int, list[int]] = {}
+
+    def _add_loop_body(self, head: int, lit: int, pos: tuple[int, ...]):
+        """Number a body of a loop atom: body_head[k] is body k's head,
+        body_lit[k] the literal true exactly when it holds and
+        body_internal[k] its positive atoms that are loop atoms of the
+        head's component.  bodies_of[a] lists loop atom a's bodies,
+        dependents[b] the bodies with b internal and body_watch[lit]
+        those with literal lit."""
+        k = len(self.body_head)
+        loop = self.loop_atoms[head]
+        internal = tuple(sorted({b for b in pos if self.loop_atoms.get(b) == loop}))
+        self.body_head.append(head)
+        self.body_lit.append(lit)
+        self.body_internal.append(internal)
+        self.bodies_of.setdefault(head, []).append(k)
+        for b in internal:
+            self.dependents.setdefault(b, []).append(k)
+        self.body_watch.setdefault(lit, []).append(k)
 
     def first_falsified(self, truth: Sequence[int]) -> int | None:
         """First constraint clause with every literal false under a total
@@ -251,10 +315,51 @@ class _ClauseDb:
         return None
 
     def describe_origin(self, theory: GroundTheory, idx: int) -> str:
+        if idx < 0:  # an unfounded loop atom, see _LoopSearch
+            atom = theory.atoms.render(-1 - idx)
+            return f"definition of {atom} (a loop without outside support)"
         ref = self.origins[idx]
         if idx < self.n_constraint_clauses:
             return theory.render_constraint(theory.constraints[ref])
         return f"definition of {theory.atoms.render(ref)}"
+
+
+def _components(succ: dict[int, list[int]]) -> dict[int, int]:
+    """Strongly connected components of a digraph given by successor
+    lists (Tarjan, iterative): for each vertex reached, the vertex that
+    roots its component."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    comp: dict[int, int] = {}
+    stack: list[int] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ.get(w, ()))))
+                    break
+                if w not in comp:  # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = v
+                        if w == v:
+                            break
+    return comp
 
 
 def _clause_db(theory: GroundTheory) -> _ClauseDb:
@@ -352,6 +457,9 @@ class _Search:
         self.order = sorted(db.branch_vars, key=lambda v: -denial[2 * v] - denial[2 * v + 1])
         self.solutions: list[tuple[int, ...]] = []
         self.minimal_sets: list[frozenset[int]] = []
+        # A conflict-free total assignment is a stable model: the layer
+        # has no loop atoms here, and _LoopSearch falsifies unfounded ones.
+        self.total_is_stable = not db.loop_atoms
 
     # -- assignment machinery -------------------------------------------
 
@@ -513,94 +621,167 @@ class _Search:
         return cap is None or self.stats.models < cap
 
     def _admissible(self, delta: tuple[int, ...]) -> bool:
-        """Whether check_delta(theory, delta) is Sat, from one WFS run.
+        """Whether check_delta(theory, delta) is Sat.
 
-        When the well-founded model is two-valued and gives every atom
-        the value the search gave it, no constraint can be violated:
-        propagation reached its fixpoint without conflict and root units
-        are never undone, so every clause whose variables are all
-        assigned has a true literal, and the constraint clauses mention
-        atoms only.  Otherwise the constraints are scanned under the
-        model, as check_delta does.
+        Propagation reached a conflict-free fixpoint and root units are
+        never undone, so every clause whose variables are all assigned
+        has a true literal.  When every atom is assigned, so is every
+        auxiliary variable, being equivalent to its body: the
+        assignment M satisfies every constraint clause and the
+        completion, so M is a supported model of definitions plus delta.
+        It is also a stable model, as no nonempty set U of true atoms is
+        unfounded (Van Gelder, Ross & Schlipf, 1991).  Take the lowest
+        component U meets: off a loop component, a true atom's true body
+        has its positive atoms in lower components, outside U (Fages,
+        1994); on one, the atom of U first in the acyclic source order of
+        _LoopSearch has a true source body whose atoms are outside U.
+        With no negative loop, definitions plus delta are stratified, so
+        their well-founded model is total and is their only stable
+        model, M: the leaf is Sat without a well-founded run.
+
+        Otherwise one well-founded run decides.  When its model is
+        two-valued and gives every atom the search's value, no
+        constraint is violated, by the first argument; else the
+        constraints are scanned under the model, as check_delta does.
         """
         db = self.db
         n = db.n_atoms
+        value = self.value
+        if self.total_is_stable and db.negative_loop_atom is None:
+            if -1 not in value[0 : 2 * n : 2]:
+                return True
         truth, _trace = wfs.well_founded(db.definitions, delta, n)
         if wfs.UNDEF in truth:
             return False
-        if [t == wfs.TRUE for t in truth] == self.value[0 : 2 * n : 2]:
+        if [t == wfs.TRUE for t in truth] == value[0 : 2 * n : 2]:
             return True
         return db.first_falsified(truth) is None
 
 
-# ---------------------------------------------------------------------------
-# stratification warning
+class _LoopSearch(_Search):
+    """The search on a definition layer with loop atoms: after unit
+    propagation it also falsifies unfounded loop atoms, with one source
+    body per atom (Gebser, Kaufmann & Schaub, 2012; smodels' atmost).
+
+    source[a] is a body of loop atom a or -1.  At every propagation
+    fixpoint each loop atom that is not false has a source whose
+    literal is not false and whose internal atoms have sources, and
+    following sources from atom to internal atom never cycles, because
+    an atom gets a source only when the body's internal atoms already
+    have theirs.  Only a source body going false breaks this: its head
+    loses its source, and so does every atom whose source holds an atom
+    that lost its own.  Those atoms are sourced again where a body
+    allows; the rest form an unfounded set, and each of them is made
+    false, or is a conflict if already true.  Source changes are logged
+    with the trail length at which they happen and undone with the
+    trail, so backtracking restores the sources of the fixpoint it
+    returns to.
+    """
+
+    def __init__(self, theory: GroundTheory, options: SolveOptions, stats: SolveStats):
+        super().__init__(theory, options, stats)
+        self.source = [-1] * self.db.n_atoms
+        self.source_log: list[tuple[int, int, int]] = []  # (trail length, atom, old source)
+        self.total_is_stable = True
+
+    def undo_to(self, mark: int):
+        super().undo_to(mark)
+        log = self.source_log
+        source = self.source
+        while log and log[-1][0] > mark:
+            _at, a, old = log.pop()
+            source[a] = old
+
+    def propagate(self, lit: int) -> int | None:
+        """As _Search.propagate; a conflict on an unfounded atom a that
+        is true comes back as -1 - a."""
+        start = len(self.trail)
+        conflict = super().propagate(lit)
+        if conflict is not None:
+            return conflict
+        return self._unfounded(start, [])
+
+    def propagate_pending(self) -> int | None:
+        conflict = super().propagate_pending()
+        if conflict is not None:
+            return conflict
+        # No atom has a source yet: all of them are to be sourced.
+        return self._unfounded(len(self.trail), list(self.db.loop_atoms))
+
+    def _set_source(self, a: int, k: int):
+        self.source_log.append((len(self.trail), a, self.source[a]))
+        self.source[a] = k
+
+    def _unfounded(self, start: int, lost: list[int]) -> int | None:
+        """Restore the source invariant after unit propagation assigned
+        trail[start:], the atoms in lost having no source already."""
+        db = self.db
+        value = self.value
+        trail = self.trail
+        source = self.source
+        body_head = db.body_head
+        body_lit = db.body_lit
+        body_internal = db.body_internal
+        dependents = db.dependents
+        while True:
+            for lit in trail[start:]:
+                for k in db.body_watch.get(lit ^ 1, ()):
+                    a = body_head[k]
+                    if source[a] == k:
+                        self._set_source(a, -1)
+                        lost.append(a)
+            if not lost:
+                return None
+            for b in lost:  # lost grows while it is walked
+                for k in dependents.get(b, ()):
+                    a = body_head[k]
+                    if source[a] == k:
+                        self._set_source(a, -1)
+                        lost.append(a)
+            # Source again, bottom up: a body serves once it is not
+            # false and its internal atoms without a source are none.
+            missing: dict[int, int] = {}
+            ready = []
+            for a in lost:
+                for k in db.bodies_of[a]:
+                    if value[body_lit[k]] != 0:
+                        m = sum(source[b] == -1 for b in body_internal[k])
+                        if m:
+                            missing[k] = m
+                        else:
+                            ready.append(k)
+            for k in ready:  # ready grows while it is walked
+                a = body_head[k]
+                if source[a] != -1:
+                    continue
+                self._set_source(a, k)
+                for k2 in dependents.get(a, ()):
+                    m = missing.get(k2)
+                    if m:
+                        missing[k2] = m - 1
+                        if m == 1:
+                            ready.append(k2)
+            start = len(trail)
+            for a in lost:
+                if source[a] == -1:
+                    val = value[2 * a]
+                    if val == 1:
+                        return -1 - a
+                    if val == -1:
+                        self.stats.propagations += 1
+                        value[2 * a] = 0
+                        value[2 * a + 1] = 1
+                        trail.append(2 * a + 1)
+            lost = []
+            conflict = self._propagate(start)
+            if conflict is not None:
+                return conflict
 
 
-def _stratification_warning(theory: GroundTheory) -> str | None:
-    """Detect negative dependencies inside a strongly connected component
-    of the ground definition layer."""
-    adj: dict[int, list[tuple[int, bool]]] = {}
-    for gc in theory.clauses:
-        edges = adj.setdefault(gc.head, [])
-        edges.extend((b, False) for b in gc.pos)
-        edges.extend((b, True) for b in gc.neg)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    comp: dict[int, int] = {}
-    counter = [0]
-    comps = [0]
-    stack: list[int] = []
-    on_stack: set[int] = set()
-
-    def strongconnect(root: int):
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w, _negedge in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                cid = comps[0]
-                comps[0] += 1
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = cid
-                    if w == v:
-                        break
-
-    for v in adj:
-        if v not in index:
-            strongconnect(v)
-    for gc in theory.clauses:
-        for b in gc.neg:
-            if comp.get(gc.head) is not None and comp.get(gc.head) == comp.get(b):
-                return (
-                    "definition layer is not stratified "
-                    f"(negative loop through {theory.atoms.render(gc.head)}); "
-                    "candidates that wake the loop are rejected as not two-valued"
-                )
-    return None
+def _new_search(theory: GroundTheory, options: SolveOptions, stats: SolveStats) -> _Search:
+    """The search for a theory: _LoopSearch where it has loop atoms."""
+    cls = _LoopSearch if _clause_db(theory).loop_atoms else _Search
+    return cls(theory, options, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -610,19 +791,23 @@ def _stratification_warning(theory: GroundTheory) -> str | None:
 def solve(theory: GroundTheory, options: SolveOptions | None = None) -> SolveReport:
     """Enumerate admissible hypothesis sets in deterministic order.
 
-    Every emitted solution gets check_delta's verdict Sat (computed as
+    Every emitted solution gets check_delta's verdict Sat (decided as
     in _Search._admissible), so the report is sound by construction;
-    completeness comes from the propagation clauses being satisfied by
-    every solution's model.
+    completeness comes from every solution's model satisfying the
+    propagation clauses and making every unfounded loop atom false.
     """
     options = options or SolveOptions()
     stats = SolveStats()
     t0 = time.perf_counter()
-    search = _Search(theory, options, stats)
+    search = _new_search(theory, options, stats)
     report = SolveReport([], stats)
-    warning = _stratification_warning(theory)
-    if warning:
-        report.warnings.append(warning)
+    loop_atom = search.db.negative_loop_atom
+    if loop_atom is not None:
+        report.warnings.append(
+            "definition layer is not stratified "
+            f"(negative loop through {theory.atoms.render(loop_atom)}); "
+            "candidates that wake the loop are rejected as not two-valued"
+        )
     conflict = search.propagate_pending()
     if conflict is not None:
         report.unsat_reason = (

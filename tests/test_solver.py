@@ -1,17 +1,20 @@
 """Search engine: candidate checking, enumeration, query translation."""
 
 import dataclasses
+import importlib.resources
 import itertools
 import random
 
 import pytest
 
+from alp import wfs
 from alp.ground import (
     AtomTable,
     GroundAtom,
     GroundClause,
     GroundConstraint,
     GroundTheory,
+    apply_const_overrides,
     build_theory,
 )
 from alp.parser import parse_text, pretty_print
@@ -21,6 +24,9 @@ from alp.solver import (
     SolveOptions,
     SolveStats,
     UnsatConstraint,
+    _clause_db,
+    _LoopSearch,
+    _new_search,
     _Search,
     check_delta,
     solve,
@@ -120,21 +126,28 @@ def reference_check(theory, delta):
     return Sat, None
 
 
-def random_ground_theory(rng):
+def random_ground_theory(rng, positive_loops=False):
     """A small ground theory whose constraints repeat, permute and
     contradict themselves: equal copies, shuffled copies, tautologies and
-    negative heads, over few atoms so that accidental repeats occur too."""
+    negative heads, over few atoms so that accidental repeats occur too.
+
+    With positive_loops the definitions may refer to any atom but never
+    negatively, so loops are positive: the family whose leaves are
+    decided without a well-founded run.  Otherwise 30% of the draws are
+    cyclic with negation, the rest acyclic."""
     table = AtomTable()
     universe = tuple(table.intern(GroundAtom("u", (i,))) for i in range(rng.randint(1, 5)))
     defined = tuple(table.intern(GroundAtom("d", (i,))) for i in range(rng.randint(0, 4)))
     atoms = universe + defined
-    cyclic = rng.random() < 0.3  # else each d(i) rests on u and lower d only
+    cyclic = positive_loops or rng.random() < 0.3  # else each d(i) rests on u and lower d only
     clauses = []
     for i, head in enumerate(defined):
         below = atoms if cyclic else universe + defined[:i]
         for _ in range(rng.randint(0, 2)):
             pos = tuple(rng.choice(below) for _ in range(rng.randint(0, 2)))
-            neg = tuple(rng.choice(below) for _ in range(rng.randint(0, 1)))
+            neg = ()
+            if not positive_loops:
+                neg = tuple(rng.choice(below) for _ in range(rng.randint(0, 1)))
             clauses.append(GroundClause(head, pos, neg))
     constraints = []
     for _ in range(rng.randint(1, 10)):
@@ -238,23 +251,39 @@ def test_solve_minimal_cap_counts_minimal_solutions():
 
 
 def test_solve_minimal_is_the_filtered_enumeration_in_order():
-    # The whole search on random theories: the enumeration against brute
-    # force, --minimal against the filtered enumeration, and each cap
-    # against a prefix of the uncapped list.
-    rng = random.Random(7)
-    for i in range(320):
-        theory = random_ground_theory(rng)
-        everything = solve(theory, SolveOptions()).solutions
-        sets = [frozenset(s) for s in everything]
-        assert len(set(sets)) == len(sets), f"theory {i}: a solution repeats"
-        assert set(sets) == brute_solutions(theory), f"theory {i}"
-        minimal = [s for s, x in zip(everything, sets) if not any(y < x for y in sets)]
-        assert solve(theory, SolveOptions(minimal_only=True)).solutions == minimal
-        cap = rng.randint(1, 3)
-        capped = solve(theory, SolveOptions(max_models=cap, minimal_only=True))
-        assert capped.solutions == minimal[:cap]
-        for k in range(1, len(everything) + 1):
-            assert solve(theory, SolveOptions(max_models=k)).solutions == everything[:k]
+    # The whole search on random theories of both families: the
+    # enumeration against brute force, --minimal against the filtered
+    # enumeration, and each cap against a prefix of the uncapped list.
+    # Pruning removes only subtrees without solutions and the branching
+    # order is static, so the enumeration is brute force's solutions
+    # sorted by the decisions the search takes, absent before present.
+    decided = {"loops, no well-founded run": 0, "negative loop": 0}
+    for positive_loops, seed, count in ((False, 7, 320), (True, 31, 300)):
+        rng = random.Random(seed)
+        for i in range(count):
+            theory = random_ground_theory(rng, positive_loops)
+            report = solve(theory, SolveOptions())
+            everything = report.solutions
+            order = _new_search(theory, SolveOptions(), SolveStats()).order
+            expected = sorted(
+                (tuple(sorted(s)) for s in brute_solutions(theory)),
+                key=lambda s: tuple(v in s for v in order),
+            )
+            assert everything == expected, f"theory {i}, positive_loops={positive_loops}"
+            sets = [frozenset(s) for s in everything]
+            minimal = [s for s, x in zip(everything, sets) if not any(y < x for y in sets)]
+            assert solve(theory, SolveOptions(minimal_only=True)).solutions == minimal
+            cap = rng.randint(1, 3)
+            capped = solve(theory, SolveOptions(max_models=cap, minimal_only=True))
+            assert capped.solutions == minimal[:cap]
+            for k in range(1, len(everything) + 1):
+                assert solve(theory, SolveOptions(max_models=k)).solutions == everything[:k]
+            db = _clause_db(theory)
+            if db.negative_loop_atom is not None:
+                decided["negative loop"] += 1
+            elif db.loop_atoms and report.stats.checks:
+                decided["loops, no well-founded run"] += 1
+    assert min(decided.values()) >= 20, decided
 
 
 def naive_propagation(clauses, true_lits):
@@ -276,6 +305,34 @@ def naive_propagation(clauses, true_lits):
     return true
 
 
+def naive_closure(db, true_lits):
+    """naive_propagation alternated with falsifying the greatest
+    unfounded set of loop atoms, computed from scratch as the loop atoms
+    outside the least set closed under bodies that are not false and
+    whose internal atoms are in the set; None on a conflict."""
+    true = set(true_lits)
+    while True:
+        true = naive_propagation(db.clauses, true)
+        if true is None:
+            return None
+        founded = set()
+        changed = True
+        while changed:
+            changed = False
+            for k, a in enumerate(db.body_head):
+                if a in founded or db.body_lit[k] ^ 1 in true:
+                    continue
+                if all(b in founded for b in db.body_internal[k]):
+                    founded.add(a)
+                    changed = True
+        unfounded = {2 * a + 1 for a in db.loop_atoms if a not in founded}
+        if any(lit ^ 1 in true for lit in unfounded):
+            return None
+        if unfounded <= true:
+            return true
+        true |= unfounded
+
+
 def true_literals(search):
     return {lit for lit, val in enumerate(search.value) if val == 1}
 
@@ -284,63 +341,74 @@ def assert_falsified(search, idx):
     assert all(search.value[lit] == 0 for lit in search.db.clauses[idx])
 
 
+def assert_conflict(search, idx):
+    if idx < 0:  # a true loop atom left without a source
+        assert isinstance(search, _LoopSearch) and search.value[2 * (-1 - idx)] == 1
+    else:
+        assert_falsified(search, idx)
+
+
 def test_propagation_matches_naive_unit_propagation():
-    rng = random.Random(5)
-    conflicts = {"root": 0, "decision": 0}
-    for _ in range(400):
-        theory = random_ground_theory(rng)
-        search = _Search(theory, SolveOptions(), SolveStats())
-        clauses = search.db.clauses
-        expected = naive_propagation(clauses, ())
-        conflict = search.propagate_pending()
-        if expected is None:
-            assert conflict is not None
-            assert_falsified(search, conflict)
-            conflicts["root"] += 1
-            continue
-        assert conflict is None and true_literals(search) == expected
-        # Decisions, each kept or undone at random, and undone on a
-        # conflict, so that the watches are exercised after backtracking.
-        marks = []
-        for _ in range(12):
-            free = [v for v in range(search.db.nvars) if search.value[2 * v] == -1]
-            if not free:
-                break
-            before = true_literals(search)
-            lit = 2 * rng.choice(free) + rng.randint(0, 1)
-            expected = naive_propagation(clauses, before | {lit})
-            mark = len(search.trail)
-            conflict = search.propagate(lit)
+    # Unit propagation, and on loop atoms unfounded-set propagation, each
+    # against a rescanning reference; the second family has positive loops.
+    conflicts = {"root": 0, "decision": 0, "unfounded": 0}
+    for positive_loops, seed in ((False, 5), (True, 6)):
+        rng = random.Random(seed)
+        for _ in range(400):
+            theory = random_ground_theory(rng, positive_loops)
+            search = _new_search(theory, SolveOptions(), SolveStats())
+            expected = naive_closure(search.db, ())
+            conflict = search.propagate_pending()
             if expected is None:
                 assert conflict is not None
-                assert_falsified(search, conflict)
-                conflicts["decision"] += 1
-                search.undo_to(mark)
-                assert true_literals(search) == before
+                assert_conflict(search, conflict)
+                conflicts["root"] += 1
+                conflicts["unfounded"] += conflict < 0
                 continue
             assert conflict is None and true_literals(search) == expected
-            marks.append((mark, before))
-            if rng.random() < 0.3:
-                k = rng.randrange(len(marks))
-                mark, before = marks[k]
-                del marks[k:]
-                search.undo_to(mark)
-                assert true_literals(search) == before
-    assert conflicts["root"] > 0 and conflicts["decision"] > 0
+            # Decisions, each kept or undone at random, and undone on a
+            # conflict, so that the watches are exercised after backtracking.
+            marks = []
+            for _ in range(12):
+                free = [v for v in range(search.db.nvars) if search.value[2 * v] == -1]
+                if not free:
+                    break
+                before = true_literals(search)
+                lit = 2 * rng.choice(free) + rng.randint(0, 1)
+                expected = naive_closure(search.db, before | {lit})
+                mark = len(search.trail)
+                conflict = search.propagate(lit)
+                if expected is None:
+                    assert conflict is not None
+                    assert_conflict(search, conflict)
+                    conflicts["decision"] += 1
+                    conflicts["unfounded"] += conflict < 0
+                    search.undo_to(mark)
+                    assert true_literals(search) == before
+                    continue
+                assert conflict is None and true_literals(search) == expected
+                marks.append((mark, before))
+                if rng.random() < 0.3:
+                    k = rng.randrange(len(marks))
+                    mark, before = marks[k]
+                    del marks[k:]
+                    search.undo_to(mark)
+                    assert true_literals(search) == before
+    assert min(conflicts.values()) > 0, conflicts
 
 
 def root_conflict(text):
     theory = theory_for(text)
-    search = _Search(theory, SolveOptions(), SolveStats())
+    search = _new_search(theory, SolveOptions(), SolveStats())
     idx = search.propagate_pending()
     assert idx is not None
-    assert_falsified(search, idx)
+    assert_conflict(search, idx)
     report = solve(theory, SolveOptions())
     assert report.unsat_reason == (
         "constraints are contradictory before any hypothesis: "
         + search.db.describe_origin(theory, idx)
     )
-    return search.db.clauses[idx], report.unsat_reason
+    return (search.db.clauses[idx] if idx >= 0 else ()), report.unsat_reason
 
 
 def test_root_conflict_through_a_binary_clause_names_it():
@@ -358,6 +426,15 @@ def test_root_conflict_through_a_long_clause_names_it():
     )
     assert len(clause) == 3
     assert reason.endswith("false <- a, b, c.")
+
+
+def test_root_conflict_on_a_loop_without_outside_support_names_its_atom():
+    _clause, reason = root_conflict(
+        "abducible a/0.\np :- q.\nq :- p.\nq :- a.\np <- true.\nfalse <- a.\n"
+    )
+    assert reason.split(": ")[1] in {
+        f"definition of {atom} (a loop without outside support)" for atom in "pq"
+    }
 
 
 def test_solve_forced_atoms_in_every_solution():
@@ -387,6 +464,105 @@ def test_solve_warns_on_unstratified_definitions():
     assert report.warnings and "stratified" in report.warnings[0]
     # and the even loop keeps every candidate three-valued
     assert not report.solutions
+
+
+def counting_well_founded(monkeypatch):
+    calls = []
+    real = wfs.well_founded
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wfs, "well_founded", counted)
+    return calls
+
+
+# A digraph whose cycle covers are the Hamiltonian cycle 1-2-3-4 and the
+# two disjoint subcycles 1-2 and 3-4.  Completion lets reached(3) and
+# reached(4) support each other in the second cover.
+SUBCYCLES = """\
+node(X) :- X in 1..4.
+edge(1,2). edge(2,1). edge(2,3). edge(3,4). edge(4,3). edge(4,1).
+abducible hc/2.
+node(X) <- hc(X,Y).
+node(Y) <- hc(X,Y).
+false <- hc(X,Y), not edge(X,Y).
+has_out(X) :- hc(X,Y).
+has_in(Y) :- hc(X,Y).
+has_out(X) <- node(X).
+has_in(X) <- node(X).
+Y1 = Y2 <- hc(X,Y1), hc(X,Y2).
+X1 = X2 <- hc(X1,Y), hc(X2,Y).
+reached(Y) :- hc(1,Y).
+reached(Y) :- reached(X), hc(X,Y).
+reached(X) <- node(X).
+"""
+
+
+@pytest.mark.parametrize("search_class", [_LoopSearch, _Search])
+def test_subcycle_covers_are_pruned_by_unfounded_sets(monkeypatch, search_class):
+    theory = theory_for(SUBCYCLES)
+    db = _clause_db(theory)
+    loop = sorted(str(theory.atoms.atom(a)) for a in db.loop_atoms)
+    assert loop == [f"reached({i})" for i in range(1, 5)]
+    assert db.negative_loop_atom is None
+    calls = counting_well_founded(monkeypatch)
+    stats = SolveStats()
+    search = search_class(theory, SolveOptions(), stats)
+    assert search.propagate_pending() is None
+    search.run()
+    cycle = [("hc(1,2)", "hc(2,3)", "hc(3,4)", "hc(4,1)")]
+    assert [tuple(str(theory.atoms.atom(a)) for a in s) for s in search.solutions] == cycle
+    assert stats.models == 1
+    if search_class is _LoopSearch:
+        # The cover 1-2, 3-4 is cut in the search; the leaf of the cycle
+        # is accepted without a well-founded run.
+        assert stats.checks == 1 and not calls and stats.pruned > 0
+        assert solve(theory).solutions == search.solutions
+    else:
+        # Without unfounded sets the cover reaches a leaf, and only its
+        # well-founded model, with reached(3) false, rejects it.
+        assert stats.checks == 2 and len(calls) == 2
+
+
+def test_negative_loop_woken_by_an_abducible_runs_the_well_founded_model(monkeypatch):
+    calls = counting_well_founded(monkeypatch)
+    loop = "abducible a/0.\np :- not q, a.\nq :- not p.\n"
+    theory = theory_for(loop)
+    report = solve(theory)
+    assert report.warnings == [
+        "definition layer is not stratified (negative loop through p); "
+        "candidates that wake the loop are rejected as not two-valued"
+    ]
+    # With a, p and q stay open at the leaf and are undefined.
+    assert report.solutions == [()] and calls
+    assert {frozenset(s) for s in report.solutions} == brute_solutions(theory)
+    # Here propagation assigns every atom under a (q false, p true), yet
+    # the well-founded model leaves both undefined: no solution.
+    theory = theory_for(loop + "false <- q.\n")
+    report = solve(theory)
+    assert report.solutions == [] and brute_solutions(theory) == set()
+    assert report.stats.checks == 1
+
+
+def bundled_theory(name, **overrides):
+    text = (importlib.resources.files("alp") / "programs" / name).read_text(encoding="utf-8")
+    return build_theory(apply_const_overrides(parse_text(text, name), overrides))
+
+
+@pytest.mark.parametrize(
+    "name, overrides, models",
+    [("queens.alp", {"size": 6}, 4), ("queens.alp", {"size": 8}, 92), ("blocks.alp", {}, 24)],
+)
+def test_tight_programs_make_at_most_one_well_founded_run(monkeypatch, name, overrides, models):
+    theory = bundled_theory(name, **overrides)
+    db = _clause_db(theory)
+    assert not db.loop_atoms and db.negative_loop_atom is None
+    calls = counting_well_founded(monkeypatch)
+    report = solve(theory)
+    assert report.stats.models == report.stats.checks == models
+    assert len(calls) <= 1
 
 
 def test_solve_empty_universe():
