@@ -48,6 +48,7 @@ from .syntax import (
     Term,
     Var,
     classify_predicates,
+    literal_variables,
     normalize,
     term_variables,
 )
@@ -494,7 +495,7 @@ def _plan_rule(body: tuple[Literal, ...], head_vars: set[str], span, label: str)
     place_ready()
     if pending:
         lit = pending[0]
-        missing = sorted(v for v in (term_variables(lit.lhs) | (term_variables(lit.rhs.lo) | term_variables(lit.rhs.hi) if isinstance(lit.rhs, Range) else term_variables(lit.rhs))) if v not in bound)
+        missing = sorted(literal_variables(lit) - bound)
         raise GroundError(
             f"builtin {lit} in {label} cannot be evaluated: variable "
             f"{missing[0] if missing else '?'} is never bound",
@@ -520,17 +521,6 @@ def _atom_vars(atom: Atom) -> set[str]:
     out: set[str] = set()
     for a in atom.args:
         out |= term_variables(a)
-    return out
-
-
-def _head_item_vars(lit: Literal) -> set[str]:
-    if isinstance(lit, (Pos, Neg)):
-        return _atom_vars(lit.atom)
-    out = term_variables(lit.lhs)
-    if isinstance(lit.rhs, Range):
-        out |= term_variables(lit.rhs.lo) | term_variables(lit.rhs.hi)
-    else:
-        out |= term_variables(lit.rhs)
     return out
 
 
@@ -1054,7 +1044,7 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
     for origin, con in enumerate(program.constraints):
         head_vars: set[str] = set()
         for h in con.heads:
-            head_vars |= _head_item_vars(h)
+            head_vars |= literal_variables(h)
         plan = _plan_rule(con.body, head_vars, con.span, f"constraint {con}")
         _enumerate_plan(plan, candidates, constants, emit_constraint(origin, con, plan))
     return GroundTheory(table, clauses, constraints, universe_ids, forced_ids)

@@ -24,13 +24,13 @@ The converse fails on positive loops, where completion admits models
 whose loop atoms only support each other.  One pass over the definition
 layer's dependency graph finds its strongly connected components.  On
 the components with a positive loop, the search also falsifies the
-atoms left without a source body (_LoopSearch).  A conflict-free total
-assignment is then a stable model, and when no component holds a
-negative edge it is the total well-founded model, so such a leaf needs
-no well-founded run; a leaf is decided by its well-founded model only
-where a negative loop exists (see _Search._admissible).  Propagation
-also regresses goals backwards through the rules, which is what makes
-the planning workload tractable.
+atoms left without a source body (unfounded-set propagation).  A
+conflict-free total assignment is then a stable model, and when no
+component holds a negative edge it is the total well-founded model, so
+the leaf is a solution as it stands.  Where a negative loop exists,
+check_delta itself decides each leaf (see _Search._admissible).
+Propagation also regresses goals backwards through the rules, which is
+what makes the planning workload tractable.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ class _ClauseDb:
         return None
 
     def describe_origin(self, theory: GroundTheory, idx: int) -> str:
-        if idx < 0:  # an unfounded loop atom, see _LoopSearch
+        if idx < 0:  # an unfounded loop atom, see _Search._unfounded
             atom = theory.atoms.render(-1 - idx)
             return f"definition of {atom} (a loop without outside support)"
         ref = self.origins[idx]
@@ -410,6 +410,23 @@ class _Search:
     would hold one int object per index; literal l's slice of such a
     buffer starts at a fixed offset.  Implication lists hold literals,
     which are shared with the clause tuples.
+
+    When the definition layer has loop atoms, unit propagation is
+    followed by falsifying unfounded loop atoms, with one source body
+    per atom (Gebser, Kaufmann & Schaub, 2012; smodels' atmost).
+    source[a] is a body of loop atom a or -1.  At every propagation
+    fixpoint each loop atom that is not false has a source whose
+    literal is not false and whose internal atoms have sources, and
+    following sources from atom to internal atom never cycles, because
+    an atom gets a source only when the body's internal atoms already
+    have theirs.  Only a source body going false breaks this: its head
+    loses its source, and so does every atom whose source holds an atom
+    that lost its own.  Those atoms are sourced again where a body
+    allows; the rest form an unfounded set, and each of them is made
+    false, or is a conflict if already true.  Source changes are logged
+    with the trail length at which they happen and undone with the
+    trail, so backtracking restores the sources of the fixpoint it
+    returns to.
     """
 
     def __init__(self, theory: GroundTheory, options: SolveOptions, stats: SolveStats):
@@ -457,9 +474,8 @@ class _Search:
         self.order = sorted(db.branch_vars, key=lambda v: -denial[2 * v] - denial[2 * v + 1])
         self.solutions: list[tuple[int, ...]] = []
         self.minimal_sets: list[frozenset[int]] = []
-        # A conflict-free total assignment is a stable model: the layer
-        # has no loop atoms here, and _LoopSearch falsifies unfounded ones.
-        self.total_is_stable = not db.loop_atoms
+        self.source = [-1] * db.n_atoms
+        self.source_log: list[tuple[int, int, int]] = []  # (trail length, atom, old source)
 
     # -- assignment machinery -------------------------------------------
 
@@ -469,15 +485,25 @@ class _Search:
         for lit in trail[mark:]:
             value[lit] = value[lit ^ 1] = -1
         del trail[mark:]
+        log = self.source_log
+        source = self.source
+        while log and log[-1][0] > mark:
+            _at, a, old = log.pop()
+            source[a] = old
 
     def propagate(self, lit: int) -> int | None:
-        """Make an unassigned literal true and run unit propagation to
-        fixpoint; on conflict the index of a clause that the current
-        assignment falsifies comes back and the caller unwinds."""
+        """Make an unassigned literal true and propagate to fixpoint; on
+        conflict the index of a clause that the current assignment
+        falsifies comes back, or -1 - a for an unfounded atom a that is
+        true, and the caller unwinds."""
         self.value[lit] = 1
         self.value[lit ^ 1] = 0
+        start = len(self.trail)
         self.trail.append(lit)
-        return self._propagate(len(self.trail) - 1)
+        conflict = self._propagate(start)
+        if conflict is None and self.db.loop_atoms:
+            conflict = self._unfounded(start, [])
+        return conflict
 
     def propagate_pending(self) -> int | None:
         """Root propagation: assign every unit clause, then propagate."""
@@ -492,7 +518,11 @@ class _Search:
                 value[lit] = 1
                 value[lit ^ 1] = 0
                 self.trail.append(lit)
-        return self._propagate(0)
+        conflict = self._propagate(0)
+        if conflict is None and self.db.loop_atoms:
+            # No atom has a source yet: all of them are to be sourced.
+            conflict = self._unfounded(len(self.trail), list(self.db.loop_atoms))
+        return conflict
 
     def _propagate(self, head: int) -> int | None:
         """Propagate the trail from position head on; a conflict leaves
@@ -568,146 +598,6 @@ class _Search:
         self.stats.propagations += implications
         return conflict
 
-    # -- branching --------------------------------------------------------
-
-    def run(self, start: int = 0) -> bool:
-        """DFS; returns False when the model cap stopped the search.
-
-        Variables before order[start] are assigned on this path and stay
-        assigned below it, so the next decision is the first unassigned
-        variable from start on."""
-        order = self.order
-        value = self.value
-        while start < len(order) and value[2 * order[start]] != -1:
-            start += 1
-        if start == len(order):
-            return self._leaf()
-        var = order[start]
-        for lit in (2 * var + 1, 2 * var):  # absent first
-            self.stats.nodes += 1
-            mark = len(self.trail)
-            conflict = self.propagate(lit)
-            if conflict is None:
-                more = self.run(start + 1)
-                self.undo_to(mark)
-                if not more:
-                    return False
-            else:
-                self.stats.pruned += 1
-                self.undo_to(mark)
-        return True
-
-    def _leaf(self) -> bool:
-        value = self.value
-        delta = tuple(v for v in self.db.branch_vars if value[2 * v] == 1)
-        if self.options.minimal_only:
-            # Two leaves first differ at a decision on some variable, and
-            # a subset takes it absent there, so absent-first search
-            # reaches every solution before its strict supersets.  A leaf
-            # containing no emitted solution is therefore minimal: any
-            # solution inside it was reached earlier and was either
-            # emitted or itself contains an emitted one.
-            dset = frozenset(delta)
-            if any(s <= dset for s in self.minimal_sets):
-                return True
-        self.stats.checks += 1
-        if not self._admissible(delta):
-            return True
-        self.solutions.append(delta)
-        if self.options.minimal_only:
-            self.minimal_sets.append(dset)
-        self.stats.models += 1
-        cap = self.options.max_models
-        return cap is None or self.stats.models < cap
-
-    def _admissible(self, delta: tuple[int, ...]) -> bool:
-        """Whether check_delta(theory, delta) is Sat.
-
-        Propagation reached a conflict-free fixpoint and root units are
-        never undone, so every clause whose variables are all assigned
-        has a true literal.  When every atom is assigned, so is every
-        auxiliary variable, being equivalent to its body: the
-        assignment M satisfies every constraint clause and the
-        completion, so M is a supported model of definitions plus delta.
-        It is also a stable model, as no nonempty set U of true atoms is
-        unfounded (Van Gelder, Ross & Schlipf, 1991).  Take the lowest
-        component U meets: off a loop component, a true atom's true body
-        has its positive atoms in lower components, outside U (Fages,
-        1994); on one, the atom of U first in the acyclic source order of
-        _LoopSearch has a true source body whose atoms are outside U.
-        With no negative loop, definitions plus delta are stratified, so
-        their well-founded model is total and is their only stable
-        model, M: the leaf is Sat without a well-founded run.
-
-        Otherwise one well-founded run decides.  When its model is
-        two-valued and gives every atom the search's value, no
-        constraint is violated, by the first argument; else the
-        constraints are scanned under the model, as check_delta does.
-        """
-        db = self.db
-        n = db.n_atoms
-        value = self.value
-        if self.total_is_stable and db.negative_loop_atom is None:
-            if -1 not in value[0 : 2 * n : 2]:
-                return True
-        truth, _trace = wfs.well_founded(db.definitions, delta, n)
-        if wfs.UNDEF in truth:
-            return False
-        if [t == wfs.TRUE for t in truth] == value[0 : 2 * n : 2]:
-            return True
-        return db.first_falsified(truth) is None
-
-
-class _LoopSearch(_Search):
-    """The search on a definition layer with loop atoms: after unit
-    propagation it also falsifies unfounded loop atoms, with one source
-    body per atom (Gebser, Kaufmann & Schaub, 2012; smodels' atmost).
-
-    source[a] is a body of loop atom a or -1.  At every propagation
-    fixpoint each loop atom that is not false has a source whose
-    literal is not false and whose internal atoms have sources, and
-    following sources from atom to internal atom never cycles, because
-    an atom gets a source only when the body's internal atoms already
-    have theirs.  Only a source body going false breaks this: its head
-    loses its source, and so does every atom whose source holds an atom
-    that lost its own.  Those atoms are sourced again where a body
-    allows; the rest form an unfounded set, and each of them is made
-    false, or is a conflict if already true.  Source changes are logged
-    with the trail length at which they happen and undone with the
-    trail, so backtracking restores the sources of the fixpoint it
-    returns to.
-    """
-
-    def __init__(self, theory: GroundTheory, options: SolveOptions, stats: SolveStats):
-        super().__init__(theory, options, stats)
-        self.source = [-1] * self.db.n_atoms
-        self.source_log: list[tuple[int, int, int]] = []  # (trail length, atom, old source)
-        self.total_is_stable = True
-
-    def undo_to(self, mark: int):
-        super().undo_to(mark)
-        log = self.source_log
-        source = self.source
-        while log and log[-1][0] > mark:
-            _at, a, old = log.pop()
-            source[a] = old
-
-    def propagate(self, lit: int) -> int | None:
-        """As _Search.propagate; a conflict on an unfounded atom a that
-        is true comes back as -1 - a."""
-        start = len(self.trail)
-        conflict = super().propagate(lit)
-        if conflict is not None:
-            return conflict
-        return self._unfounded(start, [])
-
-    def propagate_pending(self) -> int | None:
-        conflict = super().propagate_pending()
-        if conflict is not None:
-            return conflict
-        # No atom has a source yet: all of them are to be sourced.
-        return self._unfounded(len(self.trail), list(self.db.loop_atoms))
-
     def _set_source(self, a: int, k: int):
         self.source_log.append((len(self.trail), a, self.source[a]))
         self.source[a] = k
@@ -777,11 +667,85 @@ class _LoopSearch(_Search):
             if conflict is not None:
                 return conflict
 
+    # -- branching --------------------------------------------------------
 
-def _new_search(theory: GroundTheory, options: SolveOptions, stats: SolveStats) -> _Search:
-    """The search for a theory: _LoopSearch where it has loop atoms."""
-    cls = _LoopSearch if _clause_db(theory).loop_atoms else _Search
-    return cls(theory, options, stats)
+    def run(self, start: int = 0) -> bool:
+        """DFS; returns False when the model cap stopped the search.
+
+        Variables before order[start] are assigned on this path and stay
+        assigned below it, so the next decision is the first unassigned
+        variable from start on."""
+        order = self.order
+        value = self.value
+        while start < len(order) and value[2 * order[start]] != -1:
+            start += 1
+        if start == len(order):
+            return self._leaf()
+        var = order[start]
+        for lit in (2 * var + 1, 2 * var):  # absent first
+            self.stats.nodes += 1
+            mark = len(self.trail)
+            conflict = self.propagate(lit)
+            if conflict is None:
+                more = self.run(start + 1)
+                self.undo_to(mark)
+                if not more:
+                    return False
+            else:
+                self.stats.pruned += 1
+                self.undo_to(mark)
+        return True
+
+    def _leaf(self) -> bool:
+        value = self.value
+        delta = tuple(v for v in self.db.branch_vars if value[2 * v] == 1)
+        if self.options.minimal_only:
+            # Two leaves first differ at a decision on some variable, and
+            # a subset takes it absent there, so absent-first search
+            # reaches every solution before its strict supersets.  A leaf
+            # containing no emitted solution is therefore minimal: any
+            # solution inside it was reached earlier and was either
+            # emitted or itself contains an emitted one.
+            dset = frozenset(delta)
+            if any(s <= dset for s in self.minimal_sets):
+                return True
+        self.stats.checks += 1
+        if not self._admissible(delta):
+            return True
+        self.solutions.append(delta)
+        if self.options.minimal_only:
+            self.minimal_sets.append(dset)
+        self.stats.models += 1
+        cap = self.options.max_models
+        return cap is None or self.stats.models < cap
+
+    def _admissible(self, delta: tuple[int, ...]) -> bool:
+        """Whether check_delta(theory, delta) is Sat.
+
+        Propagation reached a conflict-free fixpoint and root units are
+        never undone, so every clause whose variables are all assigned
+        has a true literal.  When every atom is assigned, so is every
+        auxiliary variable, being equivalent to its body: the
+        assignment M satisfies every constraint clause and the
+        completion, so M is a supported model of definitions plus delta.
+        It is also a stable model, as no nonempty set U of true atoms is
+        unfounded (Van Gelder, Ross & Schlipf, 1991).  Take the lowest
+        component U meets: off a loop component, a true atom's true body
+        has its positive atoms in lower components, outside U (Fages,
+        1994); on one, the atom of U first in the acyclic source order
+        (see the class docstring) has a true source body whose atoms are
+        outside U.  With no negative loop, definitions plus delta are
+        stratified, so their well-founded model is total and is their
+        only stable model, M: the leaf is Sat as it stands.
+
+        Under a negative loop, M may be a stable model whose atoms the
+        well-founded model leaves undefined, so check_delta itself
+        decides the leaf.
+        """
+        db = self.db
+        if db.negative_loop_atom is None and -1 not in self.value[0 : 2 * db.n_atoms : 2]:
+            return True
+        return isinstance(check_delta(self.theory, delta), Sat)
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +763,7 @@ def solve(theory: GroundTheory, options: SolveOptions | None = None) -> SolveRep
     options = options or SolveOptions()
     stats = SolveStats()
     t0 = time.perf_counter()
-    search = _new_search(theory, options, stats)
+    search = _Search(theory, options, stats)
     report = SolveReport([], stats)
     loop_atom = search.db.negative_loop_atom
     if loop_atom is not None:

@@ -168,10 +168,6 @@ def term_variables(t: Term) -> set[str]:
     return set()
 
 
-def term_is_ground(t: Term) -> bool:
-    return not term_variables(t)
-
-
 # ---------------------------------------------------------------------------
 # atoms and literals
 

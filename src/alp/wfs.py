@@ -20,8 +20,6 @@ FALSE = 0
 UNDEF = 1
 TRUE = 2
 
-TRUTH_NAMES = {FALSE: "false", UNDEF: "undefined", TRUE: "true"}
-
 GroundClauseLike = tuple  # (head: int, pos: tuple[int, ...], neg: tuple[int, ...])
 
 
@@ -108,7 +106,7 @@ def _least_model_of_reduct(arrays: ClauseArrays, facts, n_atoms, allowed) -> byt
     # true: those sit in the queue and will decrement it exactly once.
     need = base_need.copy()
     for idx in negated:
-        if allowed is not None and any(allowed[b] for b in neg[idx]):
+        if any(allowed[b] for b in neg[idx]):
             need[idx] = -1  # clause removed by the reduct
         elif not pos[idx]:
             h = heads[idx]
@@ -133,17 +131,6 @@ def _least_model_of_reduct(arrays: ClauseArrays, facts, n_atoms, allowed) -> byt
                     truth[h] = 1
                     queue.append(h)
     return truth
-
-
-def least_model(
-    clauses: Sequence[GroundClauseLike], facts: Iterable[int], n_atoms: int
-) -> set[int]:
-    """Least Herbrand model of a definite program plus input facts."""
-    for _h, _p, n in clauses:
-        if n:
-            raise ValueError("least_model requires definite clauses (no negation)")
-    truth = _least_model_of_reduct(clause_arrays(clauses), tuple(facts), n_atoms, None)
-    return {i for i in range(n_atoms) if truth[i]}
 
 
 def well_founded(
@@ -173,13 +160,7 @@ def well_founded(
     return truth, FixpointTrace(tuple(true_sizes), tuple(possible_sizes))
 
 
-def is_two_valued(truth: Sequence[int], cap: int | None = None) -> tuple[bool, list[int]]:
-    """Whether no atom is undefined; returns the undefined ids, sorted.
-
-    cap limits the returned list for display; the boolean always reflects
-    the full interpretation.
-    """
+def is_two_valued(truth: Sequence[int]) -> tuple[bool, list[int]]:
+    """Whether no atom is undefined; returns the undefined ids, sorted."""
     undef = [i for i, v in enumerate(truth) if v == UNDEF]
-    if cap is not None:
-        return (not undef), undef[:cap]
     return (not undef), undef

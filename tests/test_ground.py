@@ -310,6 +310,16 @@ def test_unbound_head_variable_is_an_error():
         theory_for("p(X) :- q.\nq.\nfalse <- p(1).\n")
 
 
+@pytest.mark.parametrize(
+    "builtin, var", [("Y < X", "Y"), ("X < Z + Y", "Y"), ("X in 1..Z", "Z"), ("W in 1..Z", "W")]
+)
+def test_unbound_builtin_variable_is_named(builtin, var):
+    # the first unbound variable in name order, from either side of the
+    # builtin and from both ends of a range
+    with pytest.raises(GroundError, match=f"cannot be evaluated: variable {var} is never bound"):
+        theory_for(f"n(1).\np(X) :- n(X), {builtin}.\nfalse <- p(1).\n")
+
+
 def test_arithmetic_inside_body_atoms_is_an_error():
     with pytest.raises(GroundError, match="arith"):
         theory_for("p(1).\nq(X) :- p(X+1).\nfalse <- q(2).\n")

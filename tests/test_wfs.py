@@ -12,7 +12,6 @@ from alp.wfs import (
     FixpointTrace,
     clause_arrays,
     is_two_valued,
-    least_model,
     well_founded,
 )
 
@@ -22,27 +21,26 @@ def names(truth, value):
 
 
 def test_least_model_definite():
-    # p. q :- p. r :- q, s.  gives p,q true and r,s false
+    # p. q :- p. r :- q, s.  A definite program's well-founded model is
+    # its least model: p,q true and r,s false
     clauses = [(0, (), ()), (1, (0,), ()), (2, (1, 3), ())]
-    model = least_model(clauses, (), 4)
-    assert model == {0, 1}
-
-
-def test_least_model_rejects_negation():
-    with pytest.raises(ValueError):
-        least_model([(0, (), (1,))], (), 2)
+    truth, _ = well_founded(clauses, (), 4)
+    assert truth == [TRUE, TRUE, FALSE, FALSE]
 
 
 def test_least_model_duplicate_body_atoms():
-    # q :- p, p. must wait for p, and fire exactly once
-    clauses = [(1, (0, 0), ()), (0, (), ())]
-    assert least_model(clauses, (), 2) == {0, 1}
+    # q :- p, p. must wait for p, and fire exactly once; r :- p, p, s.
+    # must not count p twice in place of s
+    clauses = [(1, (0, 0), ()), (0, (), ()), (2, (0, 0, 3), ())]
+    truth, _ = well_founded(clauses, (), 4)
+    assert truth == [TRUE, TRUE, FALSE, FALSE]
 
 
 def test_facts_feed_rules():
-    # facts enter the least model even when no clause derives them
+    # facts enter the model even when no clause derives them
     clauses = [(1, (0,), ())]
-    assert least_model(clauses, (0,), 2) == {0, 1}
+    truth, _ = well_founded(clauses, (0,), 2)
+    assert truth == [TRUE, TRUE]
 
 
 def test_wfs_definite_program_is_two_valued():
@@ -90,7 +88,7 @@ def test_trace_shapes():
     _, trace = well_founded(clauses, (), 3)
     assert isinstance(trace, FixpointTrace)
     assert trace.rounds == len(trace.true_sizes) == len(trace.possible_sizes)
-    assert trace.is_monotone
+    assert trace.is_monotone()
 
 
 def test_trace_true_grows_possible_shrinks():
@@ -108,14 +106,7 @@ def test_trace_true_grows_possible_shrinks():
             assert a <= b
         for a, b in zip(trace.possible_sizes, trace.possible_sizes[1:]):
             assert a >= b
-        assert trace.is_monotone
-
-
-def test_is_two_valued_cap():
-    truth = [UNDEF] * 30
-    two, undef = is_two_valued(truth, cap=5)
-    assert not two
-    assert len(undef) == 5
+        assert trace.is_monotone()
 
 
 SPOT_CASES = [
