@@ -15,12 +15,22 @@ is interned together with its clause but is not fed back as a body
 candidate.  Atoms beyond the hull can never reach a constraint, because
 constraints are instantiated from in-hull candidates only, so the
 truncation does not change which hypothesis sets are admissible.
+
+Ground constraints are deduplicated as they are made.  A constraint
+body that stays the same when some of its literals are swapped, such
+as ``move(B1,L1,T), move(B2,L2,T), move(B3,L3,T)`` with pairwise
+distinct blocks, is enumerated once per set of candidates for those
+literals instead of once per ordering of them, and yields the same
+constraints.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations
 from operator import itemgetter
 
 from . import wfs
@@ -57,7 +67,9 @@ Value = int | str
 
 _DOMAIN_CAP = 1_000_000
 _ATOM_CAP = 2_000_000
-_CONSTRAINT_CAP = 2_000_000  # ground constraint instances, before deduplication
+# ground constraint instances before deduplication, as a plain join
+# enumerates them: a symmetric body counts each pruned orbit in full
+_CONSTRAINT_CAP = 2_000_000
 
 
 def value_key(v: Value):
@@ -533,7 +545,10 @@ class _Candidates:
     and groups each group by the values at some variable positions.
     Every bucket keeps the order of the list, so probing a bucket yields
     the same candidates in the same order as filtering the whole list.
-    The lists must not change once an index on them exists.
+    A ranked index holds (args, atom id, rank) triples instead, where the
+    rank is the candidate's position in its list, so a bucket is sorted
+    by rank and bisects on it.  The lists must not change once an index
+    on them exists.
     """
 
     def __init__(self, fixed: dict, possible: dict):
@@ -544,19 +559,21 @@ class _Candidates:
             self.lists[key] = list(ext.items())
         self._indexes: dict[tuple, dict] = {}
 
-    def table(self, key, repeats, const_pos, const_vals, var_pos):
+    def table(self, key, repeats, const_pos, const_vals, var_pos, ranked=False):
         """The candidates whose repeated positions agree and whose const_pos
         hold const_vals: a list when var_pos is empty, else a dict from the
         values at var_pos (a single value for one position) to lists."""
-        ikey = (key, repeats, const_pos, var_pos)
+        ikey = (key, repeats, const_pos, var_pos, ranked)
         index = self._indexes.get(ikey)
         if index is None:
             index = {}
             var_key = itemgetter(*var_pos) if var_pos else None
-            for cand in self.lists.get(key, ()):
+            for rank, cand in enumerate(self.lists.get(key, ())):
                 args = cand[0]
                 if any(args[i] != args[j] for i, j in repeats):
                     continue
+                if ranked:
+                    cand += (rank,)
                 const_key = tuple(args[i] for i in const_pos)
                 if var_key is None:
                     index.setdefault(const_key, []).append(cand)
@@ -566,7 +583,9 @@ class _Candidates:
         return index.get(const_vals, {} if var_pos else ())
 
 
-def _enumerate_plan(plan: _Plan, candidates: _Candidates, constants: dict[str, int], emit) -> None:
+def _enumerate_plan(
+    plan: _Plan, candidates: _Candidates, constants: dict[str, int], emit, groups=()
+) -> None:
     """Call emit(binding, pos_ids) for every way to satisfy the body, in
     the order of a nested-loop join over the candidate lists.
 
@@ -577,9 +596,21 @@ def _enumerate_plan(plan: _Plan, candidates: _Candidates, constants: dict[str, i
     extended in place and restored when a step is exhausted, so emit
     must copy what it keeps.  The chain is folded from the last step
     back, so no step function refers to itself.
+
+    groups lists symmetric groups of positive literals, by their index
+    in pos_ids (see _symmetric_groups).  Each literal of a group after
+    its first takes only the candidates ranked at least as high as the
+    one the group's previous literal took, so of every way to permute a
+    group's candidates only the one with ranks in order is enumerated.
     """
+    links = {}  # positive literal index -> (rank cell it reads, rank cell it writes)
+    for group in groups:
+        cells = [[0] for _ in group]
+        for n, k in enumerate(group):
+            links[k] = (cells[n - 1] if n else None, cells[n])
     bound: set[str] = set()
     makers = []
+    n_pos = 0
     for step in plan.steps:
         if step[0] == "builtin":
             _, lit, binds = step
@@ -607,11 +638,17 @@ def _enumerate_plan(plan: _Plan, candidates: _Candidates, constants: dict[str, i
                 const_pos.append(i)
                 const_vals.append(arg.value if isinstance(arg, IntConst) else arg.name)
         bound.update(first_at)
+        link = links.get(n_pos)
+        n_pos += 1
         table = candidates.table(
-            atom.key, tuple(repeats), tuple(const_pos), tuple(const_vals), tuple(var_pos)
+            atom.key, tuple(repeats), tuple(const_pos), tuple(const_vals), tuple(var_pos),
+            ranked=link is not None,
         )
         probe = itemgetter(*var_names) if var_names else None
-        makers.append(partial(_pos_step, table, probe, tuple(fresh)))
+        if link is None:
+            makers.append(partial(_pos_step, table, probe, tuple(fresh)))
+        else:
+            makers.append(partial(_ranked_pos_step, table, probe, tuple(fresh), *link))
 
     step = emit
     for make in reversed(makers):
@@ -626,6 +663,30 @@ def _pos_step(table, probe, fresh, nxt):
     def step(binding, pos_ids):
         bucket = table if probe is None else table.get(probe(binding), ())
         for args, atom_id in bucket:
+            for name, i in fresh:
+                binding[name] = args[i]
+            nxt(binding, pos_ids + (atom_id,))
+        for name, _ in fresh:
+            binding.pop(name, None)
+
+    return step
+
+
+_RANK = itemgetter(2)
+
+
+def _ranked_pos_step(table, probe, fresh, rank_in, rank_out, nxt):
+    """Step over the candidates of one literal of a symmetric group, from
+    a ranked table: only those ranked at least rank_in[0] when the group
+    has an earlier literal, and each one's rank goes to rank_out[0] for
+    the next."""
+
+    def step(binding, pos_ids):
+        bucket = table if probe is None else table.get(probe(binding), ())
+        if rank_in is not None:
+            bucket = bucket[bisect_left(bucket, rank_in[0], key=_RANK):]
+        for args, atom_id, rank in bucket:
+            rank_out[0] = rank
             for name, i in fresh:
                 binding[name] = args[i]
             nxt(binding, pos_ids + (atom_id,))
@@ -656,6 +717,148 @@ def _builtin_step(lit: Builtin, constants: dict[str, int], nxt):
                 nxt(extended, pos_ids)
 
     return step
+
+
+# ---------------------------------------------------------------------------
+# symmetric constraint bodies
+#
+# A constraint such as blocks' three-move denial lists one predicate
+# several times in a body that stays the same when those copies are
+# swapped.  A plain join meets each ground body once per permutation of
+# the copies' candidates, and ground keeps only the first of them.
+# _symmetric_groups finds such copies, and _enumerate_plan gives them
+# their candidates in rank order only.
+#
+# Why the kept constraints do not change.  Each swap that links two
+# literals of a group fixes every other positive literal and every
+# generated value, and maps the body and the heads onto themselves as
+# multisets.  Applied to an instance's binding, it gives another
+# instance of the join that passes the same ground tests and has the
+# same head disjuncts and the same positive and negative body atoms,
+# hence the same deduplication key.  The swaps generate every
+# permutation of the group, so an orbit (the instances that differ only
+# in how the group's candidates are permuted) is emitted whole or not
+# at all, under one key.  The join enumerates in lexicographic order of
+# candidate positions, and where two members of an orbit first differ
+# they probe the same bucket, whose order is rank order; so the member
+# whose group ranks are in order comes first.  The first instance of
+# every key is therefore also enumerated when the groups are pruned,
+# in the same relative order, with the same literal order and origin.
+#
+# The emitted members of an orbit intern the same negative and head
+# atoms, and the sorted one does so first, so atom ids do not change
+# either.
+#
+# Two things would break the argument, and a constraint where either
+# could happen gets no group.  A type error (an ordering comparison or
+# arithmetic on a symbol) could be met by a pruned member after its
+# sorted twin stopped at a false test: so every builtin and head term
+# must be unable to raise one.  A member that returns at a true head
+# builtin has interned only the head atoms before it, which differ from
+# member to member: so the heads must not mix builtins and atoms.
+
+
+def _rename(t: Term, sigma: dict[str, str]) -> Term:
+    """A plain term with its variable renamed by sigma."""
+    return Var(sigma.get(t.name, t.name)) if isinstance(t, Var) else t
+
+
+def _literal_form(lit: Literal, sigma: dict[str, str]):
+    """Hashable form of a literal that _never_raises accepts, renamed by
+    sigma; the two operands of = and \\= are unordered."""
+    if isinstance(lit, Builtin):
+        return lit.op, frozenset((_rename(lit.lhs, sigma), _rename(lit.rhs, sigma)))
+    return type(lit), lit.atom.pred, tuple(_rename(a, sigma) for a in lit.atom.args)
+
+
+def _never_raises(lit: Literal) -> bool:
+    """Whether instantiating lit cannot raise a type error: = and \\=
+    between plain terms, and atoms without arithmetic."""
+    if isinstance(lit, Builtin):
+        return lit.op in ("=", "\\=") and not (
+            isinstance(lit.lhs, ArithExpr) or isinstance(lit.rhs, ArithExpr)
+        )
+    return not any(isinstance(a, ArithExpr) for a in lit.atom.args)
+
+
+def _swap(a: Atom, b: Atom) -> dict[str, str] | None:
+    """The involution on variables that pairs a's arguments with b's
+    position by position, or None when a variable meets a constant,
+    two constants differ, or a variable would be paired two ways."""
+    sigma: dict[str, str] = {}
+    for s, t in zip(a.args, b.args):
+        if isinstance(s, Var) and isinstance(t, Var):
+            if sigma.setdefault(s.name, t.name) != t.name or sigma.setdefault(t.name, s.name) != s.name:
+                return None
+        elif isinstance(s, Var) or isinstance(t, Var) or s != t:
+            return None
+    return sigma
+
+
+def _symmetric_groups(con: Constraint, plan: _Plan) -> list[tuple[int, ...]]:
+    """Groups of interchangeable positive body literals of a constraint,
+    each a tuple of indexes among its positive literals.
+
+    Two literals of one predicate are linked when the swap that pairs
+    their arguments (_swap) moves no variable of another positive
+    literal or of a generator builtin, and maps the body and the heads
+    onto themselves as multisets.  A group is a set of literals connected
+    by links; their transpositions generate every permutation of it.
+    There are no groups when a builtin or head term could raise a type
+    error or when the heads mix builtins and atoms (see above).
+    """
+    atoms = [lit.atom for lit in con.body if isinstance(lit, Pos)]
+    head_builtins = sum(isinstance(h, Builtin) for h in con.heads)
+    if (
+        len(atoms) < 2
+        or not all(map(_never_raises, con.body + con.heads))
+        or 0 < head_builtins < len(con.heads)
+    ):
+        return []
+    generated: set[str] = set()
+    for step in plan.steps:
+        if step[0] == "builtin" and step[2] is not None:
+            generated |= literal_variables(step[1])
+
+    def forms(sigma):
+        return tuple(Counter(_literal_form(lit, sigma) for lit in part) for part in (con.body, con.heads))
+
+    unmoved = forms({})
+    group_of = list(range(len(atoms)))
+    for i, j in combinations(range(len(atoms)), 2):
+        if atoms[i].key != atoms[j].key or group_of[i] == group_of[j]:
+            continue
+        sigma = _swap(atoms[i], atoms[j])
+        if sigma is None:
+            continue
+        moved = {u for u, v in sigma.items() if u != v}
+        if (
+            moved & generated
+            or any(moved & _atom_vars(atoms[k]) for k in range(len(atoms)) if k not in (i, j))
+            or forms(sigma) != unmoved
+        ):
+            continue
+        old, new = group_of[j], group_of[i]
+        group_of = [new if g == old else g for g in group_of]
+    groups: dict[int, list[int]] = {}
+    for k, g in enumerate(group_of):
+        groups.setdefault(g, []).append(k)
+    return [tuple(ks) for ks in groups.values() if len(ks) > 1]
+
+
+def _orbit_size(pos_ids: tuple[int, ...], groups) -> int:
+    """The size of an instance's orbit: how many instances of the plain
+    join differ from it only in how each group's candidates are
+    permuted.  That is k!/(m1!...mr!) per group of k literals whose
+    atoms repeat m1, ..., mr times; a group's atoms are in rank order
+    here, so repeats are adjacent."""
+    size = 1
+    for group in groups:
+        run = 0
+        for n, k in enumerate(group):
+            run = run + 1 if n and pos_ids[k] == pos_ids[group[n - 1]] else 1
+            size = size * (n + 1) // run
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -974,7 +1177,10 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
     """Instantiate a normalized program over its abducible universe.
 
     Ground constraints are kept once: of the instances with the same set
-    of head disjuncts, positive and negative body atoms, the first.
+    of head disjuncts, positive and negative body atoms, the first.  A
+    constraint body with interchangeable literals is enumerated once per
+    permutation orbit, with the literals' candidates in rank order (see
+    _symmetric_groups); the first instance of each set is among those.
     """
     kinds = classify_predicates(program)
     constants = domains.constants
@@ -1010,12 +1216,14 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
     seen: set[tuple] = set()
     instances = 0
 
-    def emit_constraint(origin: int, con: Constraint, plan: _Plan):
+    def emit_constraint(origin: int, con: Constraint, plan: _Plan, groups):
         neg_atoms = [n.atom for n in plan.negs]
 
         def emit(binding, pos_ids):
             nonlocal instances
-            instances += 1
+            # The cap counts the instances of the plain join: each one the
+            # groups let through stands for its whole orbit.
+            instances += _orbit_size(pos_ids, groups)
             if instances > _CONSTRAINT_CAP:
                 msg = f"grounding exceeded {_CONSTRAINT_CAP} constraint instances in {plan.label}"
                 raise GroundError(msg, [Diagnostic(plan.span, msg)])
@@ -1046,7 +1254,8 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
         for h in con.heads:
             head_vars |= literal_variables(h)
         plan = _plan_rule(con.body, head_vars, con.span, f"constraint {con}")
-        _enumerate_plan(plan, candidates, constants, emit_constraint(origin, con, plan))
+        groups = _symmetric_groups(con, plan)
+        _enumerate_plan(plan, candidates, constants, emit_constraint(origin, con, plan, groups), groups)
     return GroundTheory(table, clauses, constraints, universe_ids, forced_ids)
 
 

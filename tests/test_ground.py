@@ -1,16 +1,20 @@
 """Grounder: declarations, builtins, universe extraction, instantiation."""
 
 import gc
+import hashlib
 import importlib
 import importlib.resources as res
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
 from alp import cli
 from alp.ground import (
     GroundAtom,
+    _plan_rule,
+    _symmetric_groups,
     apply_const_overrides,
     build_theory,
     eval_builtin,
@@ -18,7 +22,16 @@ from alp.ground import (
 )
 from alp.parser import parse_text
 from alp.solver import SolveOptions, solve
-from alp.syntax import Builtin, GroundError, IntConst, Range, SymConst, Var, normalize
+from alp.syntax import (
+    Builtin,
+    GroundError,
+    IntConst,
+    Range,
+    SymConst,
+    Var,
+    literal_variables,
+    normalize,
+)
 
 
 def bundled(name):
@@ -362,6 +375,267 @@ def test_grounding_caps_report_the_rule(monkeypatch, tmp_path, capsys, cap, valu
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"{path}:{line}:1: grounding exceeded {value} ")
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize(
+    "text, count, kept",
+    [(CAPPED, 6, 3), (CAPPED.replace(", X \\= Y", ""), 9, 6)],
+    ids=["distinct-atoms", "repeated-atoms"],
+)
+def test_constraint_cap_counts_the_instances_of_the_plain_join(monkeypatch, symmetric, text, count, kept):
+    # The plain join meets every pair of a atoms; the symmetric one only
+    # the pairs in rank order, each counted for its orbit: 2 instances
+    # when the atoms differ, 1 when they are the same.
+    ground_mod = importlib.import_module("alp.ground")
+    if not symmetric:
+        monkeypatch.setattr(ground_mod, "_symmetric_groups", lambda con, plan: [])
+    monkeypatch.setattr(ground_mod, "_CONSTRAINT_CAP", count)
+    assert len(theory_for(text, "capped.alp").constraints) == kept
+    monkeypatch.setattr(ground_mod, "_CONSTRAINT_CAP", count - 1)
+    with pytest.raises(GroundError, match=f"exceeded {count - 1} constraint instances"):
+        theory_for(text, "capped.alp")
+
+
+# -- symmetric constraint bodies --------------------------------------------
+
+
+def groups_of(text):
+    """_symmetric_groups of every constraint of a program, by its text."""
+    out = {}
+    for con in normalize(parse_text(text, "t")).constraints:
+        head_vars = set().union(*(literal_variables(h) for h in con.heads))
+        out[str(con)] = _symmetric_groups(con, _plan_rule(con.body, head_vars, con.span, "c"))
+    return out
+
+
+HAMCYCLE = """\
+node(X) :- X in 1..4.
+edge(1,2). edge(2,1). edge(2,3). edge(3,4). edge(4,3). edge(4,1). edge(1,3).
+abducible hc/2.
+node(X) <- hc(X,Y).
+node(Y) <- hc(X,Y).
+false <- hc(X,Y), not edge(X,Y).
+has_out(X) :- hc(X,Y).
+has_in(Y) :- hc(X,Y).
+has_out(X) <- node(X).
+has_in(X) <- node(X).
+Y1 = Y2 <- hc(X,Y1), hc(X,Y2).
+X1 = X2 <- hc(X1,Y), hc(X2,Y).
+reached(Y) :- hc(1,Y).
+reached(Y) :- reached(X), hc(X,Y).
+reached(X) <- node(X).
+"""
+
+
+def test_symmetric_groups_of_the_bundled_programs():
+    found = {k: v for k, v in groups_of(bundled("blocks.alp")).items() if v}
+    assert found == {
+        "false <- move(B1,L1,T), move(B2,L2,T), move(B3,L3,T), B1 \\= B2, B1 \\= B3, B2 \\= B3.": [(0, 1, 2)],
+        "false <- move(B,L1,T), move(B,L2,T), L1 \\= L2.": [(0, 1)],
+        "false <- on(B1,B,T), on(B2,B,T), B1 \\= B2, block(B).": [(0, 1)],
+    }
+    # the attack denial orders its rows with R1 < R2
+    found = {k: v for k, v in groups_of(bundled("queens.alp")).items() if v}
+    assert found == {"C1 = C2 <- position(R,C1), position(R,C2).": [(0, 1)]}
+    found = {k: v for k, v in groups_of(HAMCYCLE).items() if v}
+    assert found == {"Y1 = Y2 <- hc(X,Y1), hc(X,Y2).": [(0, 1)], "X1 = X2 <- hc(X1,Y), hc(X2,Y).": [(0, 1)]}
+
+
+@pytest.mark.parametrize(
+    "body, groups",
+    [
+        ("a(X), a(Y), a(Z)", [(0, 1, 2)]),
+        ("a(X), a(Y), X < Y", []),
+        ("a(X), a(Y), b(X), b(Y)", []),
+        ("b(X,Y), b(Y,X)", [(0, 1)]),
+        ("b(X,Y), b(Y,Z)", []),
+        ("b(X,1), b(Y,1), b(Z,2)", [(0, 1)]),
+        ("a(X), b(X,Y), a(Z), b(Z,W), X \\= Z", []),
+        ("a(X), a(Y), X \\= 2", []),
+        ("a(X), a(Y), X \\= 2, 2 \\= Y", [(0, 1)]),
+        # a generator on a moved variable, and one on a fixed variable
+        ("X = 1, a(X), Y = 1, a(Y)", []),
+        ("Z = 1, a(X), a(Y), b(Z,Z)", [(0, 1)]),
+        # a negative literal must map to another negative literal
+        ("a(X), a(Y), not b(X,X)", []),
+        ("a(X), a(Y), not b(X,X), not b(Y,Y)", [(0, 1)]),
+        ("a(X), a(Y), not b(X,X), b(Y,Y)", []),
+    ],
+)
+def test_symmetric_groups_of_denials(body, groups):
+    assert list(groups_of(f"false <- {body}.\n").values()) == [groups]
+
+
+@pytest.mark.parametrize(
+    "heads, groups",
+    [
+        ("a(X) ; a(Y)", [(0, 1)]),
+        ("a(X)", []),
+        ("not a(X) ; not a(Y)", [(0, 1)]),
+        ("X = Y", [(0, 1)]),
+        ("X = 1 ; Y = 1", [(0, 1)]),
+        # arithmetic or an ordering comparison could raise a type error
+        ("X < 5 ; Y < 5", []),
+        ("a(X+0) ; a(Y+0)", []),
+        # a true head builtin would stop a member before the head atoms
+        ("X = 1 ; a(Y) ; Y = 1 ; a(X)", []),
+    ],
+)
+def test_symmetric_groups_look_at_the_heads(heads, groups):
+    assert list(groups_of(f"{heads} <- a(X), a(Y).\n").values()) == [groups]
+
+
+def grounding(text):
+    """Everything grounding text makes, or the error it raises."""
+    try:
+        theory = theory_for(text)
+    except GroundError as exc:
+        return str(exc)
+    return list(theory.atoms), theory.clauses, theory.constraints, theory.universe, theory.forced
+
+
+def plain_grounding(monkeypatch, text):
+    """grounding(text) with every constraint body enumerated in full."""
+    with monkeypatch.context() as m:
+        m.setattr(importlib.import_module("alp.ground"), "_symmetric_groups", lambda con, plan: [])
+        return grounding(text)
+
+
+def symmetric_program(rng):
+    """Constraints that repeat one predicate k times over per-copy
+    variables, with families of extras that repeat a pattern for every
+    copy or pair of copies, or break it by covering copy 0 only: shared
+    and repeated variables, constants, a generator, \\=, <, negative
+    literals, head atoms and head builtins."""
+    lines = [
+        "domain d == 1..3.",
+        "abducible a(d).",
+        "abducible b(d, d).",
+        "p(X) :- b(X,Y), not a(Y).",
+    ]
+    families = (
+        "not a(%s)", "%s \\= 2", "%s \\= %s", "%s < %s", "a(%s)", "b(%s,S)", "%s \\= Z",
+        "head a(%s)", "head not p(%s)", "head %s = %s", "head %s = 1",
+    )
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(2, 3)
+        pred, arity = rng.choice((("a", 1), ("b", 2), ("b", 2), ("p", 1)))
+        shape = [rng.choice("XYYS2") for _ in range(arity)]
+        copies = [[t if t in "S2" else f"{t}{i}" for t in shape] for i in range(k)]
+        body = [f"{pred}({','.join(c)})" for c in copies]
+        heads = []
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        for _ in range(rng.randint(0, 3)):
+            family = rng.choice(families)
+            var = [c[rng.randrange(arity)] for c in copies]
+            target = body
+            if family.startswith("head "):
+                target, family = heads, family[5:]
+            elif "Z" in family and "Z = 2" not in body:
+                body.append("Z = 2")
+            if family.count("%s") == 2:
+                chosen = pairs if rng.random() < 0.8 else pairs[:1]
+                target.extend(family % (var[i], var[j]) for i, j in chosen)
+            else:
+                chosen = range(k) if rng.random() < 0.8 else range(1)
+                target.extend(family % var[i] for i in chosen)
+        if "S" not in shape:
+            body = [lit.replace("S", "2") for lit in body]
+        if rng.random() < 0.5:
+            rng.shuffle(body)
+        lines.append(f"{' ; '.join(heads) or 'false'} <- {', '.join(body)}.")
+    return "\n".join(lines) + "\n"
+
+
+def test_symmetric_bodies_ground_as_the_plain_join(monkeypatch):
+    # Enumerating each orbit once keeps the constraints, their order and
+    # their literal order, and the atom table: the whole grounding is
+    # that of the plain join.  The floors sit below the counts the seed
+    # gives (268 groups of two literals, 188 of three), so that the
+    # family keeps reaching groups of both sizes.
+    found = []
+    real = _symmetric_groups
+
+    def spy(con, plan):
+        groups = real(con, plan)
+        found.extend(len(g) for g in groups)
+        return groups
+
+    monkeypatch.setattr(importlib.import_module("alp.ground"), "_symmetric_groups", spy)
+    texts = [
+        bundled("blocks.alp"),
+        bundled("queens.alp"),
+        bundled("queens.alp").replace("size(8)", "size(5)"),
+        HAMCYCLE,
+    ]
+    rng = random.Random(8)
+    texts += [symmetric_program(rng) for _ in range(300)]
+    for i, text in enumerate(texts):
+        assert grounding(text) == plain_grounding(monkeypatch, text), f"program {i}:\n{text}"
+    assert found.count(2) >= 100 and found.count(3) >= 50, (found.count(2), found.count(3))
+
+
+def test_three_move_rule_enumerates_each_set_of_moves_once(monkeypatch):
+    ground_mod = importlib.import_module("alp.ground")
+    emitted = Counter()
+    real = ground_mod._enumerate_plan
+
+    def spy(plan, candidates, constants, emit, groups=()):
+        def counted(binding, pos_ids):
+            emitted[plan.label] += 1
+            emit(binding, pos_ids)
+
+        real(plan, candidates, constants, counted, groups)
+
+    monkeypatch.setattr(ground_mod, "_enumerate_plan", spy)
+    text = bundled("blocks.alp")
+    theory = theory_for(text)
+    rules = [str(con) for con in normalize(parse_text(text, "b")).constraints]
+    three_move = next(o for o, rule in enumerate(rules) if rule.count("move(") == 3)
+    label = f"constraint {rules[three_move]}"
+    kept = sum(c.origin == three_move for c in theory.constraints)
+    assert emitted[label] == kept == 20_580
+    emitted.clear()
+    plain_grounding(monkeypatch, text)
+    assert emitted[label] == 123_480  # 6 orderings of each set of moves
+    # the cap still counts the instances of the plain join
+    total = sum(n for lbl, n in emitted.items() if lbl.startswith("constraint "))
+    monkeypatch.setattr(ground_mod, "_CONSTRAINT_CAP", total)
+    theory_for(text)
+    monkeypatch.setattr(ground_mod, "_CONSTRAINT_CAP", total - 1)
+    with pytest.raises(GroundError, match="constraint instances"):
+        theory_for(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a(1), a(c): only the unsorted instance X=c, Y=1 reaches c < 5
+        "abducible a/1.\nt(1). t(c).\nt(X) <- a(X).\nX < 5 ; Y < 5 <- a(X), a(Y), X \\= Y.\n",
+        # the sorted instance X=1, Y=2 stops at X = 1; the unsorted one
+        # interns q(1) before it stops at Y = 1
+        "domain d == 1..2.\nabducible a(d).\nq(X) :- a(X), X > 5.\n"
+        "X = 1 ; q(Y) ; Y = 1 ; q(X) <- a(X), a(Y).\n",
+    ],
+    ids=["type-error", "head-builtin-before-atom"],
+)
+def test_bodies_left_unpruned_ground_as_the_plain_join(monkeypatch, text):
+    assert grounding(text) == plain_grounding(monkeypatch, text)
+
+
+GROUND_SHA256 = [
+    ("blocks.alp", [], "13421e8575f317b3417918e26fef5ae8574ebbbf285161c7ea5535bb2308a20d"),
+    ("queens.alp", ["-c", "size=6"], "36f4fe1253d2081ae5d979db4290ce73e0611189a0ccf49210eca2790970e6b7"),
+    ("queens.alp", ["-c", "size=8"], "98f82ea340db9afbd4731b2a70dd3929d32a4f6ffc134e6172e13a2d2cee8bad"),
+]
+
+
+@pytest.mark.parametrize("name, extra, digest", GROUND_SHA256)
+def test_ground_output_is_pinned(capsys, name, extra, digest):
+    # digests of the output before constraint bodies were pruned
+    assert cli.main(["ground", str(res.files("alp") / "programs" / name), *extra]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # -- overrides --------------------------------------------------------------
