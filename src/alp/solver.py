@@ -14,9 +14,13 @@ Binary clauses propagate through per-literal implication lists, longer
 ones through two watched literals each (Chaff, MiniSat), so assigning a
 literal visits only the clauses that may have become unit, and undoing
 it only resets its entry: backtracking pops the trail and touches no
-clause.  The search branches on the candidates in a static order, those
-occurring in the most denial clauses first, ties in atom order, each
-tried absent before present.
+clause.  The search branches first-fail on the open support clauses,
+the goals an abductive proof still has to meet: a completion clause
+that needs one of a defined atom's bodies, or a constraint with heads.
+Of those not yet satisfied that still have an unassigned candidate,
+the first with the fewest unassigned literals gives the decision, its
+first unassigned candidate, tried absent before present; with none
+open, the candidates follow in atom order (see _Search.run).
 
 Any two-valued well-founded model extends to a total assignment of this
 database, so propagation and conflict pruning never lose a solution.
@@ -38,7 +42,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import wfs
@@ -468,10 +473,19 @@ class _Search:
                 watch_len[a] += 1
                 watched[watch_start[b] + watch_len[b]] = ci
                 watch_len[b] += 1
-        # Static branching order: most denial clauses first, ties in
-        # branch_vars order (sorted is stable).
-        denial = Counter(chain.from_iterable(compress(clauses, db.is_denial)))
-        self.order = sorted(db.branch_vars, key=lambda v: -denial[2 * v] - denial[2 * v + 1])
+        # The support clauses, the clauses of three or more literals that
+        # are not denials and mention a candidate (see run): for each, a
+        # getter of its literals' values, its candidates and a getter of
+        # their values, so that run reads a clause in one call.
+        self.support: list[tuple[itemgetter, tuple[int, ...], itemgetter]] = []
+        for cl, denial in zip(clauses, db.is_denial):
+            if len(cl) > 2 and not denial:
+                cands = tuple(lit >> 1 for lit in cl if lit >> 1 in db.candidates)
+                if cands:
+                    # The first repeated at the end: a getter of one
+                    # item would return its value, not a tuple.
+                    get_cands = itemgetter(*(2 * v for v in cands), 2 * cands[0])
+                    self.support.append((itemgetter(*cl), cands, get_cands))
         self.solutions: list[tuple[int, ...]] = []
         self.minimal_sets: list[frozenset[int]] = []
         self.source = [-1] * db.n_atoms
@@ -669,25 +683,61 @@ class _Search:
 
     # -- branching --------------------------------------------------------
 
-    def run(self, start: int = 0) -> bool:
+    def run(self, goals: list[int], start: int = 0) -> bool:
         """DFS; returns False when the model cap stopped the search.
 
-        Variables before order[start] are assigned on this path and stay
-        assigned below it, so the next decision is the first unassigned
-        variable from start on."""
-        order = self.order
+        Variables before branch_vars[start] are assigned on this path,
+        so the node is a leaf when none from start on is unassigned.
+        Otherwise the decision is first-fail on the support clauses: of
+        those in goals that are not satisfied and have an unassigned
+        candidate, the first with the fewest unassigned literals gives
+        its first unassigned candidate; with none open, the decision is
+        branch_vars[start].  A clause that is satisfied or has no
+        unassigned candidate stays so below this node, so goals, which
+        holds every support clause that may still be open, is filtered
+        on the way down.
+        At a propagation fixpoint an open clause has at least two
+        unassigned literals, so the scan stops at the first one with
+        two.
+
+        The decision thus depends only on the assignment at the node,
+        which _leaf's argument for --minimal rests on: two leaves part
+        at one node, on one variable, and the absent branch comes
+        first."""
         value = self.value
-        while start < len(order) and value[2 * order[start]] != -1:
+        branch_vars = self.db.branch_vars
+        while start < len(branch_vars) and value[2 * branch_vars[start]] != -1:
             start += 1
-        if start == len(order):
+        if start == len(branch_vars):  # no candidate left, so no clause open
             return self._leaf()
-        var = order[start]
+        support = self.support
+        var = branch_vars[start]
+        best = 0
+        kept: list[int] = []
+        for i, s in enumerate(goals):
+            get_lits, cands, get_cands = support[s]
+            vals = get_lits(value)
+            if 1 in vals:
+                continue
+            n = vals.count(-1)
+            # Whether a candidate is unassigned matters only to a clause
+            # that would be picked; the others are kept.
+            if not best or n < best:
+                vals = get_cands(value)
+                if -1 not in vals:
+                    continue
+                var = cands[vals.index(-1)]
+                best = n
+                if n == 2:
+                    kept += goals[i:]
+                    break
+            kept.append(s)
         for lit in (2 * var + 1, 2 * var):  # absent first
             self.stats.nodes += 1
             mark = len(self.trail)
             conflict = self.propagate(lit)
             if conflict is None:
-                more = self.run(start + 1)
+                more = self.run(kept, start)
                 self.undo_to(mark)
                 if not more:
                     return False
@@ -700,12 +750,16 @@ class _Search:
         value = self.value
         delta = tuple(v for v in self.db.branch_vars if value[2 * v] == 1)
         if self.options.minimal_only:
-            # Two leaves first differ at a decision on some variable, and
-            # a subset takes it absent there, so absent-first search
-            # reaches every solution before its strict supersets.  A leaf
-            # containing no emitted solution is therefore minimal: any
-            # solution inside it was reached earlier and was either
-            # emitted or itself contains an emitted one.
+            # Each decision depends only on the assignment at its node,
+            # so two leaves share their path down to the first node
+            # where they differ, and that node branches one variable
+            # both ways.  Of a solution and its strict superset, the
+            # subset lacks that variable, so it lies on the absent
+            # branch, which is searched first: every solution is reached
+            # before its strict supersets.  A leaf containing no emitted
+            # solution is therefore minimal: any solution inside it was
+            # reached earlier and was either emitted or itself contains
+            # an emitted one.
             dset = frozenset(delta)
             if any(s <= dset for s in self.minimal_sets):
                 return True
@@ -780,7 +834,7 @@ def solve(theory: GroundTheory, options: SolveOptions | None = None) -> SolveRep
         )
         stats.wall_time = time.perf_counter() - t0
         return report
-    search.run()
+    search.run(list(range(len(search.support))))
     report.solutions = search.solutions
     stats.wall_time = time.perf_counter() - t0
     return report

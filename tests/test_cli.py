@@ -1,6 +1,8 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +209,18 @@ def test_parse_errors_go_to_stderr(tmp_path, capsys):
     code, _out, err = run(capsys, "solve", str(path))
     assert code == 2
     assert "bad.alp:1:8" in err
+
+
+def test_readme_solve_example_is_the_cli_output(queens, monkeypatch, capsys):
+    # The README's first console block: a command, then the head of its
+    # output up to a "..." line.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```console\n", 1)[1].split("```", 1)[0]
+    command, *shown = block.splitlines()
+    argv = shlex.split(command)
+    assert argv[:3] == ["$", "alp", "solve"]
+    shown = shown[: shown.index("...")]
+    monkeypatch.chdir(Path(queens).parent)
+    code, out, _err = run(capsys, *argv[2:])
+    assert code == 0
+    assert out.splitlines()[: len(shown)] == shown

@@ -248,32 +248,86 @@ def test_solve_minimal_cap_counts_minimal_solutions():
     assert sorted(solution_strs(theory, report)) == [("pick(1)",), ("pick(2)",)]
 
 
+def reference_enumeration(theory):
+    """The search's emission order from first principles: a DFS whose
+    node is naive_closure of its decisions, whose decision is the pick
+    rule applied from scratch to that closure, and whose leaves are
+    decided by brute force.  Returns the solutions in order and how many
+    decisions a support clause gave and how many the fallback to
+    branch_vars gave."""
+    db = _clause_db(theory)
+    solutions = brute_solutions(theory)
+    support = [
+        cl
+        for cl, denial in zip(db.clauses, db.is_denial)
+        if len(cl) > 2 and not denial and any(lit >> 1 in db.candidates for lit in cl)
+    ]
+    picks = {"support": 0, "fallback": 0}
+    out = []
+
+    def pick(true):
+        def free(v):
+            return 2 * v not in true and 2 * v + 1 not in true
+
+        best = None
+        for cl in support:
+            cands = [lit >> 1 for lit in cl if lit >> 1 in db.candidates and free(lit >> 1)]
+            if any(lit in true for lit in cl) or not cands:
+                continue
+            n = sum(lit ^ 1 not in true for lit in cl)
+            if best is None or n < best[0]:
+                best = (n, cands[0])
+        if best is not None:
+            picks["support"] += 1
+            return best[1]
+        for v in db.branch_vars:
+            if free(v):
+                picks["fallback"] += 1
+                return v
+        return None
+
+    def dfs(decisions):
+        true = naive_closure(db, decisions)
+        if true is None:
+            return
+        var = pick(true)
+        if var is None:
+            delta = tuple(v for v in db.branch_vars if 2 * v in true)
+            if frozenset(delta) in solutions:
+                out.append(delta)
+            return
+        for lit in (2 * var + 1, 2 * var):
+            dfs(decisions + [lit])
+
+    dfs([])
+    return out, picks
+
+
 def test_solve_minimal_is_the_filtered_enumeration_in_order():
     # The whole search on random theories of both families: the
-    # enumeration against brute force, --minimal against the filtered
-    # enumeration, and each cap against a prefix of the uncapped list.
-    # Pruning removes only subtrees without solutions and the branching
-    # order is static, so the enumeration is brute force's solutions
-    # sorted by the decisions the search takes, absent before present.
-    # Leaves are decided three ways, each needing draws that reach a
-    # leaf: accepted as they stand on loops without a negative loop, by
-    # check_delta under a negative loop, and by check_delta after
-    # unfounded-set propagation where loop atoms and a negative loop
-    # meet.  The floors sit at or below the counts these seeds give:
-    # 60, 21 and 12.
+    # enumeration against brute force and, element by element, against
+    # reference_enumeration; --minimal against the filtered enumeration,
+    # and each cap against a prefix of the uncapped list.  Leaves are
+    # decided three ways, each needing draws that reach a leaf: accepted
+    # as they stand on loops without a negative loop, by check_delta
+    # under a negative loop, and by check_delta after unfounded-set
+    # propagation where loop atoms and a negative loop meet.  Decisions
+    # come from support clauses or from the fallback to branch_vars.
+    # The floors sit at or below the counts these seeds give: 60, 21 and
+    # 12 theories, 451 and 3,616 decisions.
     decided = {"loops": 0, "negative loop": 0, "loops and a negative loop": 0}
+    picks = {"support": 0, "fallback": 0}
     for positive_loops, seed, count in ((False, 7, 320), (True, 31, 300)):
         rng = random.Random(seed)
         for i in range(count):
             theory = random_ground_theory(rng, positive_loops)
             report = solve(theory, SolveOptions())
             everything = report.solutions
-            order = _Search(theory, SolveOptions(), SolveStats()).order
-            expected = sorted(
-                (tuple(sorted(s)) for s in brute_solutions(theory)),
-                key=lambda s: tuple(v in s for v in order),
-            )
+            expected, counts = reference_enumeration(theory)
             assert everything == expected, f"theory {i}, positive_loops={positive_loops}"
+            assert {frozenset(s) for s in everything} == brute_solutions(theory)
+            for kind in picks:
+                picks[kind] += counts[kind]
             sets = [frozenset(s) for s in everything]
             minimal = [s for s, x in zip(everything, sets) if not any(y < x for y in sets)]
             assert solve(theory, SolveOptions(minimal_only=True)).solutions == minimal
@@ -292,6 +346,7 @@ def test_solve_minimal_is_the_filtered_enumeration_in_order():
                 decided["loops and a negative loop"] += bool(db.loop_atoms)
     assert decided["loops"] >= 50 and decided["negative loop"] >= 20, decided
     assert decided["loops and a negative loop"] >= 12, decided
+    assert picks["support"] >= 400 and picks["fallback"] >= 3000, picks
 
 
 def naive_propagation(clauses, true_lits):
@@ -603,6 +658,53 @@ def test_tight_programs_make_at_most_one_well_founded_run(monkeypatch, name, ove
     report = solve(theory)
     assert report.stats.models == report.stats.checks == models
     assert len(calls) <= 1
+
+
+def test_queens_first_model_at_size_20_takes_few_nodes():
+    # The bound is a node count, so it holds on any machine; this rule
+    # takes 163 nodes here.
+    n = 20
+    theory = bundled_theory("queens.alp", size=n)
+    report = solve(theory, SolveOptions(max_models=1))
+    assert report.stats.nodes < 1000
+    [delta] = report.solutions
+    board = [theory.atoms.atom(a) for a in delta]
+    assert {atom.pred for atom in board} == {"position"}
+    rows = [atom.args[0] for atom in board]
+    cols = [atom.args[1] for atom in board]
+    assert sorted(rows) == sorted(cols) == list(range(1, n + 1))
+    assert len({r - c for r, c in zip(rows, cols)}) == n
+    assert len({r + c for r, c in zip(rows, cols)}) == n
+
+
+PICKS = """\
+abducible a/0. abducible b/0. abducible c/0. abducible d/0.
+abducible e/0. abducible f/0. abducible g/0.
+a ; b ; c <- true.
+q :- d. q :- e.
+r :- f. r :- g.
+q <- true. r <- true.
+"""
+
+
+def test_the_shortest_open_support_clause_gives_the_decision(monkeypatch):
+    # Support clauses in database order: a | b | c (a constraint, three
+    # unassigned), then not q | d | e and not r | f | g (completions, two
+    # each once q and r hold).  The shortest wins over the earlier
+    # longer one, the first of equals wins, and the decision is the
+    # clause's first unassigned candidate, absent first.
+    theory = theory_for(PICKS)
+    decisions = []
+    real = _Search.propagate
+
+    def spy(self, lit):
+        decisions.append(("-" if lit & 1 else "+") + str(theory.atoms.atom(lit >> 1)))
+        return real(self, lit)
+
+    monkeypatch.setattr(_Search, "propagate", spy)
+    report = solve(theory, SolveOptions(max_models=1))
+    assert decisions == ["-d", "-f", "-a", "-b"]
+    assert solution_strs(theory, report) == [("c", "e", "g")]
 
 
 def test_solve_empty_universe():
