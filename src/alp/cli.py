@@ -3,14 +3,16 @@
 Exit codes: 0 when the request succeeds (at least one solution, a Sat
 check, a clean plan), 1 when the answer is negative (no solutions, a
 violated constraint, a failed plan), 2 on any error, with diagnostics on
-standard error.  All default output is deterministic: two runs on the
-same input produce byte-identical text.
+standard error.  A reader that closes standard output early is not an
+error: the rest of the output is dropped.  All default output is
+deterministic: two runs on the same input produce byte-identical text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -105,6 +107,7 @@ def _cmd_solve(args) -> int:
         theory,
         SolveOptions(max_models=max_models, minimal_only=args.minimal),
     )
+    args.status = 0 if report.solutions else 1
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if report.unsat_reason:
@@ -135,41 +138,43 @@ def _cmd_solve(args) -> int:
             print("no solutions")
         for line in footers:
             print(line)
-    return 0 if report.solutions else 1
+    return args.status
 
 
 def _cmd_ground(args) -> int:
     theory = _load_theory(args.path, args.override)
+    args.status = 0
     sys.stdout.write(theory.dump())
-    return 0
+    return args.status
 
 
 def _cmd_check(args) -> int:
     theory = _load_theory(args.path, args.override)
     delta = _read_delta_file(theory, args.delta)
     result = check_delta(theory, delta)
+    args.status = 0 if isinstance(result, Sat) else 1
     if args.trace and result.trace is not None:
         print(_trace_line("check", result.trace))
     if isinstance(result, Sat):
         print("Sat")
-        return 0
-    if isinstance(result, UnsatConstraint):
+    elif isinstance(result, UnsatConstraint):
         print(f"violated: {result.rendered}")
-        return 1
-    assert isinstance(result, NotTwoValued)
-    shown = ", ".join(theory.atoms.render(a) for a in result.atoms[:10])
-    more = "" if len(result.atoms) <= 10 else f" (and {len(result.atoms) - 10} more)"
-    print(f"undefined: {shown}{more}")
-    return 1
+    else:
+        assert isinstance(result, NotTwoValued)
+        shown = ", ".join(theory.atoms.render(a) for a in result.atoms[:10])
+        more = "" if len(result.atoms) <= 10 else f" (and {len(result.atoms) - 10} more)"
+        print(f"undefined: {shown}{more}")
+    return args.status
 
 
 def _cmd_oracle(args) -> int:
     if args.which == "queens":
         count, solutions = queens_brute(args.n)
+        args.status = 0
         print(count)
         for cols in solutions:
             print(" ".join(str(c) for c in cols))
-        return 0
+        return args.status
 
     with open(args.file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -183,18 +188,16 @@ def _cmd_oracle(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise SolveError(f"{args.file}: malformed plan file ({exc})") from None
     final = simulate_plan(initial, moves, horizon)
+    failed = isinstance(final, Violation) or (goal is not None and final != goal)
+    args.status = 1 if failed else 0
     if isinstance(final, Violation):
         print(final)
-        return 1
+        return args.status
     for b in sorted(final):
         print(f"on({b},{final[b]})")
     if goal is not None:
-        if final == goal:
-            print("goal reached")
-            return 0
-        print("goal not reached")
-        return 1
-    return 0
+        print("goal reached" if final == goal else "goal not reached")
+    return args.status
 
 
 def _location(value):
@@ -268,7 +271,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a reader that went away shows here at the latest
+        return status
+    except BrokenPipeError:
+        # The reader of standard output closed it early, as `| head` does.
+        # The rest of the output has no reader: send it, and the flush at
+        # exit, to the null device, and end as the command would have.
+        # Each command sets args.status before it writes its output.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return args.status
     except AlpError as exc:
         for diag in exc.diagnostics:
             print(str(diag), file=sys.stderr)

@@ -11,16 +11,17 @@ propagation runs on a clause database built from two sources:
     with one auxiliary variable per multi-literal clause body.
 
 Binary clauses propagate through per-literal implication lists, longer
-ones through two watched literals each (Chaff, MiniSat), so assigning a
-literal visits only the clauses that may have become unit, and undoing
-it only resets its entry: backtracking pops the trail and touches no
-clause.  The search branches first-fail on the open support clauses,
-the goals an abductive proof still has to meet: a completion clause
-that needs one of a defined atom's bodies, or a constraint with heads.
-Of those not yet satisfied that still have an unassigned candidate,
-the first with the fewest unassigned literals gives the decision, its
-first unassigned candidate, tried absent before present; with none
-open, the candidates follow in atom order (see _Search.run).
+ones through two watched literals each, listed in one watch array per
+literal (Chaff, MiniSat), so assigning a literal visits only the
+clauses that may have become unit, and undoing it only resets its
+entry: backtracking pops the trail and touches no clause.  The search
+branches first-fail on the open support clauses, the goals an abductive
+proof still has to meet: a completion clause that needs one of a
+defined atom's bodies, or a constraint with heads.  Of those not yet
+satisfied that still have an unassigned candidate, the first with the
+fewest unassigned literals gives the decision, its first unassigned
+candidate, tried absent before present; with none open, the candidates
+follow in atom order (see _Search.run).
 
 Any two-valued well-founded model extends to a total assignment of this
 database, so propagation and conflict pruning never lose a solution.
@@ -40,9 +41,8 @@ what makes the planning workload tractable.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -184,11 +184,17 @@ class _ClauseDb:
         self.branch_vars = sorted(candidates, key=lambda i: theory.atoms.atom(i).sort_key)
         self.candidates = frozenset(candidates)
 
+        add = self._add
         for ci, gc in enumerate(theory.constraints):
-            lits = [2 * a + (0 if wanted else 1) for a, wanted in gc.heads]
-            lits += [2 * a + 1 for a in gc.pos]
-            lits += [2 * a for a in gc.neg]
-            self._add(lits, ci, denial=not gc.heads)
+            if gc.heads or gc.neg:
+                lits = [2 * a + (not wanted) for a, wanted in gc.heads]
+                lits += [2 * a + 1 for a in gc.pos]
+                lits += [2 * a for a in gc.neg]
+                add(_key(lits), ci, not gc.heads)
+            else:
+                # A denial with a positive body has odd literals only, so
+                # it cannot be a tautology.
+                add(tuple(sorted({2 * a + 1 for a in gc.pos})), ci, True)
         self.n_constraint_clauses = len(self.clauses)
         self._find_loops(theory.clauses)
         self._add_completion(theory.clauses)
@@ -201,17 +207,18 @@ class _ClauseDb:
         self.nvars += 1
         return v
 
-    def _add(self, lits: list[int], origin: int, denial: bool = False):
-        uniq = set(lits)
-        key = tuple(sorted(uniq))
-        for lit in key:
-            if lit ^ 1 in uniq:
-                return  # tautology
-        prev = self._index.get(key)
-        if prev is not None:
-            self.is_denial[prev] = self.is_denial[prev] or denial
+    def _add(self, key: tuple[int, ...] | None, origin: int, denial: bool = False):
+        """Add the clause with sorted literal set key, unless it is a
+        tautology (None, see _key) or in already: then the denial flag is
+        ORed into the first."""
+        if key is None:
             return
-        self._index[key] = len(self.clauses)
+        n = len(self.clauses)
+        prev = self._index.setdefault(key, n)
+        if prev != n:
+            if denial:
+                self.is_denial[prev] = True
+            return
         self.clauses.append(key)
         self.origins.append(origin)
         self.is_denial.append(denial)
@@ -229,7 +236,7 @@ class _ClauseDb:
         for head in order:
             bodies = bodies_by_head[head]
             if any(not pos and not neg for pos, neg in bodies):
-                self._add([2 * head], head)
+                self._add((2 * head,), head)
                 continue
             support = [2 * head + 1]
             for pos, neg in bodies:
@@ -240,17 +247,17 @@ class _ClauseDb:
                     aux = self._new_aux()
                     dj = 2 * aux
                     for lit in lits:
-                        self._add([dj ^ 1, lit], head)
-                    self._add([dj] + [lit ^ 1 for lit in lits], head)
-                self._add([dj ^ 1, 2 * head], head)
+                        self._add(_key((dj ^ 1, lit)), head)
+                    self._add(_key([dj] + [lit ^ 1 for lit in lits]), head)
+                self._add(_key((dj ^ 1, 2 * head)), head)
                 support.append(dj)
                 if head in self.loop_atoms:
                     self._add_loop_body(head, dj, pos)
-            self._add(support, head)
+            self._add(_key(support), head)
         # Atoms that are neither derivable nor assumable are simply false.
         for a in range(self.n_atoms):
             if a not in bodies_by_head and a not in self.candidates:
-                self._add([2 * a + 1], a)
+                self._add((2 * a + 1,), a)
 
     def _find_loops(self, clauses: list[GroundClause]):
         """Find the loops of the definition layer in one pass over its
@@ -329,6 +336,15 @@ class _ClauseDb:
         return f"definition of {theory.atoms.render(ref)}"
 
 
+def _key(lits: Iterable[int]) -> tuple[int, ...] | None:
+    """A clause's literal set sorted, or None when it is a tautology."""
+    uniq = set(lits)
+    for lit in uniq:
+        if lit ^ 1 in uniq:
+            return None
+    return tuple(sorted(uniq))
+
+
 def _components(succ: dict[int, list[int]]) -> dict[int, int]:
     """Strongly connected components of a digraph given by successor
     lists (Tarjan, iterative): for each vertex reached, the vertex that
@@ -378,22 +394,6 @@ def _clause_db(theory: GroundTheory) -> _ClauseDb:
 # the search engine
 
 
-def _ints(n: int) -> memoryview:
-    """n zeroed 32-bit C ints in one flat buffer.  Unlike a list, it
-    holds no int object per entry."""
-    return memoryview(bytearray(4 * n)).cast("i")
-
-
-def _offsets(counts: Counter, n: int) -> memoryview:
-    """Start offsets of n consecutive slices sized by counts."""
-    starts = _ints(n)
-    total = 0
-    for i in range(n):
-        starts[i] = total
-        total += counts[i]
-    return starts
-
-
 class _Search:
     """One depth-first enumeration over a theory's clause database.
 
@@ -402,7 +402,7 @@ class _Search:
     binary clause (a, b) sits in two implication lists: implied[a]
     holds b and implied[b] holds a, so when one literal goes false the
     other must hold.  A longer clause watches two of its literals,
-    watch0[ci] and watch1[ci], and sits in the watch slice of each:
+    watch0[ci] and watch1[ci], and sits in the watch array of each:
     only a watch going false makes the clause look for a replacement
     among its literals that are not false, and when there is none the
     other watch is implied, or the clause is falsified.  A watch stays
@@ -411,10 +411,13 @@ class _Search:
     a watch and undo_to only unassigns the trail.  Unit clauses are
     assigned once, at the root, and never undone.
 
-    Clause indices live in flat int buffers (_ints), because a list
-    would hold one int object per index; literal l's slice of such a
-    buffer starts at a fixed offset.  Implication lists hold literals,
-    which are shared with the clause tuples.
+    watches[l] holds the clauses watching literal l in order, as an
+    array of C ints, which unlike a list holds no int object per index.
+    When l goes false its array is compacted in place, and a moved
+    watch is appended to the array of its new literal.  Implication
+    lists hold literals, which are shared with the clause tuples; a
+    binary clause that is falsified is named through binary, which maps
+    each one to its index.
 
     When the definition layer has loop atoms, unit propagation is
     followed by falsifying unfounded loop atoms, with one source body
@@ -443,49 +446,39 @@ class _Search:
         n_lits = 2 * db.nvars
         self.value = [-1] * n_lits
         self.trail: list[int] = []
-        self.units = [ci for ci, cl in enumerate(clauses) if len(cl) < 2]
-        binary = Counter(chain.from_iterable(cl for cl in clauses if len(cl) == 2))
-        longer = Counter(chain.from_iterable(cl for cl in clauses if len(cl) > 2))
-        # A literal in no binary clause shares the empty tuple.
-        self.implied = implied = [[] if binary[lit] else () for lit in range(n_lits)]
-        # implied_clause[implied_start[l] + j] is the clause of
-        # implied[l][j]; only conflicts read it.
-        self.implied_start = implied_start = _offsets(binary, n_lits)
-        self.implied_clause = implied_clause = _ints(sum(binary.values()))
-        # The clauses watching l fill watch_len[l] slots from
-        # watch_start[l]; there is room for every longer clause with l.
-        self.watch_start = watch_start = _offsets(longer, n_lits)
-        self.watch_len = watch_len = _ints(n_lits)
-        self.watched = watched = _ints(sum(longer.values()))
-        self.watch0 = watch0 = _ints(len(clauses))
-        self.watch1 = watch1 = _ints(len(clauses))
-        for ci, cl in enumerate(clauses):
-            if len(cl) == 2:
-                a, b = cl
-                implied_clause[implied_start[a] + len(implied[a])] = ci
-                implied[a].append(b)
-                implied_clause[implied_start[b] + len(implied[b])] = ci
-                implied[b].append(a)
-            elif len(cl) > 2:
-                a = watch0[ci] = cl[0]
-                b = watch1[ci] = cl[1]
-                watched[watch_start[a] + watch_len[a]] = ci
-                watch_len[a] += 1
-                watched[watch_start[b] + watch_len[b]] = ci
-                watch_len[b] += 1
+        self.units: list[int] = []
+        self.implied = implied = [[] for _ in range(n_lits)]
+        self.binary: dict[tuple[int, ...], int] = {}  # only conflicts read it
+        binary = self.binary
+        self.watches = watches = [array("i") for _ in range(n_lits)]
+        self.watch0 = watch0 = array("i", [0]) * len(clauses)
+        self.watch1 = watch1 = array("i", [0]) * len(clauses)
         # The support clauses, the clauses of three or more literals that
         # are not denials and mention a candidate (see run): for each, a
         # getter of its literals' values, its candidates and a getter of
         # their values, so that run reads a clause in one call.
         self.support: list[tuple[itemgetter, tuple[int, ...], itemgetter]] = []
-        for cl, denial in zip(clauses, db.is_denial):
-            if len(cl) > 2 and not denial:
-                cands = tuple(lit >> 1 for lit in cl if lit >> 1 in db.candidates)
-                if cands:
-                    # The first repeated at the end: a getter of one
-                    # item would return its value, not a tuple.
-                    get_cands = itemgetter(*(2 * v for v in cands), 2 * cands[0])
-                    self.support.append((itemgetter(*cl), cands, get_cands))
+        candidates = db.candidates
+        for ci, cl in enumerate(clauses):
+            if len(cl) == 2:
+                a, b = cl
+                implied[a].append(b)
+                implied[b].append(a)
+                binary[cl] = ci
+            elif len(cl) > 2:
+                a = watch0[ci] = cl[0]
+                b = watch1[ci] = cl[1]
+                watches[a].append(ci)
+                watches[b].append(ci)
+                if not db.is_denial[ci]:
+                    cands = tuple(lit >> 1 for lit in cl if lit >> 1 in candidates)
+                    if cands:
+                        # The first repeated at the end: a getter of one
+                        # item would return its value, not a tuple.
+                        get_cands = itemgetter(*(2 * v for v in cands), 2 * cands[0])
+                        self.support.append((itemgetter(*cl), cands, get_cands))
+            else:
+                self.units.append(ci)
         self.solutions: list[tuple[int, ...]] = []
         self.minimal_sets: list[frozenset[int]] = []
         self.source = [-1] * db.n_atoms
@@ -545,9 +538,8 @@ class _Search:
         trail = self.trail
         push = trail.append
         implied = self.implied
-        watch_start = self.watch_start
-        watch_len = self.watch_len
-        watched = self.watched
+        binary = self.binary
+        watches = self.watches
         watch0 = self.watch0
         watch1 = self.watch1
         clauses = self.db.clauses
@@ -564,19 +556,15 @@ class _Search:
                     value[lit ^ 1] = 0
                     push(lit)
                 elif val == 0:
-                    j = implied[false_lit].index(lit)
-                    conflict = self.implied_clause[self.implied_start[false_lit] + j]
+                    conflict = binary[(false_lit, lit) if false_lit < lit else (lit, false_lit)]
                     break
             if conflict is not None:
                 break
-            count = watch_len[false_lit]
-            if not count:
+            watching = watches[false_lit]
+            if not watching:
                 continue
-            base = watch_start[false_lit]
-            end = base + count
-            kept = base  # the watch slice is compacted in place
-            for i in range(base, end):
-                ci = watched[i]
+            kept = 0  # the watch array is compacted in place
+            for i, ci in enumerate(watching):
                 other = watch0[ci]
                 if other == false_lit:  # keep the false watch in watch1
                     other = watch1[ci]
@@ -591,24 +579,21 @@ class _Search:
                         lit = -1
                     if lit != -1:  # move the watch to lit
                         watch1[ci] = lit
-                        watched[watch_start[lit] + watch_len[lit]] = ci
-                        watch_len[lit] += 1
+                        watches[lit].append(ci)
                         continue
                     if val == 0:
                         conflict = ci
-                        rest = watched[i:end]
-                        watched[kept : kept + len(rest)] = rest
-                        kept += len(rest)
+                        del watching[kept:i]  # this clause and the rest stay
                         break
                     implications += 1
                     value[other] = 1
                     value[other ^ 1] = 0
                     push(other)
-                watched[kept] = ci
+                watching[kept] = ci
                 kept += 1
-            watch_len[false_lit] = kept - base
             if conflict is not None:
                 break
+            del watching[kept:]
         self.stats.propagations += implications
         return conflict
 

@@ -1,7 +1,10 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -224,3 +227,23 @@ def test_readme_solve_example_is_the_cli_output(queens, monkeypatch, capsys):
     code, out, _err = run(capsys, *argv[2:])
     assert code == 0
     assert out.splitlines()[: len(shown)] == shown
+
+
+def test_a_reader_that_closes_early_ends_the_output_quietly(queens):
+    # As in `alp solve queens.alp -c size=10 --all | head -1`: the output
+    # is larger than a pipe's buffer, so writing it fails once the reader
+    # has gone.  The command still ends with its own status, silently.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    argv = [sys.executable, "-m", "alp.cli", "solve", queens, "-c", "size=10", "--all"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first == b"% solution 1\n"
+    assert err == b""
+    assert code == 0

@@ -1,9 +1,12 @@
 """Search engine: candidate checking, enumeration, query translation."""
 
+import collections
 import dataclasses
 import importlib.resources
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +198,90 @@ def test_check_delta_matches_field_by_field_reference():
                 assert result.instance is detail  # the first violated instance itself
                 assert result.rendered == theory.render_constraint(detail)
     assert seen == {Sat, UnsatConstraint, NotTwoValued}
+
+
+# -- clause database ----------------------------------------------------------
+
+
+def reference_constraint_clauses(theory, seen):
+    """The constraint clauses as _ClauseDb documents them, computed the
+    plain way: each constraint's literal set, tautologies dropped, the
+    first occurrence of each set kept with its constraint's index, and
+    the denial flag ORed over the constraints giving the set.  seen
+    counts the cases met."""
+    clauses, origins, is_denial = [], [], []
+    for ci, gc in enumerate(theory.constraints):
+        lits = [2 * a + (0 if wanted else 1) for a, wanted in gc.heads]
+        lits += [2 * a + 1 for a in gc.pos]
+        lits += [2 * a for a in gc.neg]
+        if len(set(lits)) < len(lits):
+            seen["repeated literal"] += 1
+        if any(lit ^ 1 in lits for lit in lits):
+            seen["tautology"] += 1
+            continue
+        key = tuple(sorted(set(lits)))
+        if key not in clauses:
+            clauses.append(key)
+            origins.append(ci)
+            is_denial.append(not gc.heads)
+            continue
+        seen["duplicate"] += 1
+        j = clauses.index(key)
+        if not gc.heads and not is_denial[j]:
+            seen["denial ORed"] += 1
+            is_denial[j] = True
+    return clauses, origins, is_denial
+
+
+def clashing_constraints(rng, theory):
+    """The theory with constraints inserted at random places whose heads
+    repeat body literals: a head equal to a negated body atom, a
+    negative head equal to a positive body atom, and a denial whose body
+    is another constraint's body and negative heads, permuted, so that
+    both give one literal set."""
+    atoms = list(range(theory.n_atoms))
+    constraints = list(theory.constraints)
+    for _ in range(rng.randint(0, 6)):
+        a = rng.choice(atoms)
+        pos = tuple(rng.choice(atoms) for _ in range(rng.randint(0, 2)))
+        roll = rng.random()
+        if roll < 0.3:  # a <- not a, ...: one literal, twice
+            gc = GroundConstraint(((a, True),), pos, (a,))
+        elif roll < 0.6:  # not a <- a, ...: the clause of false <- a, ...
+            gc = GroundConstraint(((a, False),), pos + (a,))
+        else:  # negative heads moved into the body: a denial, the same set
+            negative = [c for c in constraints if c.heads and not any(w for _a, w in c.heads)]
+            if not negative:
+                continue
+            src = rng.choice(negative)
+            body = list(src.pos) + [h for h, _wanted in src.heads]
+            gc = GroundConstraint((), tuple(rng.sample(body, len(body))), src.neg)
+        constraints.insert(rng.randint(0, len(constraints)), gc)
+    return GroundTheory(theory.atoms, theory.clauses, constraints, theory.universe, theory.forced)
+
+
+def test_constraint_clauses_match_a_plain_reference_encoding():
+    rng = random.Random(31)
+    seen = collections.Counter()
+    for i in range(500):
+        theory = clashing_constraints(rng, random_ground_theory(rng))
+        clauses, origins, is_denial = reference_constraint_clauses(theory, seen)
+        db = _clause_db(theory)
+        n = db.n_constraint_clauses
+        assert n == len(clauses), f"theory {i}"
+        assert db.clauses[:n] == clauses, f"theory {i}"
+        assert db.origins[:n] == origins, f"theory {i}"
+        assert db.is_denial[:n] == is_denial, f"theory {i}"
+        # The completion clauses come after, through the same dedup: no
+        # set twice, no tautology, none a denial.
+        assert len(set(db.clauses)) == len(db.clauses), f"theory {i}"
+        assert all(lit ^ 1 not in cl for cl in db.clauses for lit in cl), f"theory {i}"
+        assert not any(db.is_denial[n:]), f"theory {i}"
+    # Floors at about half of what this seed gives (2,507 constraints
+    # with a repeated literal, 1,617 tautologies, 738 duplicates, 113
+    # denial flags ORed into a clause first given by heads).
+    floors = {"repeated literal": 1200, "tautology": 800, "duplicate": 350, "denial ORed": 55}
+    assert all(seen[case] >= floor for case, floor in floors.items()), seen
 
 
 # -- solve ------------------------------------------------------------------
@@ -658,6 +745,33 @@ def test_tight_programs_make_at_most_one_well_founded_run(monkeypatch, name, ove
     report = solve(theory)
     assert report.stats.models == report.stats.checks == models
     assert len(calls) <= 1
+
+
+def bench_hamcycle_theory(seed):
+    """The benchmark's hamcycle program for one seed, from bench/hamcycle.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "hamcycle.py"
+    spec = importlib.util.spec_from_file_location("bench_hamcycle", path)
+    hamcycle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hamcycle)
+    return theory_for(hamcycle.program_text(hamcycle.generate_graph(seed)))
+
+
+@pytest.mark.parametrize(
+    "program, counts",
+    [
+        (lambda: bundled_theory("queens.alp", size=8), (766, 6199, 292, 92, 92)),
+        (lambda: bundled_theory("blocks.alp"), (104, 4891, 29, 24, 24)),
+        (lambda: bench_hamcycle_theory(1), (668, 6084, 216, 119, 119)),
+    ],
+    ids=["queens-8", "blocks", "hamcycle-1"],
+)
+def test_search_counts_are_pinned(program, counts):
+    # Nodes, propagations, pruned, checks and models of an all-solutions
+    # search.  They change with the branching rule or the order in which
+    # clauses are watched and implied, which would then change the order
+    # of the solutions too: such a change has to be made on purpose.
+    stats = solve(program()).stats
+    assert (stats.nodes, stats.propagations, stats.pruned, stats.checks, stats.models) == counts
 
 
 def test_queens_first_model_at_size_20_takes_few_nodes():
