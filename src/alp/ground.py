@@ -7,6 +7,17 @@ ground atom is instantiated exactly when some hypothesis set could make
 it true.  Builtins are evaluated away during instantiation; negative
 literals never bind variables and are grounded after the positive part.
 
+Each rule body compiles once per use into a chain of steps, a
+nested-loop join (see _enumerate_plan): a step per positive literal,
+which probes a hash index of its candidates on the arguments already
+bound, and a step per generator builtin.  Every test builtin compiles
+into a function of the binding, with its constants folded, and runs in
+the step that binds the last of its variables; it gives the results
+and raises the errors of eval_builtin, the reference evaluator.  A test
+``X = Y`` that links a bound variable to one that the next positive
+literal binds first is not run at all: that literal's probe takes Y's
+position with X's value, provided no test placed between them can raise.
+
 Head arithmetic such as ``on(B,L,T+1)`` can chain without bound, so the
 closure clips derivation at the integer hull: the interval spanned by
 every integer literal in the program, its declarations, and the
@@ -26,12 +37,16 @@ constraints.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
+from math import factorial, prod
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import wfs
 from .syntax import (
@@ -423,6 +438,278 @@ def eval_builtin(
 
 
 # ---------------------------------------------------------------------------
+# compiled builtins
+#
+# The join does not call eval_builtin.  Each builtin literal of a plan is
+# compiled once, against the variables bound before it, into a function
+# of the binding that returns what eval_builtin returns there, or raises
+# the GroundError it raises, with the same message and diagnostic span,
+# in the same order of evaluation.  Constants, named ones included, fold
+# at compile time; a constant that would raise compiles to a function
+# that raises when it is reached, as eval_builtin would.
+#
+# What the compiler knows about each bound variable is its bounds: the
+# closed interval (lo, hi) of its values when they are all integers, or
+# None when it may hold a symbol.  A positive literal's variable gets the
+# range of its column in the candidate lists.  Known integers need no
+# type checks, and arithmetic whose interval stays inside the integer
+# range needs no overflow checks.  Bounds can be infinite, since integer
+# literals and the values read from the binding are not range checked.
+
+_INF = float("inf")
+_ANY_INT = (-_INF, _INF)
+_ARITH = {"abs": abs, "+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARE = {
+    "=": operator.eq,
+    "\\=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "=<": operator.le,
+    ">=": operator.ge,
+}
+# The commonest shapes, two variables with the operator between them,
+# index the binding inline.
+_VAR_ARITH = {
+    "+": lambda x, y: lambda binding: binding[x] + binding[y],
+    "-": lambda x, y: lambda binding: binding[x] - binding[y],
+    "*": lambda x, y: lambda binding: binding[x] * binding[y],
+}
+_VAR_COMPARE = {
+    "=": lambda x, y: lambda binding: binding[x] == binding[y],
+    "\\=": lambda x, y: lambda binding: binding[x] != binding[y],
+    "<": lambda x, y: lambda binding: binding[x] < binding[y],
+    ">": lambda x, y: lambda binding: binding[x] > binding[y],
+    "=<": lambda x, y: lambda binding: binding[x] <= binding[y],
+    ">=": lambda x, y: lambda binding: binding[x] >= binding[y],
+}
+
+
+class _Term(NamedTuple):
+    """A term or test compiled against the bounds of the bound variables.
+
+    fn maps the binding to the value; it is None when the value folds to
+    the constant value.  bounds is (lo, hi) when the value is an integer
+    in that interval, else None.  safe is False when evaluating it may
+    raise a GroundError.
+    """
+
+    fn: Callable | None
+    value: Value | bool = 0
+    bounds: tuple | None = None
+    safe: bool = True
+
+
+def _raiser(message: str, span) -> Callable:
+    def fail(binding):
+        raise GroundError(message, [Diagnostic(span, message)])
+
+    return fail
+
+
+def _getter(t: _Term) -> Callable:
+    if t.fn is not None:
+        return t.fn
+    value = t.value
+    return lambda binding: value
+
+
+def _interval(op: str, args: list[tuple]) -> tuple:
+    if op == "abs":
+        lo, hi = args[0]
+        return (0 if lo <= 0 <= hi else min(abs(lo), abs(hi))), max(abs(lo), abs(hi))
+    (a, b), (c, d) = args
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - d, b - c
+    if _INF in map(abs, (a, b, c, d)):
+        return _ANY_INT
+    products = (a * c, a * d, b * c, b * d)
+    return min(products), max(products)
+
+
+def _compile_term(t: Term, constants: dict[str, int], bounds: dict, arith: bool = False) -> _Term:
+    """Compile t as _eval_int (arith) or _eval_value evaluates it; bounds
+    maps each bound variable to its bounds."""
+    if isinstance(t, Var):
+        name = t.name
+        var_bounds = bounds[name]
+        if var_bounds is not None or not arith:
+            return _Term(itemgetter(name), bounds=var_bounds)
+        span = t.span
+
+        def get_int(binding):
+            v = binding[name]
+            if isinstance(v, int):
+                return v
+            msg = f"type error: symbol {v} used in arithmetic"
+            raise GroundError(msg, [Diagnostic(span, msg)])
+
+        return _Term(get_int, bounds=_ANY_INT, safe=False)
+    if isinstance(t, IntConst):
+        return _Term(None, t.value, (t.value, t.value))
+    if isinstance(t, SymConst):
+        if not arith:
+            return _Term(None, t.name)
+        if t.name in constants:
+            v = constants[t.name]
+            return _Term(None, v, (v, v))
+        return _Term(_raiser(f"type error: symbol {t.name} used in arithmetic", t.span), bounds=_ANY_INT, safe=False)
+    args = [_compile_term(a, constants, bounds, True) for a in t.args]
+    f = _ARITH[t.op]
+    msg, span = "integer overflow in arithmetic", t.span
+    if all(a.fn is None for a in args):
+        v = f(*(a.value for a in args))
+        if INT_MIN <= v <= INT_MAX:
+            return _Term(None, v, (v, v))
+        return _Term(_raiser(msg, span), bounds=_ANY_INT, safe=False)
+    lo, hi = _interval(t.op, [a.bounds for a in args])
+    if len(args) == 1:
+        g = args[0].fn
+
+        def fn(binding):
+            return f(g(binding))
+
+    else:
+        left, right = args
+        lf, rf = left.fn, right.fn
+        if left.safe and right.safe and isinstance(t.args[0], Var) and isinstance(t.args[1], Var):
+            fn = _VAR_ARITH[t.op](t.args[0].name, t.args[1].name)
+        elif lf is None:
+            fn = partial(_apply_const_left, f, left.value, rf)
+        elif rf is None:
+            fn = partial(_apply_const_right, f, lf, right.value)
+        else:
+
+            def fn(binding):
+                return f(lf(binding), rf(binding))
+
+    if INT_MIN <= lo and hi <= INT_MAX:
+        return _Term(fn, bounds=(lo, hi), safe=all(a.safe for a in args))
+    raw = fn
+
+    def fn(binding):
+        out = raw(binding)
+        if INT_MIN <= out <= INT_MAX:
+            return out
+        raise GroundError(msg, [Diagnostic(span, msg)])
+
+    return _Term(fn, bounds=(max(lo, INT_MIN), min(hi, INT_MAX)), safe=False)
+
+
+def _apply_const_left(f, c, g, binding):
+    return f(c, g(binding))
+
+
+def _apply_const_right(f, g, c, binding):
+    return f(g(binding), c)
+
+
+def _compile_test(lit: Builtin, constants: dict[str, int], bounds: dict) -> _Term:
+    """Compile a builtin in test mode, as eval_builtin decides it once
+    every variable of lit is bound; bounds maps those to their bounds."""
+    op = lit.op
+    if op == "in":
+        parts = (
+            _compile_term(lit.lhs, constants, bounds),
+            _compile_term(lit.rhs.lo, constants, bounds, True),
+            _compile_term(lit.rhs.hi, constants, bounds, True),
+        )
+        safe = all(p.safe for p in parts)
+        if all(p.fn is None for p in parts):
+            v, lo, hi = (p.value for p in parts)
+            return _Term(None, isinstance(v, int) and lo <= v <= hi)
+        vf, lof, hif = map(_getter, parts)
+
+        def test(binding):
+            v = vf(binding)
+            lo = lof(binding)
+            hi = hif(binding)
+            return isinstance(v, int) and lo <= v <= hi
+
+        return _Term(test, safe=safe)
+    compare = _COMPARE[op]
+    lhs = _compile_term(lit.lhs, constants, bounds)
+    rhs = _compile_term(lit.rhs, constants, bounds)
+    lf, rf = lhs.fn, rhs.fn
+    safe = lhs.safe and rhs.safe
+    if op not in ("=", "\\=") and (lhs.bounds is None or rhs.bounds is None):
+        # an ordering test on what may be a symbol
+        lf, rf = _getter(lhs), _getter(rhs)
+        msg = f"type error: ordering comparison {op} on symbols"
+        span = lit.span
+
+        def test(binding):
+            lv = lf(binding)
+            rv = rf(binding)
+            if isinstance(lv, int) and isinstance(rv, int):
+                return compare(lv, rv)
+            raise GroundError(msg, [Diagnostic(span, msg)])
+
+        return _Term(test, safe=False)
+    if lf is None and rf is None:
+        return _Term(None, compare(lhs.value, rhs.value))
+    if lf is None:
+        return _Term(partial(_apply_const_left, compare, lhs.value, rf), safe=safe)
+    if rf is None:
+        return _Term(partial(_apply_const_right, compare, lf, rhs.value), safe=safe)
+    if isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var):
+        return _Term(_VAR_COMPARE[op](lit.lhs.name, lit.rhs.name))
+
+    def test(binding):
+        return compare(lf(binding), rf(binding))
+
+    return _Term(test, safe=safe)
+
+
+def _compile_generator(lit: Builtin, constants: dict[str, int], bounds: dict) -> tuple[Callable, tuple | None]:
+    """Compile a builtin in generator mode: ``X in L..H`` or ``X = expr``
+    with X unbound.  Returns a function from the binding to the values
+    of X, in eval_builtin's order, and their bounds."""
+    if lit.op == "=":
+        rhs = _compile_term(lit.rhs, constants, bounds)
+        if rhs.fn is None:
+            values = (rhs.value,)
+            return (lambda binding: values), rhs.bounds
+        f = rhs.fn
+        return (lambda binding: (f(binding),)), rhs.bounds
+    lo = _compile_term(lit.rhs.lo, constants, bounds, True)
+    hi = _compile_term(lit.rhs.hi, constants, bounds, True)
+    value_bounds = (lo.bounds[0], hi.bounds[1])
+    if lo.fn is None and hi.fn is None and hi.value - lo.value + 1 <= _DOMAIN_CAP:
+        folded = range(lo.value, hi.value + 1)
+        return (lambda binding: folded), value_bounds
+    lof, hif = _getter(lo), _getter(hi)
+
+    def values(binding):
+        low = lof(binding)
+        high = hif(binding)
+        if high - low + 1 > _DOMAIN_CAP:
+            raise GroundError(f"interval {low}..{high} exceeds {_DOMAIN_CAP} values")
+        return range(low, high + 1)
+
+    return values, value_bounds
+
+
+def _never(binding) -> bool:
+    return False
+
+
+def _runnable(tests: list[_Term]) -> tuple[Callable, ...]:
+    """The functions of compiled tests that are left to run, in order: a
+    test folded to True drops out, and one folded to False ends them."""
+    fns = []
+    for t in tests:
+        if t.fn is None:
+            if t.value:
+                continue
+            fns.append(_never)
+            break
+        fns.append(t.fn)
+    return tuple(fns)
+
+
+# ---------------------------------------------------------------------------
 # per-rule instantiation plans
 
 
@@ -558,6 +845,16 @@ class _Candidates:
         for key, ext in possible.items():
             self.lists[key] = list(ext.items())
         self._indexes: dict[tuple, dict] = {}
+        self._bounds: dict[tuple, tuple | None] = {}
+
+    def bounds(self, key, i) -> tuple | None:
+        """The (lo, hi) range of the values at position i of key's
+        candidates when there are some and all are integers, else None."""
+        if (key, i) not in self._bounds:
+            column = [args[i] for args, _ in self.lists.get(key, ())]
+            ints = column and all(isinstance(v, int) for v in column)
+            self._bounds[key, i] = (min(column), max(column)) if ints else None
+        return self._bounds[key, i]
 
     def table(self, key, repeats, const_pos, const_vals, var_pos, ranked=False):
         """The candidates whose repeated positions agree and whose const_pos
@@ -589,13 +886,24 @@ def _enumerate_plan(
     """Call emit(binding, pos_ids) for every way to satisfy the body, in
     the order of a nested-loop join over the candidate lists.
 
-    The plan compiles into one step function per body literal.  Each
-    positive step knows which argument positions hold constants or
-    variables bound by earlier steps and probes the candidate index on
-    them; the other positions bind fresh variables.  The binding dict is
-    extended in place and restored when a step is exhausted, so emit
-    must copy what it keeps.  The chain is folded from the last step
-    back, so no step function refers to itself.
+    The plan compiles into one step function per positive literal and
+    per generator builtin.  Each positive step knows which argument
+    positions hold constants or variables bound by earlier steps and
+    probes the candidate index on them; the other positions bind fresh
+    variables.  A generator step binds its variable to each value in
+    turn.  Every test builtin is compiled (_compile_test) and runs inside
+    the step that binds the last of its variables, right after binding,
+    in plan order, so a candidate that fails a test costs no call of the
+    next step.  The binding dict is extended in place and restored when
+    a step is exhausted, so emit must copy what it keeps.  The chain is
+    folded from the last step back, so no step function refers to
+    itself.
+
+    A test ``X = Y`` where X is bound before a positive literal and that
+    literal binds Y first narrows the literal's probe instead: the index
+    is probed on Y's position with X's value, and the test is dropped.
+    This is done only when no test that runs between the literal and
+    ``X = Y`` can raise; see the argument below.
 
     groups lists symmetric groups of positive literals, by their index
     in pos_ids (see _symmetric_groups).  Each literal of a group after
@@ -603,32 +911,50 @@ def _enumerate_plan(
     one the group's previous literal took, so of every way to permute a
     group's candidates only the one with ranks in order is enumerated.
     """
+    # Why narrowing changes nothing.  Buckets keep list order, so the
+    # narrowed probe yields exactly the candidates with Y = X, in the
+    # order the plain probe yields them; it skips the others.  A skipped
+    # candidate would have bound the literal's fresh variables, run the
+    # tests placed before X = Y, and then failed X = Y: no later step
+    # runs for it, so it emits nothing and writes no rank cell a later
+    # step reads.  The kept candidates bind the same values (Y from its
+    # own column, equal to X) and run the same tests.  So emit sees the
+    # same calls in the same order, and the enumeration ends with the
+    # same GroundError unless one of the skipped tests would have raised
+    # first.  That is ruled out at compile time: the tests between the
+    # literal and X = Y must all be safe (_Term.safe), which they are,
+    # for instance, when their arithmetic stays in range and their
+    # ordering comparisons read integer columns only.  A generator in
+    # between also stops narrowing.
     links = {}  # positive literal index -> (rank cell it reads, rank cell it writes)
     for group in groups:
         cells = [[0] for _ in group]
         for n, k in enumerate(group):
             links[k] = (cells[n - 1] if n else None, cells[n])
-    bound: set[str] = set()
-    makers = []
+    steps = plan.steps
+    bounds: dict[str, tuple | None] = {}  # bound variable -> bounds of its values
+    lead: list[_Term] = []  # tests that run before the first step
+    makers = []  # (step maker, its tests)
+    narrowed: set[int] = set()  # plan steps dropped by narrowing
     n_pos = 0
-    for step in plan.steps:
+    for s, step in enumerate(steps):
+        if s in narrowed:
+            continue
         if step[0] == "builtin":
             _, lit, binds = step
-            if binds is not None:
-                bound.add(binds)
-            elif lit.op in ("=", "\\=") and isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var):
-                makers.append(partial(_var_test_step, lit.lhs.name, lit.rhs.name, lit.op == "="))
-                continue
-            makers.append(partial(_builtin_step, lit, constants))
+            if binds is None:
+                (makers[-1][1] if makers else lead).append(_compile_test(lit, constants, bounds))
+            else:
+                values, bounds[binds] = _compile_generator(lit, constants, bounds)
+                makers.append((partial(_gen_step, binds, values), []))
             continue
         atom = step[1].atom
-        const_pos, const_vals, var_pos, var_names, fresh, repeats = [], [], [], [], [], []
+        const_pos, const_vals, probes, fresh, repeats = [], [], [], [], []
         first_at: dict[str, int] = {}
         for i, arg in enumerate(atom.args):
             if isinstance(arg, Var):
-                if arg.name in bound:
-                    var_pos.append(i)
-                    var_names.append(arg.name)
+                if arg.name in bounds:
+                    probes.append((i, arg.name))
                 elif arg.name in first_at:
                     repeats.append((first_at[arg.name], i))
                 else:
@@ -637,35 +963,59 @@ def _enumerate_plan(
             else:
                 const_pos.append(i)
                 const_vals.append(arg.value if isinstance(arg, IntConst) else arg.name)
-        bound.update(first_at)
+        before = set(bounds)
+        for name, i in fresh:
+            bounds[name] = candidates.bounds(atom.key, i)
+        safe = True
+        for t in range(s + 1, len(steps)):
+            if steps[t][0] == "pos" or steps[t][2] is not None:
+                break
+            lit = steps[t][1]
+            if safe and lit.op == "=" and isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var):
+                x, y = lit.lhs.name, lit.rhs.name
+                if y in before:
+                    x, y = y, x
+                if x in before and y in first_at:
+                    probes.append((first_at[y], x))
+                    narrowed.add(t)
+                    continue
+            safe = safe and _compile_test(lit, constants, bounds).safe
+        probes.sort()
+        var_pos = tuple(i for i, _ in probes)
         link = links.get(n_pos)
         n_pos += 1
         table = candidates.table(
-            atom.key, tuple(repeats), tuple(const_pos), tuple(const_vals), tuple(var_pos),
+            atom.key, tuple(repeats), tuple(const_pos), tuple(const_vals), var_pos,
             ranked=link is not None,
         )
-        probe = itemgetter(*var_names) if var_names else None
+        probe = itemgetter(*(name for _, name in probes)) if probes else None
         if link is None:
-            makers.append(partial(_pos_step, table, probe, tuple(fresh)))
+            makers.append((partial(_pos_step, table, probe, tuple(fresh)), []))
         else:
-            makers.append(partial(_ranked_pos_step, table, probe, tuple(fresh), *link))
+            makers.append((partial(_ranked_pos_step, table, probe, tuple(fresh), *link), []))
 
     step = emit
-    for make in reversed(makers):
-        step = make(step)
-    step({}, ())
+    for make, tests in reversed(makers):
+        step = make(_runnable(tests), step)
+    if all(test({}) for test in _runnable(lead)):
+        step({}, ())
 
 
-def _pos_step(table, probe, fresh, nxt):
+def _pos_step(table, probe, fresh, tests, nxt):
     """Step over the candidates of one positive literal: the whole bucket
-    list when probe is None, else the bucket the bound values select."""
+    list when probe is None, else the bucket the bound values select;
+    each candidate that passes all tests goes on to nxt."""
 
     def step(binding, pos_ids):
         bucket = table if probe is None else table.get(probe(binding), ())
         for args, atom_id in bucket:
             for name, i in fresh:
                 binding[name] = args[i]
-            nxt(binding, pos_ids + (atom_id,))
+            for test in tests:
+                if not test(binding):
+                    break
+            else:
+                nxt(binding, pos_ids + (atom_id,))
         for name, _ in fresh:
             binding.pop(name, None)
 
@@ -675,7 +1025,7 @@ def _pos_step(table, probe, fresh, nxt):
 _RANK = itemgetter(2)
 
 
-def _ranked_pos_step(table, probe, fresh, rank_in, rank_out, nxt):
+def _ranked_pos_step(table, probe, fresh, rank_in, rank_out, tests, nxt):
     """Step over the candidates of one literal of a symmetric group, from
     a ranked table: only those ranked at least rank_in[0] when the group
     has an earlier literal, and each one's rank goes to rank_out[0] for
@@ -689,32 +1039,29 @@ def _ranked_pos_step(table, probe, fresh, rank_in, rank_out, nxt):
             rank_out[0] = rank
             for name, i in fresh:
                 binding[name] = args[i]
-            nxt(binding, pos_ids + (atom_id,))
+            for test in tests:
+                if not test(binding):
+                    break
+            else:
+                nxt(binding, pos_ids + (atom_id,))
         for name, _ in fresh:
             binding.pop(name, None)
 
     return step
 
 
-def _var_test_step(left: str, right: str, equal: bool, nxt):
-    """``X = Y`` or ``X \\= Y`` on two bound variables, as eval_builtin
-    decides it."""
+def _gen_step(name, values, tests, nxt):
+    """Step over the values a generator builtin gives its variable."""
 
     def step(binding, pos_ids):
-        if (binding[left] == binding[right]) is equal:
-            nxt(binding, pos_ids)
-
-    return step
-
-
-def _builtin_step(lit: Builtin, constants: dict[str, int], nxt):
-    def step(binding, pos_ids):
-        res = eval_builtin(lit, binding, constants)
-        if res is True:
-            nxt(binding, pos_ids)
-        elif res is not False:
-            for extended in res:
-                nxt(extended, pos_ids)
+        for v in values(binding):
+            binding[name] = v
+            for test in tests:
+                if not test(binding):
+                    break
+            else:
+                nxt(binding, pos_ids)
+        binding.pop(name, None)
 
     return step
 
@@ -865,11 +1212,22 @@ def _orbit_size(pos_ids: tuple[int, ...], groups) -> int:
 # ground atom construction
 
 
-def _subst_atom(atom: Atom, binding: dict[str, Value], constants: dict[str, int]) -> GroundAtom:
-    args = []
-    for t in atom.args:
-        args.append(_eval_value(t, binding, constants))
-    return GroundAtom(atom.pred, tuple(args))
+def _compile_atom(atom: Atom, constants: dict[str, int], bounds: dict) -> Callable[[dict], GroundAtom]:
+    """A function from the binding to the ground instance of atom, whose
+    arguments evaluate as _eval_value evaluates them, left to right."""
+    pred = atom.pred
+    if atom.args and all(isinstance(a, Var) for a in atom.args):
+        get = itemgetter(*(a.name for a in atom.args))
+        if len(atom.args) == 1:
+            return lambda binding: GroundAtom(pred, (get(binding),))
+        return lambda binding: GroundAtom(pred, get(binding))
+    getters = [_getter(_compile_term(a, constants, bounds)) for a in atom.args]
+    return lambda binding: GroundAtom(pred, tuple([g(binding) for g in getters]))
+
+
+def _unknown_bounds(body: tuple[Literal, ...]) -> dict:
+    """Bounds that say nothing, for every variable of a rule body."""
+    return dict.fromkeys(set().union(*map(literal_variables, body)))
 
 
 def _int_hull(program: Program, domains: DomainTable, universe=()) -> tuple[int, int] | None:
@@ -954,12 +1312,14 @@ def _close_definitions(
     grew = True
 
     def emit_clause(idx: int, cl: Clause, plan: _Plan):
+        bounds = _unknown_bounds(cl.body)
+        negs = [_compile_atom(n.atom, constants, bounds) for n in plan.negs]
+        head = _compile_atom(cl.head, constants, bounds)
+
         def emit(binding, pos_ids):
             nonlocal grew
-            neg_ids = tuple(
-                table.intern(_subst_atom(n.atom, binding, constants)) for n in plan.negs
-            )
-            head_atom = _subst_atom(cl.head, binding, constants)
+            neg_ids = tuple([table.intern(neg(binding)) for neg in negs])
+            head_atom = head(binding)
             head_id = table.intern(head_atom)
             key = (idx, head_id, pos_ids, neg_ids)
             if key in seen:
@@ -977,12 +1337,12 @@ def _close_definitions(
 
         return emit
 
+    emits = [emit_clause(idx, cl, plans[idx]) for idx, cl in enumerate(definitions)]
     while grew:
         grew = False
         candidates = _Candidates(abd_candidates, possible)
-        for idx, cl in enumerate(definitions):
-            plan = plans[idx]
-            _enumerate_plan(plan, candidates, constants, emit_clause(idx, cl, plan))
+        for plan, emit in zip(plans, emits):
+            _enumerate_plan(plan, candidates, constants, emit)
     return clauses, possible
 
 
@@ -1157,7 +1517,7 @@ def collect_forced(program: Program, kinds: dict, constants: dict[str, int]) -> 
                 f"unbounded variable in unconditional constraint {con}",
                 [Diagnostic(con.span, f"unbounded variable in unconditional constraint {con}")],
             )
-        ga = _subst_atom(head.atom, {}, constants)
+        ga = _compile_atom(head.atom, constants, {})({})
         if ga not in seen:
             seen.add(ga)
             forced.append(ga)
@@ -1217,35 +1577,68 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
     instances = 0
 
     def emit_constraint(origin: int, con: Constraint, plan: _Plan, groups):
-        neg_atoms = [n.atom for n in plan.negs]
+        """The emit for one constraint, specialised to its shape when the
+        plan is built."""
+        bounds = _unknown_bounds(con.body)
+        negs = [_compile_atom(n.atom, constants, bounds) for n in plan.negs]
+        n_pos = sum(isinstance(lit, Pos) for lit in con.body)
+        # the orbit size of an instance whose positive atoms are distinct
+        distinct_orbit = prod(factorial(len(group)) for group in groups)
+
+        def over_cap():
+            msg = f"grounding exceeded {_CONSTRAINT_CAP} constraint instances in {plan.label}"
+            return GroundError(msg, [Diagnostic(plan.span, msg)])
+
+        # The cap counts the instances of the plain join: each one the
+        # groups let through stands for its whole orbit.  Of the instances
+        # with one set of head disjuncts, positive and negative body
+        # atoms, only the first is kept: the rest admit exactly the same
+        # hypothesis sets.
+
+        if not con.heads and not negs:
+
+            def emit_denial(binding, pos_ids):
+                nonlocal instances
+                ids = set(pos_ids)
+                if not groups:
+                    instances += 1
+                elif len(ids) == n_pos:
+                    instances += distinct_orbit
+                else:
+                    instances += _orbit_size(pos_ids, groups)
+                if instances > _CONSTRAINT_CAP:
+                    raise over_cap()
+                key = ((), tuple(sorted(ids)) if n_pos > 1 else pos_ids, ())
+                if key not in seen:
+                    seen.add(key)
+                    constraints.append(GroundConstraint((), pos_ids, (), origin))
+
+            return emit_denial
+
+        heads = [
+            (_getter(_compile_test(h, constants, bounds)), None)
+            if isinstance(h, Builtin)
+            else (_compile_atom(h.atom, constants, bounds), isinstance(h, Pos))
+            for h in con.heads
+        ]
 
         def emit(binding, pos_ids):
             nonlocal instances
-            # The cap counts the instances of the plain join: each one the
-            # groups let through stands for its whole orbit.
-            instances += _orbit_size(pos_ids, groups)
+            instances += _orbit_size(pos_ids, groups) if groups else 1
             if instances > _CONSTRAINT_CAP:
-                msg = f"grounding exceeded {_CONSTRAINT_CAP} constraint instances in {plan.label}"
-                raise GroundError(msg, [Diagnostic(plan.span, msg)])
-            neg_ids = ()
-            if neg_atoms:
-                neg_ids = tuple(table.intern(_subst_atom(a, binding, constants)) for a in neg_atoms)
-            heads: list[tuple[int, bool]] = []
-            for h in con.heads:
-                if isinstance(h, Builtin):
-                    verdict = eval_builtin(h, binding, constants)
-                    assert isinstance(verdict, bool), "head builtins are ground here"
-                    if verdict:
-                        return  # the constraint holds outright
-                    continue  # false verdict: disjunct drops out
-                heads.append((table.intern(_subst_atom(h.atom, binding, constants)), isinstance(h, Pos)))
-            # Of the instances with one set of head disjuncts, positive
-            # and negative body atoms, keep the first: the rest admit
-            # exactly the same hypothesis sets.
-            key = (_sorted_set(heads), _sorted_set(pos_ids), _sorted_set(neg_ids))
+                raise over_cap()
+            neg_ids = tuple([table.intern(neg(binding)) for neg in negs])
+            head_ids: list[tuple[int, bool]] = []
+            for head, wanted in heads:
+                if wanted is None:
+                    if head(binding):
+                        return  # a builtin head holds: so does the constraint
+                    continue  # a false builtin head drops out
+                head_ids.append((table.intern(head(binding)), wanted))
+            key = (_sorted_set(head_ids), _sorted_set(pos_ids), _sorted_set(neg_ids))
             if key not in seen:
                 seen.add(key)
-                constraints.append(GroundConstraint(tuple(heads), pos_ids, neg_ids, origin))
+                constraints.append(GroundConstraint(tuple(head_ids), pos_ids, neg_ids, origin))
 
         return emit
 

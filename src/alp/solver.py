@@ -43,6 +43,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -158,7 +159,8 @@ class _ClauseDb:
     origins[i] the index of the first constraint giving that set; the
     rest encode the completion of the definition layer, with origins[i]
     the defined atom.  definitions holds the definition layer in the
-    form wfs.well_founded takes.
+    form wfs.well_founded takes, built from the kept ground clauses on
+    first use.
 
     The loop tables come from one pass over the strongly connected
     components of the definition layer's dependency graph (head to
@@ -199,8 +201,13 @@ class _ClauseDb:
         self._find_loops(theory.clauses)
         self._add_completion(theory.clauses)
         del self._index  # only dedup needs it, and the database outlives the search
+        self._ground_clauses = theory.clauses
 
-        self.definitions = wfs.clause_arrays([(c.head, c.pos, c.neg) for c in theory.clauses])
+    @cached_property
+    def definitions(self):
+        """The definition layer as wfs.well_founded takes it, built on
+        first use: only check_delta reads it."""
+        return wfs.clause_arrays([(c.head, c.pos, c.neg) for c in self._ground_clauses])
 
     def _new_aux(self) -> int:
         v = self.nvars

@@ -628,6 +628,8 @@ GROUND_SHA256 = [
     ("blocks.alp", [], "13421e8575f317b3417918e26fef5ae8574ebbbf285161c7ea5535bb2308a20d"),
     ("queens.alp", ["-c", "size=6"], "36f4fe1253d2081ae5d979db4290ce73e0611189a0ccf49210eca2790970e6b7"),
     ("queens.alp", ["-c", "size=8"], "98f82ea340db9afbd4731b2a70dd3929d32a4f6ffc134e6172e13a2d2cee8bad"),
+    # the benchmark's queens instance, before builtins were compiled
+    ("queens.alp", ["-c", "size=10"], "f51b68653a14afbf9d21d853f6a18a40be7e32cd3386e4eac1115f0160a12b2e"),
 ]
 
 

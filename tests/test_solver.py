@@ -747,6 +747,18 @@ def test_tight_programs_make_at_most_one_well_founded_run(monkeypatch, name, ove
     assert len(calls) <= 1
 
 
+def test_definition_arrays_wait_for_check_delta():
+    # solve reads the definition layer's wfs arrays only through
+    # check_delta, which a tight program never needs
+    theory = bundled_theory("queens.alp", size=6)
+    report = solve(theory)
+    db = _clause_db(theory)
+    assert "definitions" not in vars(db)
+    assert all(isinstance(check_delta(theory, delta), Sat) for delta in report.solutions)
+    assert "definitions" in vars(db)
+    assert isinstance(check_delta(theory, ()), UnsatConstraint)
+
+
 def bench_hamcycle_theory(seed):
     """The benchmark's hamcycle program for one seed, from bench/hamcycle.py."""
     path = Path(__file__).resolve().parents[1] / "bench" / "hamcycle.py"
