@@ -32,7 +32,9 @@ body that stays the same when some of its literals are swapped, such
 as ``move(B1,L1,T), move(B2,L2,T), move(B3,L3,T)`` with pairwise
 distinct blocks, is enumerated once per set of candidates for those
 literals instead of once per ordering of them, and yields the same
-constraints.
+constraints.  Each kept constraint also gets its clause, the sorted
+literal set that the solver propagates (see clause_key); a pure denial's
+clause doubles as its deduplication key.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
 from math import factorial, prod
 from operator import itemgetter
@@ -102,7 +104,7 @@ def render_value(v: Value) -> str:
 # ground atoms and theories
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundAtom:
     pred: str
     args: tuple[Value, ...] = ()
@@ -148,14 +150,14 @@ class AtomTable:
         return iter(self._atoms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundClause:
     head: int
     pos: tuple[int, ...] = ()
     neg: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundConstraint:
     """Ground integrity constraint.
 
@@ -171,17 +173,61 @@ class GroundConstraint:
     origin: int = -1
 
 
+def _key(lits: Iterable[int]) -> tuple[int, ...] | None:
+    """A clause's literal set sorted, or None when it is a tautology.
+
+    Literal encoding, shared with the solver: 2*v is "v true", 2*v+1 is
+    "v false"."""
+    uniq = set(lits)
+    for lit in uniq:
+        if lit ^ 1 in uniq:
+            return None
+    return tuple(sorted(uniq))
+
+
+def clause_key(gc: GroundConstraint) -> tuple[int, ...] | None:
+    """A ground constraint as a clause: the sorted literal set of its
+    head verdicts and negated body literals, or None for a tautology."""
+    if not gc.heads and not gc.neg:
+        # a pure denial has odd literals only: never a tautology
+        return tuple(sorted({2 * a + 1 for a in gc.pos}))
+    lits = [2 * a + (not wanted) for a, wanted in gc.heads]
+    lits += [2 * a + 1 for a in gc.pos]
+    lits += [2 * a for a in gc.neg]
+    return _key(lits)
+
+
 @dataclass
 class GroundTheory:
+    """A ground theory: definition clauses and integrity constraints over
+    interned atoms, with the abducible universe and the forced atoms.
+
+    constraint_clauses[i] is clause_key(constraints[i]), the literal set
+    that the solver's clause database and check_delta read.  ground
+    fills it as it emits the constraints; a theory built by hand gets it
+    from __post_init__.  The theory must not be changed once built: the
+    solver caches what it compiles from it here.
+    """
+
     atoms: AtomTable
     clauses: list[GroundClause]
     constraints: list[GroundConstraint]
     universe: tuple[int, ...]
     forced: tuple[int, ...]
+    constraint_clauses: list[tuple[int, ...] | None] = field(default=None, compare=False, repr=False)
     # The solver's compiled clause database, built on first use by
-    # solve or check_delta (solver._clause_db); the theory must not be
-    # changed after that.
+    # solve (solver._clause_db).
     _clause_db: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.constraint_clauses is None:
+            self.constraint_clauses = [clause_key(gc) for gc in self.constraints]
+
+    @cached_property
+    def definition_arrays(self) -> wfs.ClauseArrays:
+        """The definition layer as wfs.well_founded takes it, built on
+        first use: only check_delta reads it."""
+        return wfs.clause_arrays([(c.head, c.pos, c.neg) for c in self.clauses])
 
     @property
     def n_atoms(self) -> int:
@@ -1541,6 +1587,8 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
     constraint body with interchangeable literals is enumerated once per
     permutation orbit, with the literals' candidates in rank order (see
     _symmetric_groups); the first instance of each set is among those.
+    Each kept constraint's clause (clause_key) goes into the theory's
+    constraint_clauses as it is emitted.
     """
     kinds = classify_predicates(program)
     constants = domains.constants
@@ -1573,6 +1621,7 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
 
     candidates = _Candidates(abd_candidates, possible)
     constraints: list[GroundConstraint] = []
+    constraint_clauses: list[tuple[int, ...] | None] = []
     seen: set[tuple] = set()
     instances = 0
 
@@ -1593,25 +1642,27 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
         # groups let through stands for its whole orbit.  Of the instances
         # with one set of head disjuncts, positive and negative body
         # atoms, only the first is kept: the rest admit exactly the same
-        # hypothesis sets.
+        # hypothesis sets.  A pure denial's set is its body, so its key
+        # is its clause (see clause_key), a flat tuple of ints that no
+        # (heads, pos, neg) key of the general path can equal.
 
         if not con.heads and not negs:
 
             def emit_denial(binding, pos_ids):
                 nonlocal instances
-                ids = set(pos_ids)
+                key = tuple(sorted({2 * a + 1 for a in pos_ids}))
                 if not groups:
                     instances += 1
-                elif len(ids) == n_pos:
+                elif len(key) == n_pos:
                     instances += distinct_orbit
                 else:
                     instances += _orbit_size(pos_ids, groups)
                 if instances > _CONSTRAINT_CAP:
                     raise over_cap()
-                key = ((), tuple(sorted(ids)) if n_pos > 1 else pos_ids, ())
                 if key not in seen:
                     seen.add(key)
                     constraints.append(GroundConstraint((), pos_ids, (), origin))
+                    constraint_clauses.append(key)
 
             return emit_denial
 
@@ -1635,10 +1686,15 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
                         return  # a builtin head holds: so does the constraint
                     continue  # a false builtin head drops out
                 head_ids.append((table.intern(head(binding)), wanted))
-            key = (_sorted_set(head_ids), _sorted_set(pos_ids), _sorted_set(neg_ids))
+            if head_ids or neg_ids:
+                key = (_sorted_set(head_ids), _sorted_set(pos_ids), _sorted_set(neg_ids))
+            else:  # every head folded away: a pure denial, keyed as one
+                key = tuple(sorted({2 * a + 1 for a in pos_ids}))
             if key not in seen:
                 seen.add(key)
-                constraints.append(GroundConstraint(tuple(head_ids), pos_ids, neg_ids, origin))
+                gc = GroundConstraint(tuple(head_ids), pos_ids, neg_ids, origin)
+                constraints.append(gc)
+                constraint_clauses.append(clause_key(gc) if head_ids or neg_ids else key)
 
         return emit
 
@@ -1649,7 +1705,7 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
         plan = _plan_rule(con.body, head_vars, con.span, f"constraint {con}")
         groups = _symmetric_groups(con, plan)
         _enumerate_plan(plan, candidates, constants, emit_constraint(origin, con, plan, groups), groups)
-    return GroundTheory(table, clauses, constraints, universe_ids, forced_ids)
+    return GroundTheory(table, clauses, constraints, universe_ids, forced_ids, constraint_clauses)
 
 
 # ---------------------------------------------------------------------------

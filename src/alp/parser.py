@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
+    INT_MAX,
+    INT_MIN,
     AbducibleDecl,
     AndGroup,
     ArithExpr,
@@ -220,15 +222,22 @@ class _Parser:
             t = ArithExpr("*", (t, rhs), span=op.span)
         return t
 
+    def _int_const(self, value: int, tok: Token) -> IntConst:
+        """An integer literal, which must lie in the 64-bit range that
+        arithmetic keeps to."""
+        if not INT_MIN <= value <= INT_MAX:
+            self.fail(f"integer {value} is outside the range {INT_MIN}..{INT_MAX}", tok)
+        return IntConst(value, span=tok.span)
+
     def _primary(self) -> Term:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            return IntConst(tok.value, span=tok.span)
+            return self._int_const(tok.value, tok)
         if tok.kind == "punct" and tok.text == "-" and self.peek(1).kind == "int":
             self.next()
             num = self.next()
-            return IntConst(-num.value, span=tok.span)
+            return self._int_const(-num.value, tok)
         if tok.kind == "var":
             self.next()
             return Var(tok.text, span=tok.span)

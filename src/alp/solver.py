@@ -6,7 +6,8 @@ The search is a trail-based DPLL over the abducible candidates.  Unit
 propagation runs on a clause database built from two sources:
 
   * every ground constraint, as the disjunction of its head verdicts
-    and negated body literals, and
+    and negated body literals, the clause the grounder made with it
+    (GroundTheory.constraint_clauses), and
   * a supported-model (completion) encoding of the definition layer,
     with one auxiliary variable per multi-literal clause body.
 
@@ -43,12 +44,11 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import wfs
-from .ground import GroundClause, GroundConstraint, GroundTheory, _typing_positions
+from .ground import GroundClause, GroundConstraint, GroundTheory, _key, _typing_positions
 from .syntax import (
     AbducibleDecl,
     Atom,
@@ -97,23 +97,43 @@ def check_delta(theory: GroundTheory, delta: Iterable[int]) -> CheckResult:
 
     Computes the well-founded model of definitions plus delta, requires
     it to be total, and then tests every ground constraint.  The delta
-    must stay inside universe plus forced atoms.
+    must stay inside universe plus forced atoms.  Reads the theory's
+    constraint clauses and definition arrays only, never the solver's
+    clause database.
     """
-    db = _clause_db(theory)
     dset = set(delta)
-    stray = sorted(dset - db.candidates)
+    stray = sorted(dset.difference(theory.universe, theory.forced))
     if stray:
         names = ", ".join(theory.atoms.render(i) for i in stray[:5])
         raise SolveError(f"delta atoms outside the abducible universe: {names}")
-    truth, trace = wfs.well_founded(db.definitions, dset, theory.n_atoms)
+    truth, trace = wfs.well_founded(theory.definition_arrays, dset, theory.n_atoms)
     two_valued, undef = wfs.is_two_valued(truth)
     if not two_valued:
         return NotTwoValued(tuple(undef), trace)
-    idx = db.first_falsified(truth)
-    if idx is None:
+    gc = _first_falsified(theory, truth)
+    if gc is None:
         return Sat(trace)
-    gc = theory.constraints[db.origins[idx]]
     return UnsatConstraint(gc, theory.render_constraint(gc), trace)
+
+
+def _first_falsified(theory: GroundTheory, truth: Sequence[int]) -> GroundConstraint | None:
+    """The first constraint whose clause has every literal false under a
+    total truth array; under a total model a constraint is violated
+    exactly when its clause is falsified.  This is also the origin of
+    the clause database's first falsified constraint clause: a set's
+    first constraint is falsified together with every later copy."""
+    true_lit = bytearray(2 * theory.n_atoms)
+    true_lit[0::2] = bytes(t == wfs.TRUE for t in truth)
+    true_lit[1::2] = bytes(t != wfs.TRUE for t in truth)
+    for ci, clause in enumerate(theory.constraint_clauses):
+        if clause is None:
+            continue
+        for lit in clause:
+            if true_lit[lit]:
+                break
+        else:
+            return theory.constraints[ci]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +169,16 @@ class SolveReport:
 
 
 class _ClauseDb:
-    """A ground theory compiled once for both the search and the leaf check.
+    """A ground theory compiled once for the search.
 
-    Literal encoding: 2*v is "v true", 2*v+1 is "v false".  Clauses are
-    literal sets in order of first occurrence, deduplicated (the denial
-    flag is ORed over duplicates) and without tautologies.  The first
-    n_constraint_clauses encode the ground constraints, each as the
-    disjunction of its head verdicts and negated body literals, with
+    Literals follow the grounder's encoding (alp.ground._key): 2*v is
+    "v true", 2*v+1 is "v false".  Clauses are literal sets in order of
+    first occurrence, deduplicated (the denial flag is ORed over
+    duplicates) and without tautologies.  The first n_constraint_clauses
+    are the theory's constraint_clauses as the grounder made them, with
     origins[i] the index of the first constraint giving that set; the
     rest encode the completion of the definition layer, with origins[i]
-    the defined atom.  definitions holds the definition layer in the
-    form wfs.well_founded takes, built from the kept ground clauses on
-    first use.
+    the defined atom.
 
     The loop tables come from one pass over the strongly connected
     components of the definition layer's dependency graph (head to
@@ -175,10 +193,6 @@ class _ClauseDb:
     def __init__(self, theory: GroundTheory):
         self.n_atoms = theory.n_atoms
         self.nvars = theory.n_atoms
-        self.clauses: list[tuple[int, ...]] = []
-        self.origins: list[int] = []
-        self.is_denial: list[bool] = []
-        self._index: dict[tuple[int, ...], int] = {}
 
         candidates = list(theory.universe)
         in_universe = set(theory.universe)
@@ -186,49 +200,43 @@ class _ClauseDb:
         self.branch_vars = sorted(candidates, key=lambda i: theory.atoms.atom(i).sort_key)
         self.candidates = frozenset(candidates)
 
-        add = self._add
-        for ci, gc in enumerate(theory.constraints):
-            if gc.heads or gc.neg:
-                lits = [2 * a + (not wanted) for a, wanted in gc.heads]
-                lits += [2 * a + 1 for a in gc.pos]
-                lits += [2 * a for a in gc.neg]
-                add(_key(lits), ci, not gc.heads)
-            else:
-                # A denial with a positive body has odd literals only, so
-                # it cannot be a tautology.
-                add(tuple(sorted({2 * a + 1 for a in gc.pos})), ci, True)
+        # The constraint clauses: each set once, at its first constraint,
+        # a denial when any constraint giving it is one.
+        keys = theory.constraint_clauses
+        constraints = theory.constraints
+        origin_of: dict[tuple[int, ...], int] = {}
+        repeats: list[int] = []  # constraints whose set an earlier one gave
+        for ci, key in enumerate(keys):
+            if key is not None and origin_of.setdefault(key, ci) != ci:
+                repeats.append(ci)
+        self.clauses: list[tuple[int, ...]] = list(origin_of)
+        self.origins: list[int] = list(origin_of.values())
+        self.is_denial: list[bool] = [not constraints[ci].heads for ci in self.origins]
+        if repeats:
+            position = {key: j for j, key in enumerate(self.clauses)}
+            for ci in repeats:
+                if not constraints[ci].heads:
+                    self.is_denial[position[keys[ci]]] = True
         self.n_constraint_clauses = len(self.clauses)
+        self._origin_of = origin_of
         self._find_loops(theory.clauses)
         self._add_completion(theory.clauses)
-        del self._index  # only dedup needs it, and the database outlives the search
-        self._ground_clauses = theory.clauses
-
-    @cached_property
-    def definitions(self):
-        """The definition layer as wfs.well_founded takes it, built on
-        first use: only check_delta reads it."""
-        return wfs.clause_arrays([(c.head, c.pos, c.neg) for c in self._ground_clauses])
+        del self._origin_of  # only dedup needs it, and the database outlives the search
 
     def _new_aux(self) -> int:
         v = self.nvars
         self.nvars += 1
         return v
 
-    def _add(self, key: tuple[int, ...] | None, origin: int, denial: bool = False):
-        """Add the clause with sorted literal set key, unless it is a
-        tautology (None, see _key) or in already: then the denial flag is
-        ORed into the first."""
-        if key is None:
+    def _add(self, key: tuple[int, ...] | None, origin: int):
+        """Add a completion clause with sorted literal set key, unless it
+        is a tautology (None, see alp.ground._key) or in already."""
+        if key is None or key in self._origin_of:
             return
-        n = len(self.clauses)
-        prev = self._index.setdefault(key, n)
-        if prev != n:
-            if denial:
-                self.is_denial[prev] = True
-            return
+        self._origin_of[key] = origin
         self.clauses.append(key)
         self.origins.append(origin)
-        self.is_denial.append(denial)
+        self.is_denial.append(False)
 
     def _add_completion(self, clauses: list[GroundClause]):
         bodies_by_head: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
@@ -317,22 +325,6 @@ class _ClauseDb:
             self.dependents.setdefault(b, []).append(k)
         self.body_watch.setdefault(lit, []).append(k)
 
-    def first_falsified(self, truth: Sequence[int]) -> int | None:
-        """First constraint clause with every literal false under a total
-        truth array; under a total model a constraint is violated exactly
-        when its clause is falsified."""
-        true_lit = bytearray(2 * self.n_atoms)
-        true_lit[0::2] = bytes(t == wfs.TRUE for t in truth)
-        true_lit[1::2] = bytes(t != wfs.TRUE for t in truth)
-        clauses = self.clauses
-        for idx in range(self.n_constraint_clauses):
-            for lit in clauses[idx]:
-                if true_lit[lit]:
-                    break
-            else:
-                return idx
-        return None
-
     def describe_origin(self, theory: GroundTheory, idx: int) -> str:
         if idx < 0:  # an unfounded loop atom, see _Search._unfounded
             atom = theory.atoms.render(-1 - idx)
@@ -341,15 +333,6 @@ class _ClauseDb:
         if idx < self.n_constraint_clauses:
             return theory.render_constraint(theory.constraints[ref])
         return f"definition of {theory.atoms.render(ref)}"
-
-
-def _key(lits: Iterable[int]) -> tuple[int, ...] | None:
-    """A clause's literal set sorted, or None when it is a tautology."""
-    uniq = set(lits)
-    for lit in uniq:
-        if lit ^ 1 in uniq:
-            return None
-    return tuple(sorted(uniq))
 
 
 def _components(succ: dict[int, list[int]]) -> dict[int, int]:

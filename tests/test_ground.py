@@ -1,5 +1,6 @@
 """Grounder: declarations, builtins, universe extraction, instantiation."""
 
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -13,6 +14,8 @@ import pytest
 from alp import cli
 from alp.ground import (
     GroundAtom,
+    GroundClause,
+    GroundConstraint,
     _plan_rule,
     _symmetric_groups,
     apply_const_overrides,
@@ -666,3 +669,17 @@ def test_atom_table_interns_once():
     i = theory.atoms.get(GroundAtom("a", ()))
     assert i is not None
     assert theory.atoms.intern(GroundAtom("a", ())) == i
+
+
+def test_ground_records_are_slotted_values():
+    # no per-instance dict; equal fields mean equal, hashable values, and
+    # dataclasses.replace still builds a new one
+    atom = GroundAtom("a", (1,))
+    clause = GroundClause(0, (1,), (2,))
+    con = GroundConstraint(((0, True),), (1,), (2,), origin=3)
+    for record in (atom, clause, con):
+        assert not hasattr(record, "__dict__")
+        assert dataclasses.replace(record) == record and hash(dataclasses.replace(record)) == hash(record)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.__setattr__(dataclasses.fields(record)[0].name, None)
+    assert dataclasses.replace(con, origin=4) == GroundConstraint(((0, True),), (1,), (2,), 4)

@@ -105,6 +105,38 @@ def test_symbolic_constants():
     assert prog.definitions[0].head.args == (IntConst(1), SymConst("table"))
 
 
+INT_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "literal, value",
+    [(f"{INT_MAX}", INT_MAX), (f"-{INT_MAX}", -INT_MAX), (f"-{INT_MAX + 1}", -INT_MAX - 1)],
+)
+def test_integer_literals_at_the_64_bit_bounds(literal, value):
+    prog = parse_text(f"p({literal}).\n", "t")
+    assert prog.definitions[0].head.args == (IntConst(value),)
+    assert parse_text(pretty_print(prog), "t") == prog
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("p(99999999999999999999).\n", 3),
+        ("p(99999999999999999999).\nq(X) :- p(Y), X = Y + 0.\n", 3),
+        (f"p({INT_MAX + 1}).\n", 3),
+        (f"p(-{INT_MAX + 2}).\n", 3),
+        (f"q(X) :- p(Y), X = Y - {INT_MAX + 1}.\n", 23),
+        (f"constant n == {INT_MAX + 1}.\n", 15),
+    ],
+)
+def test_integer_literals_outside_64_bits_are_rejected(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_text(text, "big")
+    (diag,) = err.value.diagnostics
+    assert "outside the range" in diag.message
+    assert (diag.span.line, diag.span.column) == (1, column)
+
+
 def test_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_text("p :- q r.\n", "bad")

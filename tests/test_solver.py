@@ -35,6 +35,7 @@ from alp.solver import (
 )
 from alp.syntax import Atom, IntConst, ProgramError, SolveError, SymConst, Var
 from alp.wfs import TRUE, is_two_valued, well_founded
+from test_ground import random_program, symmetric_program
 
 
 def theory_for(text, name="t"):
@@ -203,6 +204,21 @@ def test_check_delta_matches_field_by_field_reference():
 # -- clause database ----------------------------------------------------------
 
 
+def reference_clause(gc, seen):
+    """One constraint's literal set as GroundTheory.constraint_clauses
+    documents it, computed the plain way: sorted, or None for a
+    tautology.  seen counts the cases met."""
+    lits = [2 * a + (0 if wanted else 1) for a, wanted in gc.heads]
+    lits += [2 * a + 1 for a in gc.pos]
+    lits += [2 * a for a in gc.neg]
+    if len(set(lits)) < len(lits):
+        seen["repeated literal"] += 1
+    if any(lit ^ 1 in lits for lit in lits):
+        seen["tautology"] += 1
+        return None
+    return tuple(sorted(set(lits)))
+
+
 def reference_constraint_clauses(theory, seen):
     """The constraint clauses as _ClauseDb documents them, computed the
     plain way: each constraint's literal set, tautologies dropped, the
@@ -210,23 +226,19 @@ def reference_constraint_clauses(theory, seen):
     the denial flag ORed over the constraints giving the set.  seen
     counts the cases met."""
     clauses, origins, is_denial = [], [], []
+    first = {}
     for ci, gc in enumerate(theory.constraints):
-        lits = [2 * a + (0 if wanted else 1) for a, wanted in gc.heads]
-        lits += [2 * a + 1 for a in gc.pos]
-        lits += [2 * a for a in gc.neg]
-        if len(set(lits)) < len(lits):
-            seen["repeated literal"] += 1
-        if any(lit ^ 1 in lits for lit in lits):
-            seen["tautology"] += 1
+        key = reference_clause(gc, seen)
+        if key is None:
             continue
-        key = tuple(sorted(set(lits)))
-        if key not in clauses:
+        if key not in first:
+            first[key] = len(clauses)
             clauses.append(key)
             origins.append(ci)
             is_denial.append(not gc.heads)
             continue
         seen["duplicate"] += 1
-        j = clauses.index(key)
+        j = first[key]
         if not gc.heads and not is_denial[j]:
             seen["denial ORed"] += 1
             is_denial[j] = True
@@ -260,27 +272,62 @@ def clashing_constraints(rng, theory):
     return GroundTheory(theory.atoms, theory.clauses, constraints, theory.universe, theory.forced)
 
 
+def assert_constraint_clauses_match(theory, seen, label):
+    """The theory's constraint_clauses and its clause database's
+    constraint part against the plain reference encodings."""
+    uncounted = collections.Counter()
+    assert theory.constraint_clauses == [reference_clause(gc, uncounted) for gc in theory.constraints], label
+    clauses, origins, is_denial = reference_constraint_clauses(theory, seen)
+    db = _clause_db(theory)
+    n = db.n_constraint_clauses
+    assert n == len(clauses), label
+    assert db.clauses[:n] == clauses, label
+    assert db.origins[:n] == origins, label
+    assert db.is_denial[:n] == is_denial, label
+    # The completion clauses come after, through the same dedup: no
+    # set twice, no tautology, none a denial.
+    assert len(set(db.clauses)) == len(db.clauses), label
+    assert all(lit ^ 1 not in cl for cl in db.clauses for lit in cl), label
+    assert not any(db.is_denial[n:]), label
+
+
 def test_constraint_clauses_match_a_plain_reference_encoding():
+    # hand-built theories: constraint_clauses comes from __post_init__
     rng = random.Random(31)
     seen = collections.Counter()
     for i in range(500):
         theory = clashing_constraints(rng, random_ground_theory(rng))
-        clauses, origins, is_denial = reference_constraint_clauses(theory, seen)
-        db = _clause_db(theory)
-        n = db.n_constraint_clauses
-        assert n == len(clauses), f"theory {i}"
-        assert db.clauses[:n] == clauses, f"theory {i}"
-        assert db.origins[:n] == origins, f"theory {i}"
-        assert db.is_denial[:n] == is_denial, f"theory {i}"
-        # The completion clauses come after, through the same dedup: no
-        # set twice, no tautology, none a denial.
-        assert len(set(db.clauses)) == len(db.clauses), f"theory {i}"
-        assert all(lit ^ 1 not in cl for cl in db.clauses for lit in cl), f"theory {i}"
-        assert not any(db.is_denial[n:]), f"theory {i}"
+        assert_constraint_clauses_match(theory, seen, f"theory {i}")
     # Floors at about half of what this seed gives (2,507 constraints
     # with a repeated literal, 1,617 tautologies, 738 duplicates, 113
     # denial flags ORed into a clause first given by heads).
     floors = {"repeated literal": 1200, "tautology": 800, "duplicate": 350, "denial ORed": 55}
+    assert all(seen[case] >= floor for case, floor in floors.items()), seen
+
+
+def test_grounded_constraint_clauses_match_a_plain_reference_encoding():
+    # grounded theories: ground fills constraint_clauses as it emits,
+    # with a pure denial's dedup key as its clause
+    theories = [
+        ("queens-6", bundled_theory("queens.alp", size=6)),
+        ("queens-8", bundled_theory("queens.alp", size=8)),
+        ("queens-10", bundled_theory("queens.alp", size=10)),
+        ("blocks", bundled_theory("blocks.alp")),
+        ("hamcycle-1", bench_hamcycle_theory(1)),
+        ("hamcycle-2", bench_hamcycle_theory(2)),
+    ]
+    for seed, family in ((6610, random_program), (8, symmetric_program)):
+        rng = random.Random(seed)
+        for i in range(300):
+            text = family(rng)
+            theories.append((f"{family.__name__} {i}:\n{text}", theory_for(text)))
+    seen = collections.Counter()
+    for label, theory in theories:
+        assert_constraint_clauses_match(theory, seen, label)
+    # Floors at about half of what these seeds give (5,909 constraints
+    # with a repeated literal, 2,151 tautologies, 14 duplicates across
+    # rules, 3 denial flags ORed into a clause first given by heads).
+    floors = {"repeated literal": 2900, "tautology": 1000, "duplicate": 7, "denial ORed": 1}
     assert all(seen[case] >= floor for case, floor in floors.items()), seen
 
 
@@ -749,14 +796,25 @@ def test_tight_programs_make_at_most_one_well_founded_run(monkeypatch, name, ove
 
 def test_definition_arrays_wait_for_check_delta():
     # solve reads the definition layer's wfs arrays only through
-    # check_delta, which a tight program never needs
+    # check_delta, which a tight program never needs; the theory caches
+    # them on first use
     theory = bundled_theory("queens.alp", size=6)
     report = solve(theory)
-    db = _clause_db(theory)
-    assert "definitions" not in vars(db)
+    assert "definition_arrays" not in vars(theory)
     assert all(isinstance(check_delta(theory, delta), Sat) for delta in report.solutions)
-    assert "definitions" in vars(db)
+    arrays = vars(theory)["definition_arrays"]
     assert isinstance(check_delta(theory, ()), UnsatConstraint)
+    assert theory.definition_arrays is arrays
+
+
+def test_check_delta_builds_no_clause_database():
+    # a check reads the theory's constraint clauses and definition
+    # arrays only: the search's clause database is never built
+    (plan,) = solve(bundled_theory("blocks.alp"), SolveOptions(max_models=1)).solutions
+    theory = bundled_theory("blocks.alp")
+    assert isinstance(check_delta(theory, plan), Sat)
+    assert isinstance(check_delta(theory, plan[1:]), UnsatConstraint)
+    assert theory._clause_db is None
 
 
 def bench_hamcycle_theory(seed):
