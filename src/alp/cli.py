@@ -101,6 +101,8 @@ def _trace_line(label: str, trace) -> str:
 
 
 def _cmd_solve(args) -> int:
+    if args.max_models < 1:
+        raise SolveError(f"--max-models must be at least 1, got {args.max_models}")
     theory = _load_theory(args.path, args.override)
     max_models = None if args.all else args.max_models
     report = solve(

@@ -89,6 +89,11 @@ _ATOM_CAP = 2_000_000
 _CONSTRAINT_CAP = 2_000_000
 
 
+def _error(message: str, span) -> GroundError:
+    """A GroundError whose one diagnostic gives message at span."""
+    return GroundError(message, [Diagnostic(span, message)])
+
+
 def value_key(v: Value):
     """Sort key for domain elements: integers first, then symbols."""
     if isinstance(v, int):
@@ -203,10 +208,11 @@ class GroundTheory:
     interned atoms, with the abducible universe and the forced atoms.
 
     constraint_clauses[i] is clause_key(constraints[i]), the literal set
-    that the solver's clause database and check_delta read.  ground
-    fills it as it emits the constraints; a theory built by hand gets it
-    from __post_init__.  The theory must not be changed once built: the
-    solver caches what it compiles from it here.
+    that the solver's search and check_delta read.  ground fills it as
+    it emits the constraints; a theory built by hand gets it from
+    __post_init__.  The theory must not be changed once built: it caches
+    definition_arrays, the one thing compiled from it that it keeps;
+    each solve compiles its own search.
     """
 
     atoms: AtomTable
@@ -215,9 +221,6 @@ class GroundTheory:
     universe: tuple[int, ...]
     forced: tuple[int, ...]
     constraint_clauses: list[tuple[int, ...] | None] = field(default=None, compare=False, repr=False)
-    # The solver's compiled clause database, built on first use by
-    # solve (solver._clause_db).
-    _clause_db: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.constraint_clauses is None:
@@ -293,12 +296,9 @@ def _eval_const_expr(t: Term, env: dict[str, Term], memo: dict[str, int], visiti
         if name in memo:
             return memo[name]
         if name not in env:
-            raise GroundError(f"unknown constant {name}", [Diagnostic(t.span or span, f"unknown constant {name}")])
+            raise _error(f"unknown constant {name}", t.span or span)
         if name in visiting:
-            raise GroundError(
-                f"cyclic constant definition involving {name}",
-                [Diagnostic(t.span or span, f"cyclic constant definition involving {name}")],
-            )
+            raise _error(f"cyclic constant definition involving {name}", t.span or span)
         visiting.add(name)
         val = _eval_const_expr(env[name], env, memo, visiting, span)
         visiting.discard(name)
@@ -307,10 +307,7 @@ def _eval_const_expr(t: Term, env: dict[str, Term], memo: dict[str, int], visiti
     if isinstance(t, ArithExpr):
         vals = [_eval_const_expr(a, env, memo, visiting, span) for a in t.args]
         return _apply_arith(t.op, vals, t.span or span)
-    raise GroundError(
-        "variables are not allowed in constant expressions",
-        [Diagnostic(getattr(t, "span", None) or span, "variables are not allowed in constant expressions")],
-    )
+    raise _error("variables are not allowed in constant expressions", getattr(t, "span", None) or span)
 
 
 def _apply_arith(op: str, vals: list[int], span) -> int:
@@ -325,10 +322,7 @@ def _apply_arith(op: str, vals: list[int], span) -> int:
     else:
         raise GroundError(f"unknown arithmetic operator {op}")
     if out < INT_MIN or out > INT_MAX:
-        raise GroundError(
-            "integer overflow in arithmetic",
-            [Diagnostic(span, "integer overflow in arithmetic")],
-        )
+        raise _error("integer overflow in arithmetic", span)
     return out
 
 
@@ -342,30 +336,20 @@ def eval_declarations(decls: Declarations) -> DomainTable:
     table = DomainTable()
     for c in decls.constants:
         if c.name in env:
-            raise GroundError(
-                f"duplicate constant {c.name}", [Diagnostic(c.span, f"duplicate constant {c.name}")]
-            )
+            raise _error(f"duplicate constant {c.name}", c.span)
         env[c.name] = c.expr
     memo: dict[str, int] = {}
     for c in decls.constants:
         table.constants[c.name] = _eval_const_expr(SymConst(c.name), env, memo, set(), c.span)
     for d in decls.domains:
         if d.name in table.domains:
-            raise GroundError(
-                f"duplicate domain {d.name}", [Diagnostic(d.span, f"duplicate domain {d.name}")]
-            )
+            raise _error(f"duplicate domain {d.name}", d.span)
         lo = _eval_const_expr(d.lo, env, memo, set(), d.span)
         hi = _eval_const_expr(d.hi, env, memo, set(), d.span)
         if lo > hi:
-            raise GroundError(
-                f"empty domain {d.name}: {lo}..{hi}",
-                [Diagnostic(d.span, f"empty domain {d.name}: {lo}..{hi}")],
-            )
+            raise _error(f"empty domain {d.name}: {lo}..{hi}", d.span)
         if hi - lo + 1 > _DOMAIN_CAP:
-            raise GroundError(
-                f"domain {d.name} exceeds {_DOMAIN_CAP} values",
-                [Diagnostic(d.span, f"domain {d.name} exceeds {_DOMAIN_CAP} values")],
-            )
+            raise _error(f"domain {d.name} exceeds {_DOMAIN_CAP} values", d.span)
         table.domains[d.name] = tuple(range(lo, hi + 1))
     return table
 
@@ -403,20 +387,14 @@ def _eval_int(t: Term, binding: dict[str, Value], constants: dict[str, int]) -> 
             raise _Unbound(t.name)
         v = binding[t.name]
         if not isinstance(v, int):
-            raise GroundError(
-                f"type error: symbol {v} used in arithmetic",
-                [Diagnostic(t.span, f"type error: symbol {v} used in arithmetic")],
-            )
+            raise _error(f"type error: symbol {v} used in arithmetic", t.span)
         return v
     if isinstance(t, IntConst):
         return t.value
     if isinstance(t, SymConst):
         if t.name in constants:
             return constants[t.name]
-        raise GroundError(
-            f"type error: symbol {t.name} used in arithmetic",
-            [Diagnostic(t.span, f"type error: symbol {t.name} used in arithmetic")],
-        )
+        raise _error(f"type error: symbol {t.name} used in arithmetic", t.span)
     vals = [_eval_int(a, binding, constants) for a in t.args]
     return _apply_arith(t.op, vals, t.span)
 
@@ -465,10 +443,7 @@ def eval_builtin(
         lv = _eval_value(lit.lhs, binding, constants)
         rv = _eval_value(lit.rhs, binding, constants)
         if not isinstance(lv, int) or not isinstance(rv, int):
-            raise GroundError(
-                f"type error: ordering comparison {op} on symbols",
-                [Diagnostic(lit.span, f"type error: ordering comparison {op} on symbols")],
-            )
+            raise _error(f"type error: ordering comparison {op} on symbols", lit.span)
         if op == "<":
             return lv < rv
         if op == ">":
@@ -477,9 +452,8 @@ def eval_builtin(
             return lv <= rv
         return lv >= rv
     except _Unbound as ub:
-        raise GroundError(
-            f"insufficiently instantiated builtin {lit}: variable {ub.name} is unbound",
-            [Diagnostic(lit.span, f"insufficiently instantiated builtin {lit}: variable {ub.name} is unbound")],
+        raise _error(
+            f"insufficiently instantiated builtin {lit}: variable {ub.name} is unbound", lit.span
         ) from None
 
 
@@ -547,7 +521,7 @@ class _Term(NamedTuple):
 
 def _raiser(message: str, span) -> Callable:
     def fail(binding):
-        raise GroundError(message, [Diagnostic(span, message)])
+        raise _error(message, span)
 
     return fail
 
@@ -589,7 +563,7 @@ def _compile_term(t: Term, constants: dict[str, int], bounds: dict, arith: bool 
             if isinstance(v, int):
                 return v
             msg = f"type error: symbol {v} used in arithmetic"
-            raise GroundError(msg, [Diagnostic(span, msg)])
+            raise _error(msg, span)
 
         return _Term(get_int, bounds=_ANY_INT, safe=False)
     if isinstance(t, IntConst):
@@ -638,7 +612,7 @@ def _compile_term(t: Term, constants: dict[str, int], bounds: dict, arith: bool 
         out = raw(binding)
         if INT_MIN <= out <= INT_MAX:
             return out
-        raise GroundError(msg, [Diagnostic(span, msg)])
+        raise _error(msg, span)
 
     return _Term(fn, bounds=(max(lo, INT_MIN), min(hi, INT_MAX)), safe=False)
 
@@ -690,7 +664,7 @@ def _compile_test(lit: Builtin, constants: dict[str, int], bounds: dict) -> _Ter
             rv = rf(binding)
             if isinstance(lv, int) and isinstance(rv, int):
                 return compare(lv, rv)
-            raise GroundError(msg, [Diagnostic(span, msg)])
+            raise _error(msg, span)
 
         return _Term(test, safe=False)
     if lf is None and rf is None:
@@ -816,23 +790,13 @@ def _plan_rule(body: tuple[Literal, ...], head_vars: set[str], span, label: str)
                     progress = True
 
     for lit in body:
+        if isinstance(lit, (Pos, Neg)) and any(isinstance(arg, ArithExpr) for arg in lit.atom.args):
+            raise _error(f"arithmetic is not allowed in body atom arguments: {lit.atom} in {label}", span)
         if isinstance(lit, Pos):
-            for arg in lit.atom.args:
-                if isinstance(arg, ArithExpr):
-                    raise GroundError(
-                        f"arithmetic is not allowed in body atom arguments: {lit.atom} in {label}",
-                        [Diagnostic(span, f"arithmetic is not allowed in body atom arguments: {lit.atom} in {label}")],
-                    )
             steps.append(("pos", lit))
             bound |= {a.name for a in lit.atom.args if isinstance(a, Var)}
             place_ready()
         elif isinstance(lit, Neg):
-            for arg in lit.atom.args:
-                if isinstance(arg, ArithExpr):
-                    raise GroundError(
-                        f"arithmetic is not allowed in body atom arguments: {lit.atom} in {label}",
-                        [Diagnostic(span, f"arithmetic is not allowed in body atom arguments: {lit.atom} in {label}")],
-                    )
             negs.append(lit)
         else:
             pending.append(lit)
@@ -841,24 +805,18 @@ def _plan_rule(body: tuple[Literal, ...], head_vars: set[str], span, label: str)
     if pending:
         lit = pending[0]
         missing = sorted(literal_variables(lit) - bound)
-        raise GroundError(
+        raise _error(
             f"builtin {lit} in {label} cannot be evaluated: variable "
             f"{missing[0] if missing else '?'} is never bound",
-            [Diagnostic(span, f"builtin {lit} in {label} cannot be evaluated: variable {missing[0] if missing else '?'} is never bound")],
+            span,
         )
     for lit in negs:
         loose = sorted(v for v in _atom_vars(lit.atom) if v not in bound)
         if loose:
-            raise GroundError(
-                f"unbounded variable {loose[0]} in negative literal {lit} in {label}",
-                [Diagnostic(span, f"unbounded variable {loose[0]} in negative literal {lit} in {label}")],
-            )
+            raise _error(f"unbounded variable {loose[0]} in negative literal {lit} in {label}", span)
     loose = sorted(v for v in head_vars if v not in bound)
     if loose:
-        raise GroundError(
-            f"unbounded variable {loose[0]} in the head of {label}",
-            [Diagnostic(span, f"unbounded variable {loose[0]} in the head of {label}")],
-        )
+        raise _error(f"unbounded variable {loose[0]} in the head of {label}", span)
     return _Plan(steps, negs, span, label)
 
 
@@ -1374,7 +1332,7 @@ def _close_definitions(
             clauses.append(GroundClause(head_id, pos_ids, neg_ids))
             if len(table) > _ATOM_CAP:
                 msg = f"grounding exceeded {_ATOM_CAP} atoms in {plan.label}"
-                raise GroundError(msg, [Diagnostic(plan.span, msg)])
+                raise _error(msg, plan.span)
             if _within_hull(head_atom, hull):
                 ext = possible[cl.head.key]
                 if head_atom.args not in ext:
@@ -1502,34 +1460,31 @@ def abducible_universe(
         if decl.arg_domains is not None:
             for name in decl.arg_domains:
                 if name not in domains.domains:
-                    raise GroundError(
-                        f"unknown domain {name} in declaration of {decl.pred}",
-                        [Diagnostic(decl.span, f"unknown domain {name} in declaration of {decl.pred}")],
-                    )
+                    raise _error(f"unknown domain {name} in declaration of {decl.pred}", decl.span)
                 per_arg.append(list(domains.domains[name]))
         else:
             typing = _typing_positions(program, decl.pred, decl.arity)
             for i in range(decl.arity):
                 preds = typing.get(i)
                 if not preds:
-                    raise GroundError(
+                    raise _error(
                         f"cannot bound argument {i + 1} of abducible {decl.pred}/{decl.arity}: "
                         "no declared domain and no typing constraint",
-                        [Diagnostic(decl.span, f"cannot bound argument {i + 1} of abducible {decl.pred}/{decl.arity}: no declared domain and no typing constraint")],
+                        decl.span,
                     )
                 values: list[Value] | None = None
                 for d in preds:
                     if d in base.undefined_preds:
-                        raise GroundError(
+                        raise _error(
                             f"typing predicate {d} for {decl.pred}/{decl.arity} is not "
                             "two-valued in the base definitions",
-                            [Diagnostic(decl.span, f"typing predicate {d} for {decl.pred}/{decl.arity} is not two-valued in the base definitions")],
+                            decl.span,
                         )
                     if d not in base.extensions:
-                        raise GroundError(
+                        raise _error(
                             f"typing predicate {d} for {decl.pred}/{decl.arity} depends on "
                             "abducibles or is empty",
-                            [Diagnostic(decl.span, f"typing predicate {d} for {decl.pred}/{decl.arity} depends on abducibles or is empty")],
+                            decl.span,
                         )
                     ext = [t[0] for t in base.extensions[d]]
                     values = ext if values is None else [v for v in values if v in set(ext)]
@@ -1559,10 +1514,7 @@ def collect_forced(program: Program, kinds: dict, constants: dict[str, int]) -> 
         if kinds.get(head.atom.key) is not PredKind.ABDUCIBLE:
             continue
         if _atom_vars(head.atom):
-            raise GroundError(
-                f"unbounded variable in unconditional constraint {con}",
-                [Diagnostic(con.span, f"unbounded variable in unconditional constraint {con}")],
-            )
+            raise _error(f"unbounded variable in unconditional constraint {con}", con.span)
         ga = _compile_atom(head.atom, constants, {})({})
         if ga not in seen:
             seen.add(ga)
@@ -1636,7 +1588,7 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
 
         def over_cap():
             msg = f"grounding exceeded {_CONSTRAINT_CAP} constraint instances in {plan.label}"
-            return GroundError(msg, [Diagnostic(plan.span, msg)])
+            return _error(msg, plan.span)
 
         # The cap counts the instances of the plain join: each one the
         # groups let through stands for its whole orbit.  Of the instances

@@ -98,8 +98,8 @@ def check_delta(theory: GroundTheory, delta: Iterable[int]) -> CheckResult:
     Computes the well-founded model of definitions plus delta, requires
     it to be total, and then tests every ground constraint.  The delta
     must stay inside universe plus forced atoms.  Reads the theory's
-    constraint clauses and definition arrays only, never the solver's
-    clause database.
+    constraint clauses and definition arrays only: it compiles no
+    _Search.
     """
     dset = set(delta)
     stray = sorted(dset.difference(theory.universe, theory.forced))
@@ -120,7 +120,7 @@ def _first_falsified(theory: GroundTheory, truth: Sequence[int]) -> GroundConstr
     """The first constraint whose clause has every literal false under a
     total truth array; under a total model a constraint is violated
     exactly when its clause is falsified.  This is also the origin of
-    the clause database's first falsified constraint clause: a set's
+    the search's first falsified constraint clause: a set's
     first constraint is falsified together with every later copy."""
     true_lit = bytearray(2 * theory.n_atoms)
     true_lit[0::2] = bytes(t == wfs.TRUE for t in truth)
@@ -142,7 +142,7 @@ def _first_falsified(theory: GroundTheory, truth: Sequence[int]) -> GroundConstr
 
 @dataclass
 class SolveOptions:
-    max_models: int | None = None  # None enumerates every solution
+    max_models: int | None = None  # at least 1; None enumerates every solution
     minimal_only: bool = False
 
 
@@ -165,11 +165,12 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# clause database
+# the search engine
 
 
-class _ClauseDb:
-    """A ground theory compiled once for the search.
+class _Search:
+    """One depth-first enumeration over a ground theory, which it
+    compiles for itself.
 
     Literals follow the grounder's encoding (alp.ground._key): 2*v is
     "v true", 2*v+1 is "v false".  Clauses are literal sets in order of
@@ -185,21 +186,106 @@ class _ClauseDb:
     each body atom, either sign), made before the completion clauses
     are added; see _find_loops.
 
-    The theory owns its database as a cache, so the database keeps no
-    reference back to it: a cycle would keep every theory alive until
-    the cyclic garbage collector runs.
+    The assignment is one value per literal (1 true, 0 false, -1
+    unassigned) plus a trail of the literals made true, in order.  A
+    binary clause (a, b) sits in two implication lists: implied[a]
+    holds b and implied[b] holds a, so when one literal goes false the
+    other must hold.  A longer clause watches two of its literals,
+    watch0[ci] and watch1[ci], and sits in the watch array of each:
+    only a watch going false makes the clause look for a replacement
+    among its literals that are not false, and when there is none the
+    other watch is implied, or the clause is falsified.  A watch stays
+    false only while the other watch is true and was made true at the
+    same decision or an earlier one, so backtracking never invalidates
+    a watch and undo_to only unassigns the trail.  Unit clauses are
+    assigned once, at the root, and never undone.
+
+    watches[l] holds the clauses watching literal l in order, as an
+    array of C ints, which unlike a list holds no int object per index.
+    When l goes false its array is compacted in place, and a moved
+    watch is appended to the array of its new literal.  Implication
+    lists hold literals, which are shared with the clause tuples; a
+    binary clause that is falsified is named through binary, which maps
+    each one to its index.
+
+    When the definition layer has loop atoms, unit propagation is
+    followed by falsifying unfounded loop atoms, with one source body
+    per atom (Gebser, Kaufmann & Schaub, 2012; smodels' atmost).
+    source[a] is a body of loop atom a or -1.  At every propagation
+    fixpoint each loop atom that is not false has a source whose
+    literal is not false and whose internal atoms have sources, and
+    following sources from atom to internal atom never cycles, because
+    an atom gets a source only when the body's internal atoms already
+    have theirs.  Only a source body going false breaks this: its head
+    loses its source, and so does every atom whose source holds an atom
+    that lost its own.  Those atoms are sourced again where a body
+    allows; the rest form an unfounded set, and each of them is made
+    false, or is a conflict if already true.  Source changes are logged
+    with the trail length at which they happen and undone with the
+    trail, so backtracking restores the sources of the fixpoint it
+    returns to.
     """
 
-    def __init__(self, theory: GroundTheory):
-        self.n_atoms = theory.n_atoms
-        self.nvars = theory.n_atoms
-
+    def __init__(self, theory: GroundTheory, options: SolveOptions, stats: SolveStats):
+        self.theory = theory
+        self.options = options
+        self.stats = stats
+        self.n_atoms = self.nvars = theory.n_atoms
         candidates = list(theory.universe)
         in_universe = set(theory.universe)
         candidates += [i for i in theory.forced if i not in in_universe]
         self.branch_vars = sorted(candidates, key=lambda i: theory.atoms.atom(i).sort_key)
-        self.candidates = frozenset(candidates)
+        self.candidates = candidates = frozenset(candidates)
+        self._add_clauses(theory)
 
+        clauses = self.clauses
+        n_lits = 2 * self.nvars
+        self.value = [-1] * n_lits
+        self.trail: list[int] = []
+        self.units: list[int] = []
+        self.implied = implied = [[] for _ in range(n_lits)]
+        self.binary: dict[tuple[int, ...], int] = {}  # only conflicts read it
+        binary = self.binary
+        self.watches = watches = [array("i") for _ in range(n_lits)]
+        self.watch0 = watch0 = array("i", [0]) * len(clauses)
+        self.watch1 = watch1 = array("i", [0]) * len(clauses)
+        # The support clauses, the clauses of three or more literals that
+        # are not denials and mention a candidate (see run): for each, a
+        # getter of its literals' values, its candidates and a getter of
+        # their values, so that run reads a clause in one call.
+        self.support: list[tuple[itemgetter, tuple[int, ...], itemgetter]] = []
+        for ci, cl in enumerate(clauses):
+            if len(cl) == 2:
+                a, b = cl
+                implied[a].append(b)
+                implied[b].append(a)
+                binary[cl] = ci
+            elif len(cl) > 2:
+                a = watch0[ci] = cl[0]
+                b = watch1[ci] = cl[1]
+                watches[a].append(ci)
+                watches[b].append(ci)
+                if not self.is_denial[ci]:
+                    cands = tuple(lit >> 1 for lit in cl if lit >> 1 in candidates)
+                    if cands:
+                        # The first repeated at the end: a getter of one
+                        # item would return its value, not a tuple.
+                        get_cands = itemgetter(*(2 * v for v in cands), 2 * cands[0])
+                        self.support.append((itemgetter(*cl), cands, get_cands))
+            else:
+                self.units.append(ci)
+        self.solutions: list[tuple[int, ...]] = []
+        self.minimal_sets: list[frozenset[int]] = []
+        self.source = [-1] * self.n_atoms
+        self.source_log: list[tuple[int, int, int]] = []  # (trail length, atom, old source)
+
+    # -- compiling the theory ---------------------------------------------
+
+    def _add_clauses(self, theory: GroundTheory):
+        """Build clauses, origins and is_denial: the constraint clauses,
+        then the completion.  The dedup dict origin_of is local, so it is
+        freed on return, before __init__ builds the watch arrays: alive
+        beside them, it would raise the peak memory of solve."""
         # The constraint clauses: each set once, at its first constraint,
         # a denial when any constraint giving it is one.
         keys = theory.constraint_clauses
@@ -218,27 +304,20 @@ class _ClauseDb:
                 if not constraints[ci].heads:
                     self.is_denial[position[keys[ci]]] = True
         self.n_constraint_clauses = len(self.clauses)
-        self._origin_of = origin_of
         self._find_loops(theory.clauses)
-        self._add_completion(theory.clauses)
-        del self._origin_of  # only dedup needs it, and the database outlives the search
+        self._add_completion(theory.clauses, origin_of)
 
-    def _new_aux(self) -> int:
-        v = self.nvars
-        self.nvars += 1
-        return v
+    def _add_completion(self, clauses: list[GroundClause], origin_of: dict[tuple[int, ...], int]):
+        def add(key: tuple[int, ...] | None, origin: int):
+            """Add a completion clause with sorted literal set key, unless
+            it is a tautology (None, see alp.ground._key) or in already."""
+            if key is None or key in origin_of:
+                return
+            origin_of[key] = origin
+            self.clauses.append(key)
+            self.origins.append(origin)
+            self.is_denial.append(False)
 
-    def _add(self, key: tuple[int, ...] | None, origin: int):
-        """Add a completion clause with sorted literal set key, unless it
-        is a tautology (None, see alp.ground._key) or in already."""
-        if key is None or key in self._origin_of:
-            return
-        self._origin_of[key] = origin
-        self.clauses.append(key)
-        self.origins.append(origin)
-        self.is_denial.append(False)
-
-    def _add_completion(self, clauses: list[GroundClause]):
         bodies_by_head: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
         order: list[int] = []
         for gc in clauses:
@@ -251,7 +330,7 @@ class _ClauseDb:
         for head in order:
             bodies = bodies_by_head[head]
             if any(not pos and not neg for pos, neg in bodies):
-                self._add((2 * head,), head)
+                add((2 * head,), head)
                 continue
             support = [2 * head + 1]
             for pos, neg in bodies:
@@ -259,20 +338,20 @@ class _ClauseDb:
                 if len(lits) == 1:
                     dj = lits[0]
                 else:
-                    aux = self._new_aux()
-                    dj = 2 * aux
+                    dj = 2 * self.nvars  # a fresh auxiliary variable
+                    self.nvars += 1
                     for lit in lits:
-                        self._add(_key((dj ^ 1, lit)), head)
-                    self._add(_key([dj] + [lit ^ 1 for lit in lits]), head)
-                self._add(_key((dj ^ 1, 2 * head)), head)
+                        add(_key((dj ^ 1, lit)), head)
+                    add(_key([dj] + [lit ^ 1 for lit in lits]), head)
+                add(_key((dj ^ 1, 2 * head)), head)
                 support.append(dj)
                 if head in self.loop_atoms:
                     self._add_loop_body(head, dj, pos)
-            self._add(_key(support), head)
+            add(_key(support), head)
         # Atoms that are neither derivable nor assumable are simply false.
         for a in range(self.n_atoms):
             if a not in bodies_by_head and a not in self.candidates:
-                self._add((2 * a + 1,), a)
+                add((2 * a + 1,), a)
 
     def _find_loops(self, clauses: list[GroundClause]):
         """Find the loops of the definition layer in one pass over its
@@ -325,154 +404,15 @@ class _ClauseDb:
             self.dependents.setdefault(b, []).append(k)
         self.body_watch.setdefault(lit, []).append(k)
 
-    def describe_origin(self, theory: GroundTheory, idx: int) -> str:
-        if idx < 0:  # an unfounded loop atom, see _Search._unfounded
+    def describe_origin(self, idx: int) -> str:
+        theory = self.theory
+        if idx < 0:  # an unfounded loop atom, see _unfounded
             atom = theory.atoms.render(-1 - idx)
             return f"definition of {atom} (a loop without outside support)"
         ref = self.origins[idx]
         if idx < self.n_constraint_clauses:
             return theory.render_constraint(theory.constraints[ref])
         return f"definition of {theory.atoms.render(ref)}"
-
-
-def _components(succ: dict[int, list[int]]) -> dict[int, int]:
-    """Strongly connected components of a digraph given by successor
-    lists (Tarjan, iterative): for each vertex reached, the vertex that
-    roots its component."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    comp: dict[int, int] = {}
-    stack: list[int] = []
-    for root in succ:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    break
-                if w not in comp:  # still on the stack
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = v
-                        if w == v:
-                            break
-    return comp
-
-
-def _clause_db(theory: GroundTheory) -> _ClauseDb:
-    """The theory's compiled clause database, built on first use."""
-    if theory._clause_db is None:
-        theory._clause_db = _ClauseDb(theory)
-    return theory._clause_db
-
-
-# ---------------------------------------------------------------------------
-# the search engine
-
-
-class _Search:
-    """One depth-first enumeration over a theory's clause database.
-
-    The assignment is one value per literal (1 true, 0 false, -1
-    unassigned) plus a trail of the literals made true, in order.  A
-    binary clause (a, b) sits in two implication lists: implied[a]
-    holds b and implied[b] holds a, so when one literal goes false the
-    other must hold.  A longer clause watches two of its literals,
-    watch0[ci] and watch1[ci], and sits in the watch array of each:
-    only a watch going false makes the clause look for a replacement
-    among its literals that are not false, and when there is none the
-    other watch is implied, or the clause is falsified.  A watch stays
-    false only while the other watch is true and was made true at the
-    same decision or an earlier one, so backtracking never invalidates
-    a watch and undo_to only unassigns the trail.  Unit clauses are
-    assigned once, at the root, and never undone.
-
-    watches[l] holds the clauses watching literal l in order, as an
-    array of C ints, which unlike a list holds no int object per index.
-    When l goes false its array is compacted in place, and a moved
-    watch is appended to the array of its new literal.  Implication
-    lists hold literals, which are shared with the clause tuples; a
-    binary clause that is falsified is named through binary, which maps
-    each one to its index.
-
-    When the definition layer has loop atoms, unit propagation is
-    followed by falsifying unfounded loop atoms, with one source body
-    per atom (Gebser, Kaufmann & Schaub, 2012; smodels' atmost).
-    source[a] is a body of loop atom a or -1.  At every propagation
-    fixpoint each loop atom that is not false has a source whose
-    literal is not false and whose internal atoms have sources, and
-    following sources from atom to internal atom never cycles, because
-    an atom gets a source only when the body's internal atoms already
-    have theirs.  Only a source body going false breaks this: its head
-    loses its source, and so does every atom whose source holds an atom
-    that lost its own.  Those atoms are sourced again where a body
-    allows; the rest form an unfounded set, and each of them is made
-    false, or is a conflict if already true.  Source changes are logged
-    with the trail length at which they happen and undone with the
-    trail, so backtracking restores the sources of the fixpoint it
-    returns to.
-    """
-
-    def __init__(self, theory: GroundTheory, options: SolveOptions, stats: SolveStats):
-        self.theory = theory
-        self.options = options
-        self.stats = stats
-        self.db = db = _clause_db(theory)
-        clauses = db.clauses
-        n_lits = 2 * db.nvars
-        self.value = [-1] * n_lits
-        self.trail: list[int] = []
-        self.units: list[int] = []
-        self.implied = implied = [[] for _ in range(n_lits)]
-        self.binary: dict[tuple[int, ...], int] = {}  # only conflicts read it
-        binary = self.binary
-        self.watches = watches = [array("i") for _ in range(n_lits)]
-        self.watch0 = watch0 = array("i", [0]) * len(clauses)
-        self.watch1 = watch1 = array("i", [0]) * len(clauses)
-        # The support clauses, the clauses of three or more literals that
-        # are not denials and mention a candidate (see run): for each, a
-        # getter of its literals' values, its candidates and a getter of
-        # their values, so that run reads a clause in one call.
-        self.support: list[tuple[itemgetter, tuple[int, ...], itemgetter]] = []
-        candidates = db.candidates
-        for ci, cl in enumerate(clauses):
-            if len(cl) == 2:
-                a, b = cl
-                implied[a].append(b)
-                implied[b].append(a)
-                binary[cl] = ci
-            elif len(cl) > 2:
-                a = watch0[ci] = cl[0]
-                b = watch1[ci] = cl[1]
-                watches[a].append(ci)
-                watches[b].append(ci)
-                if not db.is_denial[ci]:
-                    cands = tuple(lit >> 1 for lit in cl if lit >> 1 in candidates)
-                    if cands:
-                        # The first repeated at the end: a getter of one
-                        # item would return its value, not a tuple.
-                        get_cands = itemgetter(*(2 * v for v in cands), 2 * cands[0])
-                        self.support.append((itemgetter(*cl), cands, get_cands))
-            else:
-                self.units.append(ci)
-        self.solutions: list[tuple[int, ...]] = []
-        self.minimal_sets: list[frozenset[int]] = []
-        self.source = [-1] * db.n_atoms
-        self.source_log: list[tuple[int, int, int]] = []  # (trail length, atom, old source)
 
     # -- assignment machinery -------------------------------------------
 
@@ -498,7 +438,7 @@ class _Search:
         start = len(self.trail)
         self.trail.append(lit)
         conflict = self._propagate(start)
-        if conflict is None and self.db.loop_atoms:
+        if conflict is None and self.loop_atoms:
             conflict = self._unfounded(start, [])
         return conflict
 
@@ -506,7 +446,7 @@ class _Search:
         """Root propagation: assign every unit clause, then propagate."""
         value = self.value
         for ci in self.units:
-            cl = self.db.clauses[ci]
+            cl = self.clauses[ci]
             if not cl or value[cl[0]] == 0:
                 return ci
             lit = cl[0]
@@ -516,9 +456,9 @@ class _Search:
                 value[lit ^ 1] = 0
                 self.trail.append(lit)
         conflict = self._propagate(0)
-        if conflict is None and self.db.loop_atoms:
+        if conflict is None and self.loop_atoms:
             # No atom has a source yet: all of them are to be sourced.
-            conflict = self._unfounded(len(self.trail), list(self.db.loop_atoms))
+            conflict = self._unfounded(len(self.trail), list(self.loop_atoms))
         return conflict
 
     def _propagate(self, head: int) -> int | None:
@@ -532,7 +472,7 @@ class _Search:
         watches = self.watches
         watch0 = self.watch0
         watch1 = self.watch1
-        clauses = self.db.clauses
+        clauses = self.clauses
         implications = 0
         conflict = None
         while head < len(trail):
@@ -594,17 +534,16 @@ class _Search:
     def _unfounded(self, start: int, lost: list[int]) -> int | None:
         """Restore the source invariant after unit propagation assigned
         trail[start:], the atoms in lost having no source already."""
-        db = self.db
         value = self.value
         trail = self.trail
         source = self.source
-        body_head = db.body_head
-        body_lit = db.body_lit
-        body_internal = db.body_internal
-        dependents = db.dependents
+        body_head = self.body_head
+        body_lit = self.body_lit
+        body_internal = self.body_internal
+        dependents = self.dependents
         while True:
             for lit in trail[start:]:
-                for k in db.body_watch.get(lit ^ 1, ()):
+                for k in self.body_watch.get(lit ^ 1, ()):
                     a = body_head[k]
                     if source[a] == k:
                         self._set_source(a, -1)
@@ -622,7 +561,7 @@ class _Search:
             missing: dict[int, int] = {}
             ready = []
             for a in lost:
-                for k in db.bodies_of[a]:
+                for k in self.bodies_of[a]:
                     if value[body_lit[k]] != 0:
                         m = sum(source[b] == -1 for b in body_internal[k])
                         if m:
@@ -680,7 +619,7 @@ class _Search:
         at one node, on one variable, and the absent branch comes
         first."""
         value = self.value
-        branch_vars = self.db.branch_vars
+        branch_vars = self.branch_vars
         while start < len(branch_vars) and value[2 * branch_vars[start]] != -1:
             start += 1
         if start == len(branch_vars):  # no candidate left, so no clause open
@@ -723,7 +662,7 @@ class _Search:
 
     def _leaf(self) -> bool:
         value = self.value
-        delta = tuple(v for v in self.db.branch_vars if value[2 * v] == 1)
+        delta = tuple(v for v in self.branch_vars if value[2 * v] == 1)
         if self.options.minimal_only:
             # Each decision depends only on the assignment at its node,
             # so two leaves share their path down to the first node
@@ -771,10 +710,48 @@ class _Search:
         well-founded model leaves undefined, so check_delta itself
         decides the leaf.
         """
-        db = self.db
-        if db.negative_loop_atom is None and -1 not in self.value[0 : 2 * db.n_atoms : 2]:
+        if self.negative_loop_atom is None and -1 not in self.value[0 : 2 * self.n_atoms : 2]:
             return True
         return isinstance(check_delta(self.theory, delta), Sat)
+
+
+def _components(succ: dict[int, list[int]]) -> dict[int, int]:
+    """Strongly connected components of a digraph given by successor
+    lists (Tarjan, iterative): for each vertex reached, the vertex that
+    roots its component."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    comp: dict[int, int] = {}
+    stack: list[int] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ.get(w, ()))))
+                    break
+                if w not in comp:  # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = v
+                        if w == v:
+                            break
+    return comp
+
 
 
 # ---------------------------------------------------------------------------
@@ -788,13 +765,16 @@ def solve(theory: GroundTheory, options: SolveOptions | None = None) -> SolveRep
     in _Search._admissible), so the report is sound by construction;
     completeness comes from every solution's model satisfying the
     propagation clauses and making every unfounded loop atom false.
+    A max_models cap below 1 raises SolveError.
     """
     options = options or SolveOptions()
+    if options.max_models is not None and options.max_models < 1:
+        raise SolveError(f"max_models must be at least 1, got {options.max_models}")
     stats = SolveStats()
     t0 = time.perf_counter()
     search = _Search(theory, options, stats)
     report = SolveReport([], stats)
-    loop_atom = search.db.negative_loop_atom
+    loop_atom = search.negative_loop_atom
     if loop_atom is not None:
         report.warnings.append(
             "definition layer is not stratified "
@@ -805,7 +785,7 @@ def solve(theory: GroundTheory, options: SolveOptions | None = None) -> SolveRep
     if conflict is not None:
         report.unsat_reason = (
             "constraints are contradictory before any hypothesis: "
-            + search.db.describe_origin(theory, conflict)
+            + search.describe_origin(conflict)
         )
         stats.wall_time = time.perf_counter() - t0
         return report

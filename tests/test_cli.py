@@ -1,5 +1,7 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import hashlib
+import importlib.resources as res
 import json
 import os
 import shlex
@@ -23,8 +25,6 @@ def tiny(tmp_path):
 
 @pytest.fixture
 def queens(tmp_path):
-    import importlib.resources as res
-
     src = (res.files("alp") / "programs" / "queens.alp").read_text(encoding="utf-8")
     path = tmp_path / "queens.alp"
     path.write_text(src, encoding="utf-8")
@@ -50,6 +50,14 @@ def test_solve_default_stops_at_one_model(tiny, capsys):
     code, out, _err = run(capsys, "solve", tiny)
     assert code == 0
     assert out.count("% solution") == 1
+
+
+def test_solve_rejects_max_models_below_one(queens, capsys):
+    for n in ("0", "-1"):
+        code, out, err = run(capsys, "solve", queens, "--max-models", n)
+        assert code == 2
+        assert out == ""
+        assert "--max-models" in err
 
 
 def test_solve_reports_no_solutions(queens, capsys):
@@ -247,3 +255,22 @@ def test_a_reader_that_closes_early_ends_the_output_quietly(queens):
     assert first == b"% solution 1\n"
     assert err == b""
     assert code == 0
+
+
+SOLVE_SHA256 = [
+    (["queens.alp", "-c", "size=6", "--all"], "1090756b9e0276c869c3697c362367335351ced4e2d9193bb0fa70980a472aa9"),
+    (["queens.alp", "-c", "size=8", "--all"], "0d834c47f0f50bddc10b695819074cf3f5fce9f852570665452438dd13bc7181"),
+    (["blocks.alp", "--all"], "3bfddfcd5c78357ea56177231ea89cc8b1ee318da797766c864ba305f6c7611c"),
+    (["blocks.alp", "--all", "--minimal"], "3a453bc347fa41c8e85b047d890b9cc58f8f727ebe51e845bb14886207a74aa0"),
+    (["queens.alp", "-c", "size=6", "--all", "--json"], "82039ae07ddede2cd5e8bc1ebf003f05cc8d6ba26fcc8dbcc6faa6ed41ebe00a"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SOLVE_SHA256)
+def test_solve_output_is_pinned(capsys, argv, digest):
+    # The solutions and the order they come in: a change to the search
+    # that changes either has to be made on purpose.
+    name, *extra = argv
+    code, out, _err = run(capsys, "solve", str(res.files("alp") / "programs" / name), *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from alp import cli
+from alp import cli, solver
 from alp.ground import (
     GroundAtom,
     GroundClause,
@@ -262,10 +262,18 @@ def test_ground_constraints_are_distinct():
         assert len(set(keys)) == len(keys), theory.dump()
 
 
-def test_ground_theory_is_freed_without_the_cycle_collector():
-    # a reference cycle through the theory, its clause database or the
+def test_ground_theory_is_freed_without_the_cycle_collector(monkeypatch):
+    # a reference cycle through the theory, the solver's search or the
     # grounder's closures would keep them alive until gc runs
     prog = parse_text(bundled("queens.alp"), "q")
+    searches = []
+
+    class Search(solver._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(weakref.ref(self))
+
+    monkeypatch.setattr(solver, "_Search", Search)
     gc.disable()
     try:
         theory = build_theory(prog)
@@ -274,9 +282,12 @@ def test_ground_theory_is_freed_without_the_cycle_collector():
         assert [r() for r in refs] == [None, None]
         theory = build_theory(prog)
         solve(theory, SolveOptions(max_models=3))
-        refs = [weakref.ref(theory), weakref.ref(theory.atoms), weakref.ref(theory._clause_db)]
+        assert len(searches) == 1 and searches[0]() is None
+        # the theory holds its fields only: solve left nothing on it
+        assert set(vars(theory)) == {f.name for f in dataclasses.fields(theory)}
+        refs = [weakref.ref(theory), weakref.ref(theory.atoms)]
         del theory
-        assert [r() for r in refs] == [None, None, None]
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
 

@@ -27,7 +27,6 @@ from alp.solver import (
     SolveOptions,
     SolveStats,
     UnsatConstraint,
-    _clause_db,
     _Search,
     check_delta,
     solve,
@@ -220,7 +219,7 @@ def reference_clause(gc, seen):
 
 
 def reference_constraint_clauses(theory, seen):
-    """The constraint clauses as _ClauseDb documents them, computed the
+    """The constraint clauses as _Search documents them, computed the
     plain way: each constraint's literal set, tautologies dropped, the
     first occurrence of each set kept with its constraint's index, and
     the denial flag ORed over the constraints giving the set.  seen
@@ -273,12 +272,12 @@ def clashing_constraints(rng, theory):
 
 
 def assert_constraint_clauses_match(theory, seen, label):
-    """The theory's constraint_clauses and its clause database's
-    constraint part against the plain reference encodings."""
+    """The theory's constraint_clauses and the constraint part of its
+    search's clauses against the plain reference encodings."""
     uncounted = collections.Counter()
     assert theory.constraint_clauses == [reference_clause(gc, uncounted) for gc in theory.constraints], label
     clauses, origins, is_denial = reference_constraint_clauses(theory, seen)
-    db = _clause_db(theory)
+    db = _Search(theory, SolveOptions(), SolveStats())
     n = db.n_constraint_clauses
     assert n == len(clauses), label
     assert db.clauses[:n] == clauses, label
@@ -363,6 +362,13 @@ def test_solve_max_models_caps_enumeration():
     assert report.stats.models == 3
 
 
+def test_solve_rejects_a_cap_below_one():
+    theory = theory_for("domain v == 1..4.\nabducible pick(v).\n")
+    for cap in (0, -1):
+        with pytest.raises(SolveError, match="max_models must be at least 1"):
+            solve(theory, SolveOptions(max_models=cap))
+
+
 def test_solve_minimal_only():
     # p needs at least one of a, b; minimal solutions never carry both
     theory = theory_for(
@@ -389,7 +395,7 @@ def reference_enumeration(theory):
     decided by brute force.  Returns the solutions in order and how many
     decisions a support clause gave and how many the fallback to
     branch_vars gave."""
-    db = _clause_db(theory)
+    db = _Search(theory, SolveOptions(), SolveStats())
     solutions = brute_solutions(theory)
     support = [
         cl
@@ -470,7 +476,7 @@ def test_solve_minimal_is_the_filtered_enumeration_in_order():
             assert capped.solutions == minimal[:cap]
             for k in range(1, len(everything) + 1):
                 assert solve(theory, SolveOptions(max_models=k)).solutions == everything[:k]
-            db = _clause_db(theory)
+            db = _Search(theory, SolveOptions(), SolveStats())
             if not report.stats.checks:
                 continue
             if db.negative_loop_atom is None:
@@ -535,12 +541,12 @@ def true_literals(search):
 
 
 def assert_falsified(search, idx):
-    assert all(search.value[lit] == 0 for lit in search.db.clauses[idx])
+    assert all(search.value[lit] == 0 for lit in search.clauses[idx])
 
 
 def assert_conflict(search, idx):
     if idx < 0:  # a true loop atom left without a source
-        assert search.db.loop_atoms and search.value[2 * (-1 - idx)] == 1
+        assert search.loop_atoms and search.value[2 * (-1 - idx)] == 1
     else:
         assert_falsified(search, idx)
 
@@ -554,7 +560,7 @@ def test_propagation_matches_naive_unit_propagation():
         for _ in range(400):
             theory = random_ground_theory(rng, positive_loops)
             search = _Search(theory, SolveOptions(), SolveStats())
-            expected = naive_closure(search.db, ())
+            expected = naive_closure(search, ())
             conflict = search.propagate_pending()
             if expected is None:
                 assert conflict is not None
@@ -567,12 +573,12 @@ def test_propagation_matches_naive_unit_propagation():
             # conflict, so that the watches are exercised after backtracking.
             marks = []
             for _ in range(12):
-                free = [v for v in range(search.db.nvars) if search.value[2 * v] == -1]
+                free = [v for v in range(search.nvars) if search.value[2 * v] == -1]
                 if not free:
                     break
                 before = true_literals(search)
                 lit = 2 * rng.choice(free) + rng.randint(0, 1)
-                expected = naive_closure(search.db, before | {lit})
+                expected = naive_closure(search, before | {lit})
                 mark = len(search.trail)
                 conflict = search.propagate(lit)
                 if expected is None:
@@ -603,9 +609,9 @@ def root_conflict(text):
     report = solve(theory, SolveOptions())
     assert report.unsat_reason == (
         "constraints are contradictory before any hypothesis: "
-        + search.db.describe_origin(theory, idx)
+        + search.describe_origin(idx)
     )
-    return (search.db.clauses[idx] if idx >= 0 else ()), report.unsat_reason
+    return (search.clauses[idx] if idx >= 0 else ()), report.unsat_reason
 
 
 def test_root_conflict_through_a_binary_clause_names_it():
@@ -699,7 +705,7 @@ reached(X) <- node(X).
 
 def test_subcycle_covers_are_pruned_by_unfounded_sets(monkeypatch):
     theory = theory_for(SUBCYCLES)
-    db = _clause_db(theory)
+    db = _Search(theory, SolveOptions(), SolveStats())
     loop = sorted(str(theory.atoms.atom(a)) for a in db.loop_atoms)
     assert loop == [f"reached({i})" for i in range(1, 5)]
     assert db.negative_loop_atom is None
@@ -762,14 +768,14 @@ def test_total_leaves_under_a_negative_loop_are_checked(monkeypatch):
     def spy(self, delta):
         nonlocal rejected
         admissible = real(self, delta)
-        rejected += not admissible and -1 not in self.value[0 : 2 * self.db.n_atoms : 2]
+        rejected += not admissible and -1 not in self.value[0 : 2 * self.n_atoms : 2]
         return admissible
 
     monkeypatch.setattr(_Search, "_admissible", spy)
     rng = random.Random(9)
     for i in range(200):
         theory = negative_loop_theory(rng)
-        assert _clause_db(theory).negative_loop_atom is not None
+        assert _Search(theory, SolveOptions(), SolveStats()).negative_loop_atom is not None
         report = solve(theory)
         assert {frozenset(s) for s in report.solutions} == brute_solutions(theory), f"theory {i}"
     assert rejected >= 450, rejected
@@ -786,7 +792,7 @@ def bundled_theory(name, **overrides):
 )
 def test_tight_programs_make_at_most_one_well_founded_run(monkeypatch, name, overrides, models):
     theory = bundled_theory(name, **overrides)
-    db = _clause_db(theory)
+    db = _Search(theory, SolveOptions(), SolveStats())
     assert not db.loop_atoms and db.negative_loop_atom is None
     calls = counting_well_founded(monkeypatch)
     report = solve(theory)
@@ -807,14 +813,18 @@ def test_definition_arrays_wait_for_check_delta():
     assert theory.definition_arrays is arrays
 
 
-def test_check_delta_builds_no_clause_database():
+def test_check_delta_builds_no_clause_database(monkeypatch):
     # a check reads the theory's constraint clauses and definition
-    # arrays only: the search's clause database is never built
+    # arrays only: it never compiles a search
     (plan,) = solve(bundled_theory("blocks.alp"), SolveOptions(max_models=1)).solutions
     theory = bundled_theory("blocks.alp")
+
+    def refuse(*args):
+        raise AssertionError("check_delta compiled a search")
+
+    monkeypatch.setattr("alp.solver._Search", refuse)
     assert isinstance(check_delta(theory, plan), Sat)
     assert isinstance(check_delta(theory, plan[1:]), UnsatConstraint)
-    assert theory._clause_db is None
 
 
 def bench_hamcycle_theory(seed):
