@@ -3,11 +3,11 @@ Queries as constraints
 ======================
 
 There is no query evaluator in this package, and none is needed.  Asking
-"which solutions satisfy Q" compiles into the same machinery that
-already runs: a rule making the query mandatory, plus a fresh assumable
-marker and a denial wiring the marker to the query.  Solving the
-extended program yields exactly the solutions of the original one in
-which Q holds.
+"which solutions satisfy Q" compiles into the two kinds of rule the
+language already has: a definition ``query_holds :- Q.`` and the
+constraint ``query_holds <- true.`` that makes it mandatory.  Solving
+the extended program yields exactly the solutions of the original one
+in which some instance of Q holds.
 """
 
 import importlib.resources
@@ -20,7 +20,6 @@ from alp import (
     apply_const_overrides,
     build_theory,
     parse_text,
-    pretty_print,
     solve,
     translate_query,
 )
@@ -33,9 +32,10 @@ def count(prog):
     return len(solve(build_theory(prog), SolveOptions()).solutions)
 
 
-def show_tail(prog, lines):
+def show_added(prog):
     print()
-    print("\n".join(pretty_print(prog).strip().splitlines()[-lines:]))
+    print(prog.definitions[-1])
+    print(prog.constraints[-1])
     print()
 
 
@@ -43,18 +43,18 @@ def show_tail(prog, lines):
 print(f"all solutions: {count(program)}")
 
 # Ask for boards with a queen at row 1, column 2.  The translation is
-# ordinary source text; print the tail of the program to see what was
-# appended.
+# ordinary source text; print the two statements it appends.
 asked = translate_query([Atom("position", (IntConst(1), IntConst(2)))], program)
-show_tail(asked, 4)
+show_added(asked)
 print(f"with position(1,2): {count(asked)}")
 
-# A query with variables gets a marker of matching arity, and the marker
-# inherits the variables' types.  D appears in both argument positions,
-# so it is typed as a row and as a column.  The answer is a small fact
-# about the puzzle: no 6x6 placement touches the main diagonal.
+# A query with variables asks whether some instance holds.  The variables
+# need no types of their own: they range over whatever the query's atoms
+# can be, as in any rule body.  D appears in both argument positions, and
+# the answer is a small fact about the puzzle: no 6x6 placement touches
+# the main diagonal.
 asked = translate_query([Atom("position", (Var("D"), Var("D")))], program)
-show_tail(asked, 6)
+show_added(asked)
 print(f"with a queen on the main diagonal: {count(asked)}")
 
 # Richer conditions are expressed the way any derived notion is: define

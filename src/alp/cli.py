@@ -227,8 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="enumerate abductive solutions")
     p_solve.add_argument("path", help="program file")
-    p_solve.add_argument("--all", action="store_true", help="enumerate every solution")
-    p_solve.add_argument(
+    how_many = p_solve.add_mutually_exclusive_group()
+    how_many.add_argument("--all", action="store_true", help="enumerate every solution")
+    how_many.add_argument(
         "--max-models", type=int, default=1, metavar="N", help="stop after N solutions"
     )
     p_solve.add_argument(

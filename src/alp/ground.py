@@ -151,9 +151,6 @@ class AtomTable:
     def __len__(self) -> int:
         return len(self._atoms)
 
-    def __iter__(self):
-        return iter(self._atoms)
-
 
 @dataclass(frozen=True, slots=True)
 class GroundClause:
@@ -193,9 +190,6 @@ def _key(lits: Iterable[int]) -> tuple[int, ...] | None:
 def clause_key(gc: GroundConstraint) -> tuple[int, ...] | None:
     """A ground constraint as a clause: the sorted literal set of its
     head verdicts and negated body literals, or None for a tautology."""
-    if not gc.heads and not gc.neg:
-        # a pure denial has odd literals only: never a tautology
-        return tuple(sorted({2 * a + 1 for a in gc.pos}))
     lits = [2 * a + (not wanted) for a, wanted in gc.heads]
     lits += [2 * a + 1 for a in gc.pos]
     lits += [2 * a for a in gc.neg]
@@ -1472,7 +1466,7 @@ def abducible_universe(
                         "no declared domain and no typing constraint",
                         decl.span,
                     )
-                values: list[Value] | None = None
+                values: set[Value] | None = None
                 for d in preds:
                     if d in base.undefined_preds:
                         raise _error(
@@ -1486,9 +1480,9 @@ def abducible_universe(
                             "abducibles or is empty",
                             decl.span,
                         )
-                    ext = [t[0] for t in base.extensions[d]]
-                    values = ext if values is None else [v for v in values if v in set(ext)]
-                per_arg.append(sorted(values or [], key=value_key))
+                    ext = {t[0] for t in base.extensions[d]}
+                    values = ext if values is None else values & ext
+                per_arg.append(sorted(values, key=value_key))
         tuples = [()]
         for vals in per_arg:
             tuples = [t + (v,) for t in tuples for v in vals]

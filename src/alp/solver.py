@@ -48,16 +48,13 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import wfs
-from .ground import GroundClause, GroundConstraint, GroundTheory, _key, _typing_positions
+from .ground import GroundClause, GroundConstraint, GroundTheory, _key
 from .syntax import (
-    AbducibleDecl,
     Atom,
     Clause,
     Constraint,
-    Declarations,
     IntConst,
     Pos,
-    PredKind,
     Program,
     ProgramError,
     SolveError,
@@ -811,93 +808,31 @@ def _fresh_name(base: str, used: set[str]) -> str:
 def translate_query(query: Sequence[Atom], program: Program) -> Program:
     """Reduce query answering to solving.
 
-    Adds a fresh abducible marker x over the query's variables, the
-    denial ``false <- Q1,...,Qm, x(V1,...,Vk)``, and a forcing constraint
-    through a fresh defined predicate that requires the query to hold,
-    so the solutions of the translated program are exactly the original
-    solutions in which the query is true.  An empty query returns the
-    program unchanged.
+    Appends the definition ``query_holds :- Q1,...,Qm.`` and the
+    constraint ``query_holds <- true.``, with ``query_holds`` renamed if
+    the program already uses the name, so the solutions of the
+    translated program are exactly the original solutions in which some
+    instance of the query is true.  An empty query returns the program
+    unchanged.
     """
     if not query:
         return program
-    normalized = normalize(program)
-    kinds = classify_predicates(normalized)
-    used = {name for name, _arity in kinds}
-    used |= {c.name for c in program.decls.constants}
-    used |= {d.name for d in program.decls.domains}
-
-    seen_vars: list[str] = []
+    kinds = classify_predicates(normalize(program))
     for atom in query:
-        if atom.key not in kinds or kinds[atom.key] is PredKind.BUILTIN:
+        if atom.key not in kinds:
             raise ProgramError(
                 f"query atom {atom} is not a defined or abducible predicate"
             )
         for arg in atom.args:
-            if isinstance(arg, Var):
-                if arg.name not in seen_vars:
-                    seen_vars.append(arg.name)
-            elif not isinstance(arg, (IntConst, SymConst)):
+            if not isinstance(arg, (Var, IntConst, SymConst)):
                 raise ProgramError(f"query arguments must be constants or variables: {atom}")
 
-    domain_names: dict[str, str] = {}
-    typing_preds: dict[str, list[str]] = {}
-    decl_by_pred = {d.pred: d for d in program.decls.abducibles}
-    for atom in query:
-        for i, arg in enumerate(atom.args):
-            if not isinstance(arg, Var):
-                continue
-            decl = decl_by_pred.get(atom.pred)
-            if decl is not None and decl.arg_domains is not None:
-                domain_names.setdefault(arg.name, decl.arg_domains[i])
-                continue
-            for d in _typing_positions(normalized, atom.pred, atom.arity).get(i, ()):
-                typing_preds.setdefault(arg.name, [])
-                if d not in typing_preds[arg.name]:
-                    typing_preds[arg.name].append(d)
-
-    for v in seen_vars:
-        if v not in domain_names and v not in typing_preds:
-            raise ProgramError(f"cannot infer a domain for query variable {v}")
-        if v in domain_names and v in typing_preds:
-            raise ProgramError(
-                f"query variable {v} mixes declared domains with typing constraints"
-            )
-    use_domains = bool(seen_vars) and all(v in domain_names for v in seen_vars)
-    if seen_vars and not use_domains and any(v in domain_names for v in seen_vars):
-        raise ProgramError("query variables mix declared domains with typing constraints")
-
-    x_name = _fresh_name("x", used)
-    used.add(x_name)
-    holds_name = _fresh_name("query_holds", used)
-
-    var_terms = tuple(Var(v) for v in seen_vars)
-    x_atom = Atom(x_name, var_terms)
-    query_lits = tuple(Pos(a) for a in query)
-
-    x_decl = AbducibleDecl(
-        x_name,
-        len(seen_vars),
-        tuple(domain_names[v] for v in seen_vars) if use_domains else None,
-    )
-    new_definitions = (Clause(Atom(holds_name, ()), query_lits),)
-    new_constraints = [Constraint((), query_lits + (Pos(x_atom),))]
-    if seen_vars and not use_domains:
-        for v in seen_vars:
-            for d in typing_preds[v]:
-                new_constraints.append(
-                    Constraint((Pos(Atom(d, (Var(v),))),), (Pos(x_atom),))
-                )
-    if seen_vars:
-        new_constraints.append(Constraint((), (Pos(x_atom),)))
-    new_constraints.append(Constraint((Pos(Atom(holds_name, ())),), ()))
-
-    decls = Declarations(
-        program.decls.abducibles + (x_decl,),
-        program.decls.constants,
-        program.decls.domains,
-    )
+    used = {name for name, _arity in kinds}
+    used |= {c.name for c in program.decls.constants}
+    used |= {d.name for d in program.decls.domains}
+    holds = Atom(_fresh_name("query_holds", used), ())
     return Program(
-        decls,
-        program.definitions + new_definitions,
-        program.constraints + tuple(new_constraints),
+        program.decls,
+        program.definitions + (Clause(holds, tuple(Pos(a) for a in query)),),
+        program.constraints + (Constraint((Pos(holds),), ()),),
     )

@@ -448,7 +448,6 @@ def normalize(program: Program) -> Program:
 class PredKind(enum.Enum):
     ABDUCIBLE = "abducible"
     DEFINED = "defined"
-    BUILTIN = "builtin"
 
 
 def _walk_literals(program: Program):
@@ -476,7 +475,7 @@ def _walk_literals(program: Program):
 
 
 def classify_predicates(program: Program) -> dict[tuple[str, int], PredKind]:
-    """Partition predicates into abducible, defined, and builtin.
+    """Partition predicates into abducible and defined.
 
     Errors: a predicate both declared abducible and given a defining
     clause, an abducible never declared but also never defined (a typo,
@@ -512,8 +511,6 @@ def classify_predicates(program: Program) -> dict[tuple[str, int], PredKind]:
 
     for lit, _where in _walk_literals(program):
         if isinstance(lit, Builtin):
-            arity = 2
-            kinds.setdefault((lit.op, arity), PredKind.BUILTIN)
             continue
         key = lit.atom.key
         if key in kinds:

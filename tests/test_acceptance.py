@@ -264,7 +264,7 @@ def test_query_translation_filters_solutions():
         facts = projection(theory, sol, "position")
         assert (1, 5) in facts
         preds = {theory.atoms.atom(i).pred for i in sol}
-        assert preds == {"position"}  # the query marker never leaks out
+        assert preds == {"position"}  # query_holds is defined, never assumed
         got_boards.add(tuple(c for _r, c in sorted(facts)))
     assert got_boards == set(matching)
 

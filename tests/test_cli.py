@@ -60,6 +60,16 @@ def test_solve_rejects_max_models_below_one(queens, capsys):
         assert "--max-models" in err
 
 
+def test_solve_all_and_max_models_exclude_each_other(queens, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", queens, "-c", "size=6", "--all", "--max-models", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[--all | --max-models N]" in err
+    assert "not allowed with argument --all" in err
+
+
 def test_solve_reports_no_solutions(queens, capsys):
     code, out, _err = run(capsys, "solve", queens, "-c", "size=2")
     assert code == 1

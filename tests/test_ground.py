@@ -506,7 +506,8 @@ def grounding(text):
         theory = theory_for(text)
     except GroundError as exc:
         return str(exc)
-    return list(theory.atoms), theory.clauses, theory.constraints, theory.universe, theory.forced
+    atoms = [theory.atoms.atom(i) for i in range(theory.n_atoms)]
+    return atoms, theory.clauses, theory.constraints, theory.universe, theory.forced
 
 
 def plain_grounding(monkeypatch, text):

@@ -244,3 +244,29 @@ def test_readme_program_blocks_parse():
     assert len(blocks) >= 4
     for i, text in enumerate(blocks, start=1):
         parse_text(text, f"README.md alp block {i}")
+
+
+def test_documented_sugar_parses_to_the_plain_forms():
+    # The README documents each of these forms; each parses to what the
+    # plain syntax gives (test_negated_range_rejected covers the last).
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for form in ("abducible(pick/2).", "not(q)", "not X < Y", "not X in 1..3"):
+        assert form in readme
+    sugared = parse_text(
+        "abducible(a/1).\nabducible(b(d)).\ndomain d == 1..3.\n"
+        "p(X) :- a(X), not(b(X)), not X < 2, not(X = 3).\n",
+        "t",
+    )
+    plain = parse_text(
+        "abducible a/1.\nabducible b(d).\ndomain d == 1..3.\n"
+        "p(X) :- a(X), not b(X), X >= 2, X \\= 3.\n",
+        "t",
+    )
+    assert sugared == plain
+    X = Var("X")
+    assert sugared.definitions[0].body == (
+        Pos(Atom("a", (X,))),
+        Neg(Atom("b", (X,))),
+        Builtin(">=", X, IntConst(2)),
+        Builtin("\\=", X, IntConst(3)),
+    )
