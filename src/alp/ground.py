@@ -8,12 +8,12 @@ it true.  Builtins are evaluated away during instantiation; negative
 literals never bind variables and are grounded after the positive part.
 
 Each rule body compiles once per use into a chain of steps, a
-nested-loop join (see _enumerate_plan): a step per positive literal,
+nested-loop join (see _compile_join): a step per positive literal,
 which probes a hash index of its candidates on the arguments already
 bound, and a step per generator builtin.  Every test builtin compiles
 into a function of the binding, with its constants folded, and runs in
-the step that binds the last of its variables; it gives the results
-and raises the errors of eval_builtin, the reference evaluator.  A test
+the step that binds the last of its variables (see "compiled builtins"
+below for what it computes and which errors it raises).  A test
 ``X = Y`` that links a bound variable to one that the next positive
 literal binds first is not run at all: that literal's probe takes Y's
 position with X's value, provided no test placed between them can raise.
@@ -35,6 +35,18 @@ literals instead of once per ordering of them, and yields the same
 constraints.  Each kept constraint also gets its clause, the sorted
 literal set that the solver propagates (see clause_key); a pure denial's
 clause doubles as its deduplication key.
+
+One kind of constraint is not instantiated at all: a denial with no
+negative literal and three or more positive ones, all over abducible
+predicates, whose builtins are tests that cannot raise (_is_lazy).
+That is blocks' three-move rule, whose instances grow with the cube of
+the candidates.  The theory keeps such a rule as a LazyDenial, its plan
+over the grounder's candidate indexes, and each reader runs the same
+join over the atoms that matter to it: the search from each atom it
+makes true, check_delta over the true atoms of a model, and
+GroundTheory.expand_constraints, which dump and ``alp ground`` print,
+over all candidates, giving every instance that instantiating the rule
+gives, in the same order.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -207,6 +219,12 @@ class GroundTheory:
     __post_init__.  The theory must not be changed once built: it caches
     definition_arrays, the one thing compiled from it that it keeps;
     each solve compiles its own search.
+
+    lazy_denials holds the constraints that ground left unground (see
+    LazyDenial), in origin order.  constraints holds the rest: those
+    ground instantiated, each in the order it was kept.  Their union,
+    in the order and with the deduplication of a grounding that
+    instantiates every constraint, is expand_constraints().
     """
 
     atoms: AtomTable
@@ -215,6 +233,7 @@ class GroundTheory:
     universe: tuple[int, ...]
     forced: tuple[int, ...]
     constraint_clauses: list[tuple[int, ...] | None] = field(default=None, compare=False, repr=False)
+    lazy_denials: tuple[LazyDenial, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.constraint_clauses is None:
@@ -254,11 +273,46 @@ class GroundTheory:
         ranked = sorted(delta, key=lambda i: self.atoms.atom(i).sort_key)
         return [f"{self.atoms.render(i)}." for i in ranked]
 
+    def expand_constraints(self) -> list[GroundConstraint]:
+        """Every ground constraint, as a grounding that instantiates each
+        constraint makes them: in origin order, each instance of a lazy
+        denial at its place in its join, and of the instances with one
+        set of heads and body atoms only the first.
+
+        Only a pure denial (no heads, no negative atom) can share its
+        set with a lazy denial's instance, and its set is its clause.
+        Raises the GroundError that such a grounding raises when the
+        instances of a lazy denial take the count past _CONSTRAINT_CAP
+        (see LazyDenial.expand)."""
+        if not self.lazy_denials:
+            return self.constraints
+        out: list[GroundConstraint] = []
+        seen: set[tuple[int, ...]] = set()
+        done = 0  # eager constraints taken
+        lazy_count = 0  # instances of the lazy denials enumerated so far
+
+        def take(stop):
+            for gc, key in zip(self.constraints[done:stop], self.constraint_clauses[done:stop]):
+                if not gc.heads and not gc.neg:
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                out.append(gc)
+
+        for rule in self.lazy_denials:
+            take(rule.position)
+            done = rule.position
+            lazy_count = rule.expand(seen, out.append, lazy_count)
+        take(len(self.constraints))
+        return out
+
     def dump(self) -> str:
-        """Deterministic text form of the whole theory."""
+        """Deterministic text form of the whole theory, with every ground
+        constraint (see expand_constraints)."""
+        constraints = self.expand_constraints()
         out = [
             f"% atoms={self.n_atoms} clauses={len(self.clauses)} "
-            f"constraints={len(self.constraints)} universe={len(self.universe)} "
+            f"constraints={len(constraints)} universe={len(self.universe)} "
             f"forced={len(self.forced)}"
         ]
         out.append(f"% universe ({len(self.universe)})")
@@ -267,8 +321,8 @@ class GroundTheory:
         out.extend(f"{self.atoms.render(i)}." for i in self.forced)
         out.append(f"% clauses ({len(self.clauses)})")
         out.extend(self.render_clause(c) for c in self.clauses)
-        out.append(f"% constraints ({len(self.constraints)})")
-        out.extend(self.render_constraint(c) for c in self.constraints)
+        out.append(f"% constraints ({len(constraints)})")
+        out.extend(self.render_constraint(c) for c in constraints)
         return "\n".join(out) + "\n"
 
 
@@ -349,118 +403,23 @@ def eval_declarations(decls: Declarations) -> DomainTable:
 
 
 # ---------------------------------------------------------------------------
-# term and builtin evaluation
-
-
-class _Unbound(Exception):
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
-
-
-def _eval_value(t: Term, binding: dict[str, Value], constants: dict[str, int]) -> Value:
-    """Evaluate a term to a domain value.
-
-    A bare symbol denotes itself; inside arithmetic, a symbol must name a
-    declared constant.
-    """
-    if isinstance(t, Var):
-        if t.name not in binding:
-            raise _Unbound(t.name)
-        return binding[t.name]
-    if isinstance(t, IntConst):
-        return t.value
-    if isinstance(t, SymConst):
-        return t.name
-    return _eval_int(t, binding, constants)
-
-
-def _eval_int(t: Term, binding: dict[str, Value], constants: dict[str, int]) -> int:
-    if isinstance(t, Var):
-        if t.name not in binding:
-            raise _Unbound(t.name)
-        v = binding[t.name]
-        if not isinstance(v, int):
-            raise _error(f"type error: symbol {v} used in arithmetic", t.span)
-        return v
-    if isinstance(t, IntConst):
-        return t.value
-    if isinstance(t, SymConst):
-        if t.name in constants:
-            return constants[t.name]
-        raise _error(f"type error: symbol {t.name} used in arithmetic", t.span)
-    vals = [_eval_int(a, binding, constants) for a in t.args]
-    return _apply_arith(t.op, vals, t.span)
-
-
-def eval_builtin(
-    lit: Builtin, binding: dict[str, Value], constants: dict[str, int] | None = None
-) -> bool | list[dict[str, Value]]:
-    """Evaluate a builtin literal under a variable binding.
-
-    Test mode returns True or False.  Generator mode returns the list of
-    extended bindings: ``X in L..H`` with X unbound yields one binding
-    per integer in the interval, and ``X = expr`` with X unbound and expr
-    ground yields a single binding.  An unbound variable anywhere else is
-    an insufficiently-instantiated error, as is an ordering comparison on
-    symbols.
-    """
-    constants = constants or {}
-    op = lit.op
-    try:
-        if op == "in":
-            rng = lit.rhs
-            assert isinstance(rng, Range)
-            if isinstance(lit.lhs, Var) and lit.lhs.name not in binding:
-                lo = _eval_int(rng.lo, binding, constants)
-                hi = _eval_int(rng.hi, binding, constants)
-                if hi - lo + 1 > _DOMAIN_CAP:
-                    raise GroundError(f"interval {lo}..{hi} exceeds {_DOMAIN_CAP} values")
-                name = lit.lhs.name
-                return [dict(binding, **{name: v}) for v in range(lo, hi + 1)]
-            v = _eval_value(lit.lhs, binding, constants)
-            lo = _eval_int(rng.lo, binding, constants)
-            hi = _eval_int(rng.hi, binding, constants)
-            return isinstance(v, int) and lo <= v <= hi
-        assert not isinstance(lit.rhs, Range)
-        if op == "=":
-            if isinstance(lit.lhs, Var) and lit.lhs.name not in binding:
-                rv = _eval_value(lit.rhs, binding, constants)
-                return [dict(binding, **{lit.lhs.name: rv})]
-            return _eval_value(lit.lhs, binding, constants) == _eval_value(
-                lit.rhs, binding, constants
-            )
-        if op == "\\=":
-            return _eval_value(lit.lhs, binding, constants) != _eval_value(
-                lit.rhs, binding, constants
-            )
-        lv = _eval_value(lit.lhs, binding, constants)
-        rv = _eval_value(lit.rhs, binding, constants)
-        if not isinstance(lv, int) or not isinstance(rv, int):
-            raise _error(f"type error: ordering comparison {op} on symbols", lit.span)
-        if op == "<":
-            return lv < rv
-        if op == ">":
-            return lv > rv
-        if op == "=<":
-            return lv <= rv
-        return lv >= rv
-    except _Unbound as ub:
-        raise _error(
-            f"insufficiently instantiated builtin {lit}: variable {ub.name} is unbound", lit.span
-        ) from None
-
-
-# ---------------------------------------------------------------------------
 # compiled builtins
 #
-# The join does not call eval_builtin.  Each builtin literal of a plan is
-# compiled once, against the variables bound before it, into a function
-# of the binding that returns what eval_builtin returns there, or raises
-# the GroundError it raises, with the same message and diagnostic span,
-# in the same order of evaluation.  Constants, named ones included, fold
-# at compile time; a constant that would raise compiles to a function
-# that raises when it is reached, as eval_builtin would.
+# Each builtin literal of a plan is compiled once, against the variables
+# bound before it, into a function of the binding.  A term's value is a
+# variable's value, an integer, or a bare symbol, which denotes itself;
+# arithmetic evaluates its operands as integers, where a symbol must name
+# a declared constant, and a symbol elsewhere in it is a type error, as
+# is a result outside the integer range.  A test ``X in L..H`` holds when
+# X is an integer in the interval, = and \= compare values, and an
+# ordering comparison compares integers and is a type error on a symbol.
+# A generator ``X in L..H`` gives X each integer of the interval in turn,
+# and ``X = expr`` gives X the value of expr.  Errors are GroundErrors
+# positioned at the offending term or literal, raised in left-to-right
+# order of evaluation.  Constants, named ones included, fold at compile
+# time; a constant that would raise compiles to a function that raises
+# when it is reached.  (tests/reference_builtins.py evaluates builtins
+# the plain way, term by term, for the tests to hold these against.)
 #
 # What the compiler knows about each bound variable is its bounds: the
 # closed interval (lo, hi) of its values when they are all integers, or
@@ -543,8 +502,8 @@ def _interval(op: str, args: list[tuple]) -> tuple:
 
 
 def _compile_term(t: Term, constants: dict[str, int], bounds: dict, arith: bool = False) -> _Term:
-    """Compile t as _eval_int (arith) or _eval_value evaluates it; bounds
-    maps each bound variable to its bounds."""
+    """Compile t as an integer (arith) or as a value; bounds maps each
+    bound variable to its bounds."""
     if isinstance(t, Var):
         name = t.name
         var_bounds = bounds[name]
@@ -620,8 +579,8 @@ def _apply_const_right(f, g, c, binding):
 
 
 def _compile_test(lit: Builtin, constants: dict[str, int], bounds: dict) -> _Term:
-    """Compile a builtin in test mode, as eval_builtin decides it once
-    every variable of lit is bound; bounds maps those to their bounds."""
+    """Compile a builtin in test mode, once every variable of lit is
+    bound; bounds maps those to their bounds."""
     op = lit.op
     if op == "in":
         parts = (
@@ -679,7 +638,7 @@ def _compile_test(lit: Builtin, constants: dict[str, int], bounds: dict) -> _Ter
 def _compile_generator(lit: Builtin, constants: dict[str, int], bounds: dict) -> tuple[Callable, tuple | None]:
     """Compile a builtin in generator mode: ``X in L..H`` or ``X = expr``
     with X unbound.  Returns a function from the binding to the values
-    of X, in eval_builtin's order, and their bounds."""
+    of X, in ascending order for an interval, and their bounds."""
     if lit.op == "=":
         rhs = _compile_term(lit.rhs, constants, bounds)
         if rhs.fn is None:
@@ -882,7 +841,16 @@ def _enumerate_plan(
     plan: _Plan, candidates: _Candidates, constants: dict[str, int], emit, groups=()
 ) -> None:
     """Call emit(binding, pos_ids) for every way to satisfy the body, in
-    the order of a nested-loop join over the candidate lists.
+    the order of a nested-loop join over the candidate lists: the join
+    that _compile_join makes, run from the empty binding."""
+    _compile_join(plan, candidates, constants, emit, groups)({}, ())
+
+
+def _compile_join(
+    plan: _Plan, candidates: _Candidates, constants: dict[str, int], emit, groups=(), make_pos=None
+) -> Callable:
+    """The join of a plan, as a function start(binding, pos_ids) that
+    calls emit(binding, pos_ids) for every way to satisfy the body.
 
     The plan compiles into one step function per positive literal and
     per generator builtin.  Each positive step knows which argument
@@ -908,6 +876,11 @@ def _enumerate_plan(
     its first takes only the candidates ranked at least as high as the
     one the group's previous literal took, so of every way to permute a
     group's candidates only the one with ranks in order is enumerated.
+
+    make_pos(k, table, probe, fresh, link), when given, makes the step
+    maker of the k-th positive literal in place of _pos_step or
+    _ranked_pos_step, from the same table, probe, fresh variables and
+    rank cells (None outside a group); see LazyDenial.
     """
     # Why narrowing changes nothing.  Buckets keep list order, so the
     # narrowed probe yields exactly the candidates with Y = X, in the
@@ -981,22 +954,31 @@ def _enumerate_plan(
         probes.sort()
         var_pos = tuple(i for i, _ in probes)
         link = links.get(n_pos)
-        n_pos += 1
         table = candidates.table(
             atom.key, tuple(repeats), tuple(const_pos), tuple(const_vals), var_pos,
             ranked=link is not None,
         )
         probe = itemgetter(*(name for _, name in probes)) if probes else None
-        if link is None:
+        if make_pos is not None:
+            makers.append((make_pos(n_pos, table, probe, tuple(fresh), link), []))
+        elif link is None:
             makers.append((partial(_pos_step, table, probe, tuple(fresh)), []))
         else:
             makers.append((partial(_ranked_pos_step, table, probe, tuple(fresh), *link), []))
+        n_pos += 1
 
     step = emit
     for make, tests in reversed(makers):
         step = make(_runnable(tests), step)
-    if all(test({}) for test in _runnable(lead)):
-        step({}, ())
+    lead_tests = _runnable(lead)
+    if not lead_tests:
+        return step
+
+    def start(binding, pos_ids):
+        if all(test(binding) for test in lead_tests):
+            step(binding, pos_ids)
+
+    return start
 
 
 def _pos_step(table, probe, fresh, tests, nxt):
@@ -1060,6 +1042,58 @@ def _gen_step(name, values, tests, nxt):
             else:
                 nxt(binding, pos_ids)
         binding.pop(name, None)
+
+    return step
+
+
+def _true_step(value, table, probe, fresh, link, tests, nxt):
+    """_pos_step, or _ranked_pos_step when link holds rank cells, over
+    the candidates that value makes true (value[2 * id] == 1) only: a
+    candidate that is not costs one lookup, before it binds anything."""
+    rank_in, rank_out = link or (None, None)
+
+    def step(binding, pos_ids):
+        bucket = table if probe is None else table.get(probe(binding), ())
+        if rank_in is not None:
+            bucket = bucket[bisect_left(bucket, rank_in[0], key=_RANK):]
+        for cand in bucket:
+            atom_id = cand[1]
+            if value[2 * atom_id] != 1:
+                continue
+            if rank_out is not None:
+                rank_out[0] = cand[2]
+            args = cand[0]
+            for name, i in fresh:
+                binding[name] = args[i]
+            for test in tests:
+                if not test(binding):
+                    break
+            else:
+                nxt(binding, pos_ids + (atom_id,))
+        for name, _ in fresh:
+            binding.pop(name, None)
+
+    return step
+
+
+def _open_step(value, table, probe, fresh, tests, nxt):
+    """_pos_step over the candidates that value does not make false
+    (value[2 * id] != 0): the true ones and the unassigned ones."""
+
+    def step(binding, pos_ids):
+        bucket = table if probe is None else table.get(probe(binding), ())
+        for args, atom_id in bucket:
+            if value[2 * atom_id] == 0:
+                continue
+            for name, i in fresh:
+                binding[name] = args[i]
+            for test in tests:
+                if not test(binding):
+                    break
+            else:
+                nxt(binding, pos_ids + (atom_id,))
+        for name, _ in fresh:
+            binding.pop(name, None)
 
     return step
 
@@ -1207,12 +1241,300 @@ def _orbit_size(pos_ids: tuple[int, ...], groups) -> int:
 
 
 # ---------------------------------------------------------------------------
+# lazy denials
+#
+# A denial over abducibles with three or more positive literals, such as
+# blocks' three-move rule, is not instantiated: its instances grow with
+# the cube of the candidates, while the search only ever makes a few of
+# its atoms true.  The theory keeps the rule's plan, and each reader
+# runs the grounder's join over the atoms that matter to it (see
+# LazyDenial).  This is how SLDNFA (Denecker & De Schreye, 1998) treats
+# a denial, resolving it against each abduced atom, and how lazy
+# grounding treats a constraint in ASP (Weinzierl, 2017).
+
+
+class _StopJoin(Exception):
+    """Raised from an emit to end a join; args[0] is what it found."""
+
+
+def _is_lazy(con: Constraint, kinds: dict, candidates: _Candidates, constants: dict[str, int]) -> bool:
+    """Whether ground keeps con as a LazyDenial: a constraint without
+    heads whose body has no negative literal and three or more positive
+    ones, all over abducible predicates, and whose builtins are tests
+    that cannot raise.
+
+    A builtin qualifies when its variables all occur in positive
+    literals and it compiles safe (_Term.safe) against bounds that span
+    every column its variables occur in.  Every plan that reorders the
+    body then runs it as a test, on values from those columns, so no
+    join order can meet a GroundError that instantiating the rule in
+    body order would not; and there is none of those either."""
+    atoms = [lit.atom for lit in con.body if isinstance(lit, Pos)]
+    if con.heads or len(atoms) < 3 or any(isinstance(lit, Neg) for lit in con.body):
+        return False
+    if any(kinds.get(atom.key) is not PredKind.ABDUCIBLE for atom in atoms):
+        return False
+    bounds: dict[str, tuple | None] = {}
+    for atom in atoms:
+        for i, arg in enumerate(atom.args):
+            if isinstance(arg, Var):
+                column = candidates.bounds(atom.key, i)
+                if arg.name in bounds:
+                    other = bounds[arg.name]
+                    if other is None or column is None:
+                        column = None
+                    else:
+                        column = (min(other[0], column[0]), max(other[1], column[1]))
+                bounds[arg.name] = column
+    return all(
+        literal_variables(lit) <= bounds.keys() and _compile_test(lit, constants, bounds).safe
+        for lit in con.body
+        if isinstance(lit, Builtin)
+    )
+
+
+@dataclass(eq=False)
+class LazyDenial:
+    """A constraint that ground did not instantiate (see _is_lazy):
+    ``false <- a1, ..., an, tests`` with n >= 3 atoms over abducibles.
+
+    It keeps what instantiating it takes: its plan, its symmetric groups
+    and the grounder's candidate indexes and constants.  position is
+    the number of instantiated constraints before it, and counted the
+    number of plain-join constraint instances that ground had counted
+    when it reached the rule.  followers lists the constraints that
+    ground instantiated after it, up to the next lazy denial, each as
+    ground's count after it and its plan: with the instances of the
+    lazy denials added, those counts tell where a grounding of every
+    constraint would have passed _CONSTRAINT_CAP.
+
+    Every reader runs the plan through _compile_join.  expand makes the
+    instances that ground would have made.  first_true finds the first
+    of them whose atoms are all true, with every literal probing true
+    atoms only.  propagators gives the search a join seeded with each
+    atom that becomes true (see there), and unit_atoms the instances
+    that put one atom at every literal.
+    """
+
+    origin: int
+    con: Constraint
+    plan: _Plan
+    groups: list[tuple[int, ...]]
+    candidates: _Candidates
+    constants: dict[str, int]
+    position: int
+    counted: int
+    followers: list[tuple[int, _Plan]] = field(default_factory=list)
+
+    def expand(self, seen: set, keep, lazy_count: int) -> int:
+        """Make the instances, as ground makes a pure denial's: keep(gc)
+        for each whose clause is not in seen, which it joins.  lazy_count
+        is the number of instances of the lazy denials before this one;
+        the number including this one's comes back.  Raises ground's
+        GroundError where a grounding of every constraint would pass
+        _CONSTRAINT_CAP, in this rule or in a follower."""
+        count = [self.counted + lazy_count]
+        n_pos = sum(isinstance(lit, Pos) for lit in self.con.body)
+        emit = _denial_emitter(self.origin, self.plan, self.groups, n_pos, seen, lambda gc, _key: keep(gc), count)
+        _enumerate_plan(self.plan, self.candidates, self.constants, emit, self.groups)
+        lazy_count = count[0] - self.counted
+        for counted, plan in self.followers:
+            if counted + lazy_count > _CONSTRAINT_CAP:
+                raise _over_cap(plan)
+        return lazy_count
+
+    def first_true(self, value) -> GroundConstraint | None:
+        """The first instance, in the order expand meets them, whose atoms
+        value makes all true (value[2 * a] == 1), or None.
+
+        It is the first instance expand keeps among those: one before it
+        with the same atoms would be all true too.  And if the instance
+        of an earlier constraint with the same clause was kept instead,
+        that one is all true and comes first in expand_constraints."""
+
+        def found(binding, pos_ids):
+            raise _StopJoin(pos_ids)
+
+        def make_pos(k, table, probe, fresh, link):
+            return partial(_true_step, value, table, probe, fresh, link)
+
+        try:
+            _compile_join(self.plan, self.candidates, self.constants, found, self.groups, make_pos)({}, ())
+        except _StopJoin as stop:
+            return GroundConstraint((), stop.args[0], (), self.origin)
+        return None
+
+    def unit_atoms(self) -> list[int]:
+        """The atoms a such that putting a at every positive literal gives
+        an instance, whose clause is then the unit "a is false": the
+        join of the rule with all its literals merged into one
+        (_merge)."""
+        atoms = [lit.atom for lit in self.con.body if isinstance(lit, Pos)]
+        tests = [lit for lit in self.con.body if isinstance(lit, Builtin)]
+        merged = _merge(atoms, tests, range(len(atoms)))
+        if merged is None:
+            return []
+        plan = _ordered_plan(*merged, [0], self.plan)
+        units: list[int] = []
+        _enumerate_plan(plan, self.candidates, self.constants, lambda binding, pos_ids: units.append(pos_ids[0]))
+        return units
+
+    def propagators(self, value, imply) -> dict[int, list]:
+        """The runs that propagate the rule when an atom becomes true.
+
+        Maps each candidate atom to (cell, candidate, start) triples:
+        with cell[0] set to the candidate, start({}, ()) runs a join
+        whose first literal takes just that atom, whose middle literals
+        take only atoms that value makes true, and whose last literal
+        takes any atom that value does not make false, and calls
+        imply(binding, pos_ids) for every instance it completes, with
+        the last literal's atom last in pos_ids.  That atom is either
+        true, and the instance is violated, or unassigned, and the
+        instance implies it false.
+
+        There is a join for each first literal and each set of literals
+        that the last one stands for (_seed_plans).  Take an instance
+        with every atom but one true.  When the last of its true atoms
+        to become true is given to the joins, the others are true
+        already, and the one atom left open is not false: the join
+        seeded at a literal of that atom, whose last literal stands for
+        the literals of the open atom, meets the instance.  An instance
+        with every atom true is met then too.  An instance of a single
+        atom is a unit, which the search asserts at the root
+        (unit_atoms).
+        """
+        triggers: dict[int, list] = {}
+        for plan, groups in self._seed_plans():
+            n_pos = sum(step[0] == "pos" for step in plan.steps)
+            cell: list = [None]
+            seeds: list = []
+
+            def make_pos(k, table, probe, fresh, link):
+                if k == 0:
+                    seeds.extend(table)  # the candidates this literal admits
+                    return partial(_pos_step, cell, None, fresh)
+                if k == n_pos - 1:
+                    return partial(_open_step, value, table, probe, fresh)
+                return partial(_true_step, value, table, probe, fresh, link)
+
+            start = _compile_join(plan, self.candidates, self.constants, imply, groups, make_pos)
+            for cand in seeds:
+                triggers.setdefault(cand[1], []).append((cell, cand, start))
+        return triggers
+
+    def _seed_plans(self) -> list[tuple[_Plan, list[tuple[int, ...]]]]:
+        """A plan for each choice of a first (seed) positive literal and a
+        set of others that one open atom takes, up to the symmetry of
+        the body, with the symmetric groups among the middle literals.
+
+        The open literals merge into one (_merge), which runs last; the
+        seed runs first and the middle literals between, in body order.
+        Literals of one symmetric group can be swapped without changing
+        the rule, and a swap maps an instance onto one with the same
+        clause (see _symmetric_groups): so the seed is only ever the
+        first literal of its group, and of each group only the first
+        literals, after the seed, are open.  Each group's middle
+        literals are enumerated in rank order, as ground enumerates
+        them."""
+        atoms = [lit.atom for lit in self.con.body if isinstance(lit, Pos)]
+        tests = [lit for lit in self.con.body if isinstance(lit, Builtin)]
+        members: dict[int, list[int]] = {k: [k] for k in range(len(atoms))}
+        for group in self.groups:
+            for k in group:
+                members.pop(k, None)
+            members[group[0]] = list(group)
+        plans = []
+        for s in members:
+            others = [[k for k in ks if k != s] for ks in members.values()]
+            for counts in product(*(range(len(ks) + 1) for ks in others)):
+                opened = sorted(k for ks, n in zip(others, counts) for k in ks[:n])
+                merged = _merge(atoms, tests, opened) if opened else None
+                if merged is None:
+                    continue
+                middle = [k for k in range(len(atoms)) if k != s and k not in opened]
+                order = [s] + middle + [opened[0]]
+                at = {k: n for n, k in enumerate(order)}
+                groups = [tuple(at[k] for k in group if k in middle) for group in self.groups]
+                plans.append((_ordered_plan(*merged, order, self.plan), [g for g in groups if len(g) > 1]))
+        return plans
+
+
+def _substitute(t, sigma: dict[str, Term]):
+    """A term, or a range, with its variables replaced as sigma maps them."""
+    if isinstance(t, Var):
+        return sigma.get(t.name, t)
+    if isinstance(t, ArithExpr):
+        return ArithExpr(t.op, tuple(_substitute(a, sigma) for a in t.args), span=t.span)
+    if isinstance(t, Range):
+        return Range(_substitute(t.lo, sigma), _substitute(t.hi, sigma))
+    return t
+
+
+def _merge(atoms: list[Atom], tests: list[Builtin], block) -> tuple[list[Atom], list[Builtin]] | None:
+    """The atoms and tests renamed by the most general unifier of the
+    atoms at the positions in block, which then are one atom; None when
+    they differ in predicate or clash on a constant, or when a renamed
+    test compares a term with itself by \\=, < or >, and cannot hold."""
+    parent: dict[str, str] = {}
+    value: dict[str, Term] = {}  # class root -> the constant it is bound to
+
+    def find(v: str) -> str:
+        while parent.get(v, v) != v:
+            v = parent[v]
+        return v
+
+    def bind(root: str, c: Term) -> bool:
+        return value.setdefault(root, c) == c
+
+    first = atoms[block[0]]
+    for k in block[1:]:
+        if atoms[k].key != first.key:
+            return None
+        for s, t in zip(atoms[k].args, first.args):
+            if isinstance(s, Var) and isinstance(t, Var):
+                a, b = find(s.name), find(t.name)
+                if a != b:
+                    parent[a] = b
+                    if a in value and not bind(b, value.pop(a)):
+                        return None
+            elif isinstance(s, Var) or isinstance(t, Var):
+                var, c = (s, t) if isinstance(s, Var) else (t, s)
+                if not bind(find(var.name), c):
+                    return None
+            elif s != t:
+                return None
+    sigma = {name: value.get(find(name), Var(find(name))) for name in set(parent) | set(value)}
+    renamed_atoms = [Atom(a.pred, tuple(_substitute(t, sigma) for t in a.args)) for a in atoms]
+    renamed = [Builtin(t.op, _substitute(t.lhs, sigma), _substitute(t.rhs, sigma), span=t.span) for t in tests]
+    if any(t.op in ("\\=", "<", ">") and t.lhs == t.rhs for t in renamed):
+        return None
+    return renamed_atoms, renamed
+
+
+def _ordered_plan(atoms: list[Atom], tests: list[Builtin], order: list[int], plan: _Plan) -> _Plan:
+    """A plan of the atoms at the positions in order, in that order, with
+    each test right after the atom that binds the last of its
+    variables; span and label come from plan."""
+    body: list[Literal] = [t for t in tests if not literal_variables(t)]
+    pending = [t for t in tests if literal_variables(t)]
+    bound: set[str] = set()
+    for k in order:
+        body.append(Pos(atoms[k]))
+        bound |= _atom_vars(atoms[k])
+        waiting = []
+        for t in pending:
+            (body if literal_variables(t) <= bound else waiting).append(t)
+        pending = waiting
+    return _plan_rule(tuple(body), set(), plan.span, plan.label)
+
+
+# ---------------------------------------------------------------------------
 # ground atom construction
 
 
 def _compile_atom(atom: Atom, constants: dict[str, int], bounds: dict) -> Callable[[dict], GroundAtom]:
     """A function from the binding to the ground instance of atom, whose
-    arguments evaluate as _eval_value evaluates them, left to right."""
+    arguments evaluate as values (see _compile_term), left to right."""
     pred = atom.pred
     if atom.args and all(isinstance(a, Var) for a in atom.args):
         get = itemgetter(*(a.name for a in atom.args))
@@ -1525,6 +1847,41 @@ def _sorted_set(items) -> tuple:
     return tuple(sorted(set(items))) if len(items) > 1 else tuple(items)
 
 
+def _over_cap(plan: _Plan) -> GroundError:
+    msg = f"grounding exceeded {_CONSTRAINT_CAP} constraint instances in {plan.label}"
+    return _error(msg, plan.span)
+
+
+def _denial_emitter(origin: int, plan: _Plan, groups, n_pos: int, seen: set, keep, count: list[int]):
+    """The emit for a pure denial (no heads, no negative literal).
+
+    count[0] counts the instances of the plain join, each one the groups
+    let through standing for its whole orbit, and ends the enumeration
+    past _CONSTRAINT_CAP.  A pure denial's set of head disjuncts,
+    positive and negative body atoms is its positive atoms, so its key
+    is its clause (see clause_key), a flat tuple of ints that no (heads,
+    pos, neg) key of the general path can equal.  An instance whose key
+    is not in seen goes to keep(constraint, key)."""
+    # the orbit size of an instance whose positive atoms are distinct
+    distinct_orbit = prod(factorial(len(group)) for group in groups)
+
+    def emit_denial(binding, pos_ids):
+        key = tuple(sorted({2 * a + 1 for a in pos_ids}))
+        if not groups:
+            count[0] += 1
+        elif len(key) == n_pos:
+            count[0] += distinct_orbit
+        else:
+            count[0] += _orbit_size(pos_ids, groups)
+        if count[0] > _CONSTRAINT_CAP:
+            raise _over_cap(plan)
+        if key not in seen:
+            seen.add(key)
+            keep(GroundConstraint((), pos_ids, (), origin), key)
+
+    return emit_denial
+
+
 def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -> GroundTheory:
     """Instantiate a normalized program over its abducible universe.
 
@@ -1534,7 +1891,8 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
     permutation orbit, with the literals' candidates in rank order (see
     _symmetric_groups); the first instance of each set is among those.
     Each kept constraint's clause (clause_key) goes into the theory's
-    constraint_clauses as it is emitted.
+    constraint_clauses as it is emitted.  A constraint that _is_lazy
+    accepts is not instantiated but kept as a LazyDenial.
     """
     kinds = classify_predicates(program)
     constants = domains.constants
@@ -1568,8 +1926,13 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
     candidates = _Candidates(abd_candidates, possible)
     constraints: list[GroundConstraint] = []
     constraint_clauses: list[tuple[int, ...] | None] = []
+    lazy: list[LazyDenial] = []
     seen: set[tuple] = set()
-    instances = 0
+    count = [0]  # constraint instances of the plain join, across constraints
+
+    def keep(gc, key):
+        constraints.append(gc)
+        constraint_clauses.append(key)
 
     def emit_constraint(origin: int, con: Constraint, plan: _Plan, groups):
         """The emit for one constraint, specialised to its shape when the
@@ -1577,41 +1940,12 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
         bounds = _unknown_bounds(con.body)
         negs = [_compile_atom(n.atom, constants, bounds) for n in plan.negs]
         n_pos = sum(isinstance(lit, Pos) for lit in con.body)
-        # the orbit size of an instance whose positive atoms are distinct
-        distinct_orbit = prod(factorial(len(group)) for group in groups)
-
-        def over_cap():
-            msg = f"grounding exceeded {_CONSTRAINT_CAP} constraint instances in {plan.label}"
-            return _error(msg, plan.span)
-
-        # The cap counts the instances of the plain join: each one the
-        # groups let through stands for its whole orbit.  Of the instances
-        # with one set of head disjuncts, positive and negative body
-        # atoms, only the first is kept: the rest admit exactly the same
-        # hypothesis sets.  A pure denial's set is its body, so its key
-        # is its clause (see clause_key), a flat tuple of ints that no
-        # (heads, pos, neg) key of the general path can equal.
-
         if not con.heads and not negs:
+            return _denial_emitter(origin, plan, groups, n_pos, seen, keep, count)
 
-            def emit_denial(binding, pos_ids):
-                nonlocal instances
-                key = tuple(sorted({2 * a + 1 for a in pos_ids}))
-                if not groups:
-                    instances += 1
-                elif len(key) == n_pos:
-                    instances += distinct_orbit
-                else:
-                    instances += _orbit_size(pos_ids, groups)
-                if instances > _CONSTRAINT_CAP:
-                    raise over_cap()
-                if key not in seen:
-                    seen.add(key)
-                    constraints.append(GroundConstraint((), pos_ids, (), origin))
-                    constraint_clauses.append(key)
-
-            return emit_denial
-
+        # Of the instances with one set of head disjuncts, positive and
+        # negative body atoms, only the first is kept: the rest admit
+        # exactly the same hypothesis sets.
         heads = [
             (_getter(_compile_test(h, constants, bounds)), None)
             if isinstance(h, Builtin)
@@ -1620,10 +1954,9 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
         ]
 
         def emit(binding, pos_ids):
-            nonlocal instances
-            instances += _orbit_size(pos_ids, groups) if groups else 1
-            if instances > _CONSTRAINT_CAP:
-                raise over_cap()
+            count[0] += _orbit_size(pos_ids, groups) if groups else 1
+            if count[0] > _CONSTRAINT_CAP:
+                raise _over_cap(plan)
             neg_ids = tuple([table.intern(neg(binding)) for neg in negs])
             head_ids: list[tuple[int, bool]] = []
             for head, wanted in heads:
@@ -1639,8 +1972,7 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
             if key not in seen:
                 seen.add(key)
                 gc = GroundConstraint(tuple(head_ids), pos_ids, neg_ids, origin)
-                constraints.append(gc)
-                constraint_clauses.append(clause_key(gc) if head_ids or neg_ids else key)
+                keep(gc, clause_key(gc) if head_ids or neg_ids else key)
 
         return emit
 
@@ -1650,8 +1982,17 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
             head_vars |= literal_variables(h)
         plan = _plan_rule(con.body, head_vars, con.span, f"constraint {con}")
         groups = _symmetric_groups(con, plan)
+        if _is_lazy(con, kinds, candidates, constants):
+            lazy.append(
+                LazyDenial(origin, con, plan, groups, candidates, constants, len(constraints), count[0])
+            )
+            continue
         _enumerate_plan(plan, candidates, constants, emit_constraint(origin, con, plan, groups), groups)
-    return GroundTheory(table, clauses, constraints, universe_ids, forced_ids, constraint_clauses)
+        if lazy:
+            lazy[-1].followers.append((count[0], plan))
+    return GroundTheory(
+        table, clauses, constraints, universe_ids, forced_ids, constraint_clauses, tuple(lazy)
+    )
 
 
 # ---------------------------------------------------------------------------

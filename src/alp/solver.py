@@ -9,7 +9,11 @@ propagation runs on a clause database built from two sources:
     and negated body literals, the clause the grounder made with it
     (GroundTheory.constraint_clauses), and
   * a supported-model (completion) encoding of the definition layer,
-    with one auxiliary variable per multi-literal clause body.
+    with one auxiliary variable per multi-literal clause body,
+
+and on the constraints the grounder left unground (lazy denials,
+alp.ground.LazyDenial), which propagate through the grounder's join,
+run from each atom that becomes true.
 
 Binary clauses propagate through per-literal implication lists, longer
 ones through two watched literals each, listed in one watch array per
@@ -48,7 +52,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import wfs
-from .ground import GroundClause, GroundConstraint, GroundTheory, _key
+from .ground import GroundClause, GroundConstraint, GroundTheory, _key, _StopJoin
 from .syntax import (
     Atom,
     Clause,
@@ -114,22 +118,48 @@ def check_delta(theory: GroundTheory, delta: Iterable[int]) -> CheckResult:
 
 
 def _first_falsified(theory: GroundTheory, truth: Sequence[int]) -> GroundConstraint | None:
-    """The first constraint whose clause has every literal false under a
-    total truth array; under a total model a constraint is violated
-    exactly when its clause is falsified.  This is also the origin of
-    the search's first falsified constraint clause: a set's
-    first constraint is falsified together with every later copy."""
+    """The first constraint of theory.expand_constraints() whose clause
+    has every literal false under a total truth array; under a total
+    model a constraint is violated exactly when its clause is falsified.
+    This is also the origin of the search's first falsified constraint
+    clause: a set's first constraint is falsified together with every
+    later copy.
+
+    The instantiated constraints are read in order, and each lazy
+    denial at its place among them, through its join over the true
+    atoms (LazyDenial.first_true), so nothing is expanded.  An
+    instantiated pure denial that shares its clause with an instance of
+    an earlier lazy denial is read although expand_constraints drops
+    it: if it is falsified, so is that instance, which is met first."""
     true_lit = bytearray(2 * theory.n_atoms)
     true_lit[0::2] = bytes(t == wfs.TRUE for t in truth)
     true_lit[1::2] = bytes(t != wfs.TRUE for t in truth)
-    for ci, clause in enumerate(theory.constraint_clauses):
+    clauses = theory.constraint_clauses
+    done = 0
+    for rule in theory.lazy_denials:
+        ci = _first_false_clause(true_lit, clauses, done, rule.position)
+        if ci is not None:
+            return theory.constraints[ci]
+        gc = rule.first_true(true_lit)
+        if gc is not None:
+            return gc
+        done = rule.position
+    ci = _first_false_clause(true_lit, clauses, done, len(clauses))
+    return None if ci is None else theory.constraints[ci]
+
+
+def _first_false_clause(true_lit, clauses, start: int, stop: int) -> int | None:
+    """The index of the first of clauses[start:stop] that has no true
+    literal, skipping tautologies (None)."""
+    for ci in range(start, stop):
+        clause = clauses[ci]
         if clause is None:
             continue
         for lit in clause:
             if true_lit[lit]:
                 break
         else:
-            return theory.constraints[ci]
+            return ci
     return None
 
 
@@ -177,6 +207,16 @@ class _Search:
     origins[i] the index of the first constraint giving that set; the
     rest encode the completion of the definition layer, with origins[i]
     the defined atom.
+
+    The theory's lazy denials have no clauses.  Each is compiled into
+    joins (see _add_lazy_denials) that run when one of its atoms
+    becomes true and do what the clauses of its instances would do:
+    make an atom false when every other atom of an instance is true,
+    or report a conflict when all are.  _fixpoint alternates them with
+    clause propagation, and the argument there shows that the search
+    meets the same nodes as over every instance.  A conflict in rule r
+    is reported as the index len(clauses) + r, and describe_origin
+    names the rule's first instance whose atoms are all true.
 
     The loop tables come from one pass over the strongly connected
     components of the definition layer's dependency graph (head to
@@ -275,6 +315,10 @@ class _Search:
         self.minimal_sets: list[frozenset[int]] = []
         self.source = [-1] * self.n_atoms
         self.source_log: list[tuple[int, int, int]] = []  # (trail length, atom, old source)
+        self.triggers: dict[int, list] = {}
+        self.denial_units: list[tuple[int, int]] = []
+        if theory.lazy_denials:
+            self._add_lazy_denials(theory)
 
     # -- compiling the theory ---------------------------------------------
 
@@ -303,6 +347,33 @@ class _Search:
         self.n_constraint_clauses = len(self.clauses)
         self._find_loops(theory.clauses)
         self._add_completion(theory.clauses, origin_of)
+
+    def _add_lazy_denials(self, theory: GroundTheory):
+        """Compile the lazy denials: triggers[2 * a] lists the joins to
+        run when atom a becomes true (LazyDenial.propagators), and
+        denial_units the atoms that an instance alone makes false, each
+        with the conflict index of its rule, len(clauses) + its index
+        among the lazy denials.  The closures hold the assignment, not
+        the search, so they make no reference cycle."""
+        value = self.value
+        trail = self.trail
+        stats = self.stats
+        triggers = self.triggers
+        for r, rule in enumerate(theory.lazy_denials):
+            conflict = len(self.clauses) + r
+
+            def imply(binding, pos_ids, conflict=conflict):
+                a = pos_ids[-1]
+                if value[2 * a] == 1:  # every atom of the instance is true
+                    raise _StopJoin(conflict)
+                stats.propagations += 1
+                value[2 * a] = 0
+                value[2 * a + 1] = 1
+                trail.append(2 * a + 1)
+
+            for a, runs in rule.propagators(value, imply).items():
+                triggers.setdefault(2 * a, []).extend(runs)
+            self.denial_units += [(a, conflict) for a in rule.unit_atoms()]
 
     def _add_completion(self, clauses: list[GroundClause], origin_of: dict[tuple[int, ...], int]):
         def add(key: tuple[int, ...] | None, origin: int):
@@ -406,6 +477,9 @@ class _Search:
         if idx < 0:  # an unfounded loop atom, see _unfounded
             atom = theory.atoms.render(-1 - idx)
             return f"definition of {atom} (a loop without outside support)"
+        if idx >= len(self.clauses):  # a lazy denial, see _add_lazy_denials
+            rule = theory.lazy_denials[idx - len(self.clauses)]
+            return theory.render_constraint(rule.first_true(self.value))
         ref = self.origins[idx]
         if idx < self.n_constraint_clauses:
             return theory.render_constraint(theory.constraints[ref])
@@ -434,7 +508,7 @@ class _Search:
         self.value[lit ^ 1] = 0
         start = len(self.trail)
         self.trail.append(lit)
-        conflict = self._propagate(start)
+        conflict = self._fixpoint(start)
         if conflict is None and self.loop_atoms:
             conflict = self._unfounded(start, [])
         return conflict
@@ -452,15 +526,65 @@ class _Search:
                 value[lit] = 1
                 value[lit ^ 1] = 0
                 self.trail.append(lit)
-        conflict = self._propagate(0)
+        for a, conflict in self.denial_units:
+            if value[2 * a] == 1:
+                return conflict
+            if value[2 * a] == -1:
+                self.stats.propagations += 1
+                value[2 * a] = 0
+                value[2 * a + 1] = 1
+                self.trail.append(2 * a + 1)
+        conflict = self._fixpoint(0)
         if conflict is None and self.loop_atoms:
             # No atom has a source yet: all of them are to be sourced.
             conflict = self._unfounded(len(self.trail), list(self.loop_atoms))
         return conflict
 
+    def _fixpoint(self, head: int) -> int | None:
+        """Propagate the trail from position head on, through the clauses
+        and the lazy denials, to their common fixpoint or a conflict.
+
+        Without lazy denials this is _propagate.  With them, the two
+        take turns: _propagate runs the clauses to their fixpoint, then
+        each atom that it made true is given to the joins of triggers,
+        which make atoms false or meet a conflict; the atoms they made
+        false go back to _propagate, and so on until neither adds a
+        literal.  Unit propagation reaches one fixpoint whatever order
+        it assigns literals in, and reaches a conflict in every order if
+        in any, and the joins imply exactly what the clauses of the
+        rules' instances would (LazyDenial.propagators): so the search
+        meets the same fixpoints and the same conflicting nodes as it
+        would over every instance, and only the number of literals
+        assigned before a conflict, in propagations, can differ.  The
+        denials are no support clauses, so branching (see run) does not
+        change either, nor do nodes, pruned, checks, models or the
+        order of the solutions."""
+        conflict = self._propagate(head)
+        triggers = self.triggers
+        if not triggers:
+            return conflict
+        trail = self.trail
+        while conflict is None:
+            end = len(trail)
+            try:
+                for lit in trail[head:end]:
+                    runs = triggers.get(lit)
+                    if runs:
+                        for cell, cand, start in runs:
+                            cell[0] = cand
+                            start({}, ())
+            except _StopJoin as stop:
+                return stop.args[0]
+            if len(trail) == end:
+                return None
+            head = end
+            conflict = self._propagate(head)
+        return conflict
+
     def _propagate(self, head: int) -> int | None:
-        """Propagate the trail from position head on; a conflict leaves
-        the rest of the queue unprocessed, for the caller to undo."""
+        """Propagate the trail from position head on through the clauses;
+        a conflict leaves the rest of the queue unprocessed, for the
+        caller to undo."""
         value = self.value
         trail = self.trail
         push = trail.append
@@ -588,7 +712,7 @@ class _Search:
                         value[2 * a + 1] = 1
                         trail.append(2 * a + 1)
             lost = []
-            conflict = self._propagate(start)
+            conflict = self._fixpoint(start)
             if conflict is not None:
                 return conflict
 
@@ -693,6 +817,8 @@ class _Search:
         auxiliary variable, being equivalent to its body: the
         assignment M satisfies every constraint clause and the
         completion, so M is a supported model of definitions plus delta.
+        No instance of a lazy denial has every atom true in M either,
+        or propagation would have met the conflict (see _fixpoint).
         It is also a stable model, as no nonempty set U of true atoms is
         unfounded (Van Gelder, Ross & Schlipf, 1991).  Take the lowest
         component U meets: off a loop component, a true atom's true body

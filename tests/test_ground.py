@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import importlib.resources as res
 import random
+import re
 import weakref
 from collections import Counter
 
@@ -20,7 +21,6 @@ from alp.ground import (
     _symmetric_groups,
     apply_const_overrides,
     build_theory,
-    eval_builtin,
     eval_declarations,
 )
 from alp.parser import parse_text
@@ -35,6 +35,7 @@ from alp.syntax import (
     literal_variables,
     normalize,
 )
+from reference_builtins import eval_builtin
 
 
 def bundled(name):
@@ -258,7 +259,7 @@ def test_ground_constraints_are_distinct():
     rng = random.Random(6610)
     theories += [theory_for(random_program(rng)) for _ in range(150)]
     for theory in theories:
-        keys = [canonical_key(c) for c in theory.constraints]
+        keys = [canonical_key(c) for c in theory.expand_constraints()]
         assert len(set(keys)) == len(keys), theory.dump()
 
 
@@ -501,13 +502,15 @@ def test_symmetric_groups_look_at_the_heads(heads, groups):
 
 
 def grounding(text):
-    """Everything grounding text makes, or the error it raises."""
+    """Everything grounding text makes, every ground constraint expanded,
+    or the error it raises."""
     try:
         theory = theory_for(text)
+        constraints = theory.expand_constraints()
     except GroundError as exc:
         return str(exc)
     atoms = [theory.atoms.atom(i) for i in range(theory.n_atoms)]
-    return atoms, theory.clauses, theory.constraints, theory.universe, theory.forced
+    return atoms, theory.clauses, constraints, theory.universe, theory.forced
 
 
 def plain_grounding(monkeypatch, text):
@@ -592,6 +595,9 @@ def test_symmetric_bodies_ground_as_the_plain_join(monkeypatch):
 
 
 def test_three_move_rule_enumerates_each_set_of_moves_once(monkeypatch):
+    # The three-move rule is a lazy denial: build_theory enumerates none
+    # of its instances, and expanding it, as dump does, enumerates each
+    # set of moves once.
     ground_mod = importlib.import_module("alp.ground")
     emitted = Counter()
     real = ground_mod._enumerate_plan
@@ -609,18 +615,31 @@ def test_three_move_rule_enumerates_each_set_of_moves_once(monkeypatch):
     rules = [str(con) for con in normalize(parse_text(text, "b")).constraints]
     three_move = next(o for o, rule in enumerate(rules) if rule.count("move(") == 3)
     label = f"constraint {rules[three_move]}"
-    kept = sum(c.origin == three_move for c in theory.constraints)
+    assert [rule.origin for rule in theory.lazy_denials] == [three_move]
+    assert emitted[label] == 0
+    assert not any(c.origin == three_move for c in theory.constraints)
+    kept = sum(c.origin == three_move for c in theory.expand_constraints())
     assert emitted[label] == kept == 20_580
     emitted.clear()
     plain_grounding(monkeypatch, text)
     assert emitted[label] == 123_480  # 6 orderings of each set of moves
-    # the cap still counts the instances of the plain join
+    # The cap still counts the instances of the plain join, across the
+    # constraints build_theory instantiates and those dump expands: at
+    # one below the total, build_theory and solve go through, and dump
+    # stops at the constraint where a full grounding stops, the last
+    # goal, which comes after the three-move rule.
     total = sum(n for lbl, n in emitted.items() if lbl.startswith("constraint "))
     monkeypatch.setattr(ground_mod, "_CONSTRAINT_CAP", total)
-    theory_for(text)
+    theory_for(text).dump()
     monkeypatch.setattr(ground_mod, "_CONSTRAINT_CAP", total - 1)
-    with pytest.raises(GroundError, match="constraint instances"):
-        theory_for(text)
+    theory = theory_for(text)
+    assert solve(theory, SolveOptions(max_models=1)).solutions
+    with pytest.raises(GroundError, match=f"constraint instances in constraint {re.escape(rules[-1])}"):
+        theory.dump()
+    # past the three-move rule's own instances, dump stops at that rule
+    monkeypatch.setattr(ground_mod, "_CONSTRAINT_CAP", total - len(rules) + three_move)
+    with pytest.raises(GroundError, match=f"constraint instances in {re.escape(label)}"):
+        theory_for(text).dump()
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from alp.ground import _Candidates, _enumerate_plan, _plan_rule, eval_builtin
+from alp.ground import _Candidates, _enumerate_plan, _plan_rule
 from alp.syntax import (
     ArithExpr,
     Atom,
@@ -26,6 +26,7 @@ from alp.syntax import (
     SymConst,
     Var,
 )
+from reference_builtins import eval_builtin
 
 VALUES = (1, 2, 3, "a", "b")
 ORDERINGS = ("<", ">", "=<", ">=")

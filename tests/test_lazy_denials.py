@@ -1,0 +1,298 @@
+"""Long positive denials over abducibles, kept unground (LazyDenial).
+
+ground keeps such a rule as its plan, and the search propagates it from
+the atoms it makes true; check_delta, the root's unsat_reason and dump
+run the same join.  Each is held here against the same program grounded
+in full, with _is_lazy patched to refuse every rule, the way the plain
+grounding of tests/test_ground.py patches _symmetric_groups.
+"""
+
+import gc
+import importlib
+import importlib.resources as res
+import random
+import weakref
+
+import pytest
+
+from alp import cli
+from alp.ground import build_theory
+from alp.parser import parse_text
+from alp.solver import NotTwoValued, SolveOptions, SolveStats, UnsatConstraint, _Search, check_delta, solve
+from alp.syntax import Builtin, GroundError, Pos, Var
+from test_solver import reference_check
+
+GROUND = importlib.import_module("alp.ground")
+
+
+def bundled(name):
+    return (res.files("alp") / "programs" / name).read_text(encoding="utf-8")
+
+
+def theory_for(text, name="t"):
+    return build_theory(parse_text(text, name))
+
+
+def eager_theory(monkeypatch, text, name="t"):
+    """theory_for(text) with every constraint instantiated."""
+    with monkeypatch.context() as m:
+        m.setattr(GROUND, "_is_lazy", lambda *args: False)
+        return theory_for(text, name)
+
+
+def random_denial_program(rng):
+    """Abducibles a/1 and b/2 over small domains, a definition layer with
+    negation, up to three instantiated constraints and forced atoms, and
+    one to three positive denials of three or four literals over a and
+    b: symmetric bodies, repeated and shared variables, constant
+    arguments, and \\=, < and = tests.  Constraints with an abducible
+    head make atoms true together with the atom that implies them, so
+    that an instance can have its last two atoms made true at once."""
+    lines = [
+        "domain d == 1..3.",
+        "domain e == 1..2.",
+        "abducible a(d).",
+        "abducible b(d, e).",
+        "p(X) :- b(X,Y), not a(X).",
+        "q(X) :- a(X), not p(X).",
+    ]
+    eager = [
+        "false <- a(X), b(X,2).",
+        "p(X) ; a(X) <- b(X,1).",
+        "false <- q(X), q(Y), X < Y.",
+        "false <- b(X,1), b(X,2).",
+        "a(X) <- b(X,2).",
+        "b(X,1) <- a(X), X < 3.",
+    ]
+    lines += rng.sample(eager, rng.randint(0, 3))
+    forced = ("a(2) <- true.", "a(3) <- true.", "b(1,1) <- true.", "b(3,2) <- true.")
+    lines += rng.sample(forced, rng.choice((0, 0, 1, 2, 3)))
+    for _ in range(rng.randint(1, 3)):
+        k = rng.choice((3, 3, 3, 4))
+        body = []
+        names = []
+        for i in range(k):
+            if rng.random() < 0.5:
+                x = rng.choice("XYZ") if rng.random() < 0.3 else f"X{i}"
+                body.append(f"a({x})")
+                names.append(x)
+            else:
+                x = rng.choice(("X", f"X{i}", f"X{i}", "1"))
+                y = rng.choice(("Y", f"Y{i}", "1", "2"))
+                body.append(f"b({x},{y})")
+                names += [v for v in (x, y) if not v.isdigit()]
+        if rng.random() < 0.3:  # a symmetric body: k copies of one shape
+            shape = rng.choice(("a(X{i})", "b(X{i},Y)", "b(X{i},Y{i})", "b(X{i},1)"))
+            body = [shape.format(i=i) for i in range(k)]
+            names = [v for lit in body for v in lit[2:-1].split(",") if not v.isdigit()]
+            if rng.random() < 0.7:
+                body += [f"X{i} \\= X{j}" for i in range(k) for j in range(i + 1, k)]
+        names = sorted(set(names))
+        for _ in range(rng.randint(0, 2) if names else 0):
+            x, y = rng.choice(names), rng.choice(names + ["2"])
+            body.append(rng.choice((f"{x} \\= {y}", f"{x} < {y}", f"{x} = {y}")))
+        rng.shuffle(body)
+        lines.append(f"false <- {', '.join(body)}.")
+    return "\n".join(lines) + "\n"
+
+
+def perturbed(rng, theory, delta):
+    """delta with a few candidates added or removed."""
+    cands = sorted(set(theory.universe) | set(theory.forced))
+    out = set(delta)
+    for _ in range(rng.randint(1, 3)):
+        out ^= {rng.choice(cands)}
+    return tuple(sorted(out))
+
+
+def verdict(theory, delta):
+    result = check_delta(theory, delta)
+    if isinstance(result, UnsatConstraint):
+        return type(result), result.instance, result.rendered
+    if isinstance(result, NotTwoValued):
+        return type(result), result.atoms
+    return (type(result),)
+
+
+def test_lazy_denials_behave_as_their_ground_instances(monkeypatch):
+    # dump, the solutions in order, the search counts but propagations,
+    # the presence of a root conflict, and check_delta on every solution
+    # and on perturbed deltas, of each random program kept lazy and
+    # grounded in full.  The floors sit at about half of what this seed
+    # gives: 314 lazy denials, 139 with a symmetric group, 231 with a
+    # test, 31 with a unit instance, 178 with a constant argument; 127
+    # programs whose lazy denials have instances with a repeated atom;
+    # 36 root conflicts, and 11 decisions that make every atom of a lazy
+    # denial's instance true; 462 deltas violating a lazy denial first
+    # and 1,082 an instantiated constraint; 7,929 solutions.
+    met = dict.fromkeys(
+        ("lazy", "groups", "tests", "units", "repeated atoms", "constants", "root conflict",
+         "lazy conflict", "violated lazy", "violated eager", "solutions"), 0
+    )
+    propagate = _Search.propagate
+
+    def spy(search, lit):
+        conflict = propagate(search, lit)
+        met["lazy conflict"] += conflict is not None and conflict >= len(search.clauses)
+        return conflict
+
+    monkeypatch.setattr(_Search, "propagate", spy)
+    rng = random.Random(16)
+    for i in range(150):
+        text = random_denial_program(rng)
+        label = f"program {i}:\n{text}"
+        lazy = theory_for(text)
+        eager = eager_theory(monkeypatch, text)
+        assert not eager.lazy_denials, label
+        assert lazy.dump() == eager.dump(), label
+        assert lazy.expand_constraints() == eager.constraints, label
+        met["lazy"] += len(lazy.lazy_denials)
+        for rule in lazy.lazy_denials:
+            met["groups"] += bool(rule.groups)
+            met["units"] += bool(rule.unit_atoms())
+            met["tests"] += any(isinstance(lit, Builtin) for lit in rule.con.body)
+            met["constants"] += any(
+                not isinstance(arg, Var) for lit in rule.con.body if isinstance(lit, Pos) for arg in lit.atom.args
+            )
+        origins = {rule.origin for rule in lazy.lazy_denials}
+        met["repeated atoms"] += any(
+            gc.origin in origins and len(set(gc.pos)) < len(gc.pos) for gc in eager.constraints
+        )
+        lazy_report, eager_report = solve(lazy), solve(eager)
+        assert lazy_report.solutions == eager_report.solutions, label
+        counts = [(r.stats.nodes, r.stats.pruned, r.stats.checks, r.stats.models) for r in (lazy_report, eager_report)]
+        assert counts[0] == counts[1], label
+        assert (lazy_report.unsat_reason is None) == (eager_report.unsat_reason is None), label
+        met["root conflict"] += lazy_report.unsat_reason is not None
+        met["solutions"] += len(lazy_report.solutions)
+        deltas = list(lazy_report.solutions) + [perturbed(rng, lazy, s) for s in lazy_report.solutions[:20]]
+        deltas += [perturbed(rng, lazy, ()) for _ in range(5)]
+        for delta in deltas:
+            got = verdict(lazy, delta)
+            assert got == verdict(eager, delta), label
+            if got[0] is UnsatConstraint:
+                # the instance check_delta names is the first violated one
+                # of every ground constraint, in order
+                assert reference_check(eager, delta) == (UnsatConstraint, got[1]), label
+                met["violated lazy" if got[1].origin in origins else "violated eager"] += 1
+    floors = {
+        "lazy": 150, "groups": 70, "tests": 110, "units": 15, "repeated atoms": 60, "constants": 85,
+        "root conflict": 18, "lazy conflict": 5, "violated lazy": 230, "violated eager": 540,
+        "solutions": 3900,
+    }
+    assert all(met[case] >= floor for case, floor in floors.items()), met
+
+
+def test_blocks_compiles_few_constraint_clauses():
+    # the three-move rule's 20,580 instances stay unground: the search's
+    # clauses from constraints are the other rules' 2,841
+    theory = theory_for(bundled("blocks.alp"))
+    assert len(theory.constraints) == 2_841 and len(theory.lazy_denials) == 1
+    assert len(theory.expand_constraints()) == 23_421
+    assert _Search(theory, SolveOptions(), SolveStats()).n_constraint_clauses < 3_000
+
+
+LONG = "domain d == 1..4.\nabducible a(d).\nfalse <- a(X), a(Y), a(Z), X < Y, Y < Z.\n"
+
+
+def test_a_lazy_denial_past_the_cap_solves_but_does_not_dump(monkeypatch, tmp_path, capsys):
+    # The plain join of the rule meets 4 instances.  build_theory leaves
+    # them unground, so solve answers whatever the cap; dump expands
+    # them and stops at the cap with the grounder's positioned message.
+    monkeypatch.setattr(GROUND, "_CONSTRAINT_CAP", 4)
+    assert len(theory_for(LONG).expand_constraints()) == 4
+    monkeypatch.setattr(GROUND, "_CONSTRAINT_CAP", 3)
+    theory = theory_for(LONG)
+    assert len(solve(theory).solutions) == 11  # the sets of at most two atoms
+    with pytest.raises(GroundError, match="exceeded 3 constraint instances"):
+        theory.dump()
+    path = tmp_path / "long.alp"
+    path.write_text(LONG, encoding="utf-8")
+    assert cli.main(["solve", str(path), "--all"]) == 0
+    capsys.readouterr()
+    assert cli.main(["ground", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{path}:3:1: grounding exceeded 3 constraint instances in constraint false <- a(X)")
+
+
+@pytest.mark.parametrize(
+    "text, instance",
+    [
+        ("abducible a/0.\nabducible b/0.\nabducible c/0.\na <- true.\nb <- true.\nc <- true.\n"
+         "false <- a, b, c.\n", "false <- a, b, c."),
+        ("domain d == 1..3.\nabducible a(d).\na(1) <- true.\na(2) <- true.\na(3) <- true.\n"
+         "false <- a(X), a(Y), a(Z), X < Y, Y < Z.\n", "false <- a(1), a(2), a(3)."),
+        # a unit instance: a(2) at every literal
+        ("domain d == 1..3.\nabducible a(d).\na(2) <- true.\nfalse <- a(X), a(Y), a(Z), X = 2.\n",
+         "false <- a(2), a(2), a(2)."),
+    ],
+    ids=["propositional", "ordered", "unit"],
+)
+def test_a_root_conflict_in_a_lazy_denial_names_it(monkeypatch, tmp_path, capsys, text, instance):
+    theory = theory_for(text)
+    assert theory.lazy_denials
+    report = solve(theory)
+    reason = "constraints are contradictory before any hypothesis: " + instance
+    assert report.solutions == [] and report.unsat_reason == reason
+    assert solve(eager_theory(monkeypatch, text)).unsat_reason == reason
+    path = tmp_path / "root.alp"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["solve", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "no solutions\n" and err == reason + "\n"
+
+
+NEGATIVE_LOOP = (
+    "domain d == 1..4.\n"
+    "abducible a(d).\n"
+    "p :- not q, a(4).\n"
+    "q :- not p.\n"
+    "false <- a(X), a(Y), a(Z), X \\= Y, X \\= Z, Y \\= Z.\n"
+)
+
+
+def test_under_a_negative_loop_check_delta_rejects_leaves_that_break_a_lazy_denial(monkeypatch):
+    # With the lazy denial left out of propagation, the search reaches
+    # leaves where three a atoms are true.  Under the negative loop each
+    # leaf goes to check_delta, whose join over the leaf's model names
+    # the violated instance, so the solutions are still the right ones:
+    # the sets of at most two atoms without a(4), which wakes the loop.
+    theory = theory_for(NEGATIVE_LOOP)
+    expected = solve(theory)
+    assert len(expected.solutions) == 7 and expected.warnings
+    rejected = []
+    real = importlib.import_module("alp.solver").check_delta
+
+    def spy(theory, delta):
+        result = real(theory, delta)
+        if isinstance(result, UnsatConstraint):
+            rejected.append(result.rendered)
+        return result
+
+    monkeypatch.setattr("alp.solver.check_delta", spy)
+    monkeypatch.setattr(_Search, "_add_lazy_denials", lambda self, theory: None)
+    report = solve(theory)
+    assert report.solutions == expected.solutions
+    assert rejected == ["false <- a(1), a(2), a(3)."]
+    assert report.stats.checks > expected.stats.checks
+
+
+def test_a_search_over_lazy_denials_is_freed_without_the_cycle_collector(monkeypatch):
+    # the joins that the search compiles hold its assignment, not the
+    # search itself, so no reference cycle keeps it alive
+    searches = []
+
+    class Search(_Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(weakref.ref(self))
+
+    monkeypatch.setattr("alp.solver._Search", Search)
+    theory = theory_for(bundled("blocks.alp"))
+    gc.disable()
+    try:
+        assert solve(theory, SolveOptions(max_models=1)).solutions
+        assert len(searches) == 1 and searches[0]() is None
+    finally:
+        gc.enable()
