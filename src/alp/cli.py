@@ -50,7 +50,7 @@ def _load_theory(path: str, override_pairs: Sequence[str]) -> GroundTheory:
 
 
 def _delta_json(theory: GroundTheory, delta: Sequence[int]) -> str:
-    ranked = sorted(delta, key=lambda i: theory.atoms.atom(i).sort_key)
+    ranked = sorted(delta, key=theory.atoms.sort_keys.__getitem__)
     objs = [
         {"pred": theory.atoms.atom(i).pred, "args": list(theory.atoms.atom(i).args)}
         for i in ranked

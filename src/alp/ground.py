@@ -4,8 +4,13 @@ The grounder works against the possible-extension overestimate: starting
 from the abducible candidate universe and the abducible-independent base
 definitions, it closes the definition layer under rule application, so a
 ground atom is instantiated exactly when some hypothesis set could make
-it true.  Builtins are evaluated away during instantiation; negative
-literals never bind variables and are grounded after the positive part.
+it true.  The closure runs in rounds, semi-naively: after the first,
+a round joins each rule only through the atoms that the round before it
+made possible, and enumerates what the plain join enumerates, in the
+same order, minus instances it has already met (see "definition
+closure" below).  Builtins are evaluated away during instantiation;
+negative literals never bind variables and are grounded after the
+positive part.
 
 Each rule body compiles once per use into a chain of steps, a
 nested-loop join (see _compile_join): a step per positive literal,
@@ -136,29 +141,60 @@ class GroundAtom:
         return (self.pred, len(self.args), tuple(value_key(a) for a in self.args))
 
 
+class _Memo(dict):
+    """A dict from atom ids to make(atom), each made on its first lookup."""
+
+    __slots__ = ("_make", "_atoms")
+
+    def __init__(self, make: Callable, atoms: list[GroundAtom]):
+        super().__init__()
+        self._make = make
+        self._atoms = atoms
+
+    def __missing__(self, i: int):
+        value = self[i] = self._make(self._atoms[i])
+        return value
+
+
 class AtomTable:
-    """Interning table mapping ground atoms to dense integer ids."""
+    """Interning table mapping ground atoms to dense integer ids.
+
+    It is keyed by predicate, then by argument tuple, so the grounder
+    looks an atom up by its predicate and arguments (intern_args),
+    without building a key, and builds a GroundAtom only for an atom it
+    has not seen.  texts and sort_keys map ids to
+    each atom's text and sort key, made on first use and kept: printing
+    every solution renders and sorts the same few atoms again and again.
+    """
 
     def __init__(self):
-        self._ids: dict[GroundAtom, int] = {}
+        self._ids: dict[str, dict[tuple[Value, ...], int]] = {}  # pred -> args -> id
         self._atoms: list[GroundAtom] = []
+        self.texts = _Memo(str, self._atoms)
+        self.sort_keys = _Memo(operator.attrgetter("sort_key"), self._atoms)
 
     def intern(self, atom: GroundAtom) -> int:
-        i = self._ids.get(atom)
+        return self.intern_args(atom.pred, atom.args)
+
+    def intern_args(self, pred: str, args: tuple[Value, ...]) -> int:
+        """The id of pred(args), interned first if it is new."""
+        ids = self._ids.get(pred)
+        if ids is None:
+            ids = self._ids[pred] = {}
+        i = ids.get(args)
         if i is None:
-            i = len(self._atoms)
-            self._ids[atom] = i
-            self._atoms.append(atom)
+            i = ids[args] = len(self._atoms)
+            self._atoms.append(GroundAtom(pred, args))
         return i
 
     def get(self, atom: GroundAtom) -> int | None:
-        return self._ids.get(atom)
+        return self._ids.get(atom.pred, {}).get(atom.args)
 
     def atom(self, i: int) -> GroundAtom:
         return self._atoms[i]
 
     def render(self, i: int) -> str:
-        return str(self._atoms[i])
+        return self.texts[i]
 
     def __len__(self) -> int:
         return len(self._atoms)
@@ -270,8 +306,8 @@ class GroundTheory:
         return f"{heads} <- {', '.join(body) if body else 'true'}."
 
     def render_delta(self, delta) -> list[str]:
-        ranked = sorted(delta, key=lambda i: self.atoms.atom(i).sort_key)
-        return [f"{self.atoms.render(i)}." for i in ranked]
+        texts = self.atoms.texts
+        return [f"{texts[i]}." for i in sorted(delta, key=self.atoms.sort_keys.__getitem__)]
 
     def expand_constraints(self) -> list[GroundConstraint]:
         """Every ground constraint, as a grounding that instantiates each
@@ -793,6 +829,12 @@ class _Candidates:
     rank is the candidate's position in its list, so a bucket is sorted
     by rank and bisects on it.  The lists must not change once an index
     on them exists.
+
+    A list copied from a possible dict is the dict in insertion order,
+    and the closure only adds to a dict at its end.  So the candidates
+    that a round of the closure added since an earlier copy are a tail
+    of the list and of every bucket, all ranked at least the earlier
+    copy's length: the closure's Δ is a rank boundary (_delta_join).
     """
 
     def __init__(self, fixed: dict, possible: dict):
@@ -820,21 +862,37 @@ class _Candidates:
         ikey = (key, repeats, const_pos, var_pos, ranked)
         index = self._indexes.get(ikey)
         if index is None:
-            index = {}
-            var_key = itemgetter(*var_pos) if var_pos else None
-            for rank, cand in enumerate(self.lists.get(key, ())):
-                args = cand[0]
-                if any(args[i] != args[j] for i, j in repeats):
-                    continue
-                if ranked:
-                    cand += (rank,)
-                const_key = tuple(args[i] for i in const_pos)
-                if var_key is None:
-                    index.setdefault(const_key, []).append(cand)
-                else:
-                    index.setdefault(const_key, {}).setdefault(var_key(args), []).append(cand)
-            self._indexes[ikey] = index
-        return index.get(const_vals, {} if var_pos else ())
+            index = self._indexes[ikey] = self._index(key, repeats, const_pos, var_pos, ranked)
+        return index.get(const_vals[0] if len(const_vals) == 1 else const_vals, {} if var_pos else ())
+
+    def _index(self, key, repeats, const_pos, var_pos, ranked) -> dict:
+        """An index for table: keyed by the value at const_pos (a single
+        value for one position, () for none), then by the values at
+        var_pos when there are some."""
+        cands = self.lists.get(key, ())
+        if ranked:
+            cands = [cand + (rank,) for rank, cand in enumerate(cands)]
+        if repeats:
+            cands = [cand for cand in cands if all(cand[0][i] == cand[0][j] for i, j in repeats)]
+        const_key = itemgetter(*const_pos) if const_pos else None
+        var_key = itemgetter(*var_pos) if var_pos else None
+        if var_key is None:
+            if const_key is None:
+                return {(): cands}
+            index: dict = {}
+            for cand in cands:
+                index.setdefault(const_key(cand[0]), []).append(cand)
+            return index
+        if const_key is None:
+            buckets: dict = {}
+            for cand in cands:
+                buckets.setdefault(var_key(cand[0]), []).append(cand)
+            return {(): buckets}
+        index = {}
+        for cand in cands:
+            args = cand[0]
+            index.setdefault(const_key(args), {}).setdefault(var_key(args), []).append(cand)
+        return index
 
 
 def _enumerate_plan(
@@ -847,7 +905,7 @@ def _enumerate_plan(
 
 
 def _compile_join(
-    plan: _Plan, candidates: _Candidates, constants: dict[str, int], emit, groups=(), make_pos=None
+    plan: _Plan, candidates: _Candidates, constants: dict[str, int], emit, groups=(), make_pos=None, ranked=()
 ) -> Callable:
     """The join of a plan, as a function start(binding, pos_ids) that
     calls emit(binding, pos_ids) for every way to satisfy the body.
@@ -880,7 +938,9 @@ def _compile_join(
     make_pos(k, table, probe, fresh, link), when given, makes the step
     maker of the k-th positive literal in place of _pos_step or
     _ranked_pos_step, from the same table, probe, fresh variables and
-    rank cells (None outside a group); see LazyDenial.
+    rank cells (None outside a group); see LazyDenial.  The positive
+    literals whose indexes are in ranked get ranked tables outside a
+    group too, for make_pos to read the ranks (see _delta_join).
     """
     # Why narrowing changes nothing.  Buckets keep list order, so the
     # narrowed probe yields exactly the candidates with Y = X, in the
@@ -956,7 +1016,7 @@ def _compile_join(
         link = links.get(n_pos)
         table = candidates.table(
             atom.key, tuple(repeats), tuple(const_pos), tuple(const_vals), var_pos,
-            ranked=link is not None,
+            ranked=link is not None or n_pos in ranked,
         )
         probe = itemgetter(*(name for _, name in probes)) if probes else None
         if make_pos is not None:
@@ -1532,17 +1592,17 @@ def _ordered_plan(atoms: list[Atom], tests: list[Builtin], order: list[int], pla
 # ground atom construction
 
 
-def _compile_atom(atom: Atom, constants: dict[str, int], bounds: dict) -> Callable[[dict], GroundAtom]:
-    """A function from the binding to the ground instance of atom, whose
-    arguments evaluate as values (see _compile_term), left to right."""
-    pred = atom.pred
+def _compile_args(atom: Atom, constants: dict[str, int], bounds: dict) -> Callable[[dict], tuple[Value, ...]]:
+    """A function from the binding to the arguments of atom's ground
+    instance, which evaluate as values (see _compile_term), left to
+    right; AtomTable.intern_args takes them with the predicate."""
     if atom.args and all(isinstance(a, Var) for a in atom.args):
         get = itemgetter(*(a.name for a in atom.args))
         if len(atom.args) == 1:
-            return lambda binding: GroundAtom(pred, (get(binding),))
-        return lambda binding: GroundAtom(pred, get(binding))
+            return lambda binding: (get(binding),)
+        return get
     getters = [_getter(_compile_term(a, constants, bounds)) for a in atom.args]
-    return lambda binding: GroundAtom(pred, tuple([g(binding) for g in getters]))
+    return lambda binding: tuple([g(binding) for g in getters])
 
 
 def _unknown_bounds(body: tuple[Literal, ...]) -> dict:
@@ -1595,15 +1655,98 @@ def _int_hull(program: Program, domains: DomainTable, universe=()) -> tuple[int,
     return min(ints), max(ints)
 
 
-def _within_hull(atom: GroundAtom, hull: tuple[int, int] | None) -> bool:
+def _within_hull(args: tuple[Value, ...], hull: tuple[int, int] | None) -> bool:
     if hull is None:
-        return not any(isinstance(v, int) for v in atom.args)
+        return not any(isinstance(v, int) for v in args)
     lo, hi = hull
-    return all(lo <= v <= hi for v in atom.args if isinstance(v, int))
+    return all(lo <= v <= hi for v in args if isinstance(v, int))
 
 
 # ---------------------------------------------------------------------------
 # definition closure
+#
+# The closure runs in rounds.  Each round joins every rule over the
+# candidate lists as they stood when it began (one _Candidates per
+# round): the abducible candidates, which are fixed, and for each defined
+# predicate its possible dict, in insertion order.  A round's emits add
+# atoms to the possible dicts, so the next round sees them; the closure
+# ends after a round that added none.
+#
+# From the second round on, the join is semi-naive (Bancilhon and
+# Ramakrishnan, 1986): a *growing* literal is a positive literal over a
+# defined predicate, whose candidates come from the possible dicts, and
+# Δ is the atoms that the previous round added.  A rule with no growing
+# literal, or whose growing predicates gained no atom, is skipped.  Any
+# other rule runs its join as the first round would, except that its
+# last growing literal takes only Δ candidates when no earlier growing
+# literal took a Δ atom (_delta_join).
+#
+# Why this emits the same clauses, interns the same atoms and raises the
+# same errors, in the same order.  A possible dict only grows at its
+# end, so Δ is the tail of every candidate list and of every index
+# bucket: the pruned join is the plain join in the same order, minus
+# exactly the subtrees whose growing atoms all predate the previous
+# round.  Every instance in those subtrees was enumerated in the
+# previous round with the same binding, since its growing atoms were
+# candidates then, its other literals take the fixed abducible lists,
+# and its builtins compute the same values.  So its clause is already in
+# seen, it interns no new atom (its head and negative atoms were interned
+# then), and any GroundError it could raise was raised then.  Δ is
+# therefore marked by position in the lists, as a rank boundary in
+# ranked buckets, and never by atom id: emit interns a negative
+# literal's atom before that atom becomes possible (blocks' frame rule
+# interns terminates_on(B,T) first), so an old id can be a new
+# candidate.
+
+
+def _delta_join(
+    plan: _Plan, candidates: _Candidates, constants: dict[str, int], emit, growing, start: dict
+) -> Callable:
+    """The join of a plan in a semi-naive round, as _compile_join makes
+    it.  growing lists (k, key) for each growing literal: its index
+    among the positive literals and its predicate key, whose candidates
+    ranked start[key] or later are Δ.  The growing literals probe ranked
+    tables; the last takes only Δ unless an earlier one took a Δ atom,
+    which took[0] records."""
+    took = [False]
+    keys = dict(growing)
+    last = growing[-1][0]
+
+    def make_pos(k, table, probe, fresh, link):
+        if k not in keys:
+            return partial(_pos_step, table, probe, fresh)
+        return partial(_growing_step, table, probe, fresh, start[keys[k]], took, k == last)
+
+    return _compile_join(plan, candidates, constants, emit, make_pos=make_pos, ranked=keys)
+
+
+def _growing_step(table, probe, fresh, start, took, last, tests, nxt):
+    """Step over a growing literal, from a ranked table, whose Δ
+    candidates are those ranked start or later, the tail of the bucket.
+    took[0] is set while this literal or an earlier growing one takes a
+    Δ atom; unless it was set before, the last growing literal takes
+    only the Δ candidates."""
+
+    def step(binding, pos_ids):
+        bucket = table if probe is None else table.get(probe(binding), ())
+        earlier = took[0]
+        if last and not earlier:
+            bucket = bucket[bisect_left(bucket, start, key=_RANK):]
+        for args, atom_id, rank in bucket:
+            if rank >= start:
+                took[0] = True
+            for name, i in fresh:
+                binding[name] = args[i]
+            for test in tests:
+                if not test(binding):
+                    break
+            else:
+                nxt(binding, pos_ids + (atom_id,))
+        took[0] = earlier
+        for name, _ in fresh:
+            binding.pop(name, None)
+
+    return step
 
 
 def _close_definitions(
@@ -1619,28 +1762,28 @@ def _close_definitions(
 
     Returns the ground clause instances plus the per-predicate possible
     sets (args tuple -> atom id).  Clause instances are deduplicated per
-    rule and ground body; naive rounds re-run every rule until no new
-    atom becomes possible.
+    rule and ground body.  The first round runs every rule; each later
+    round joins only through the atoms that the round before it added
+    (see above), until a round adds no atom.
     """
-    possible: dict[tuple[str, int], dict[tuple, int]] = {}
-    for key in kinds:
-        if kinds[key] is PredKind.DEFINED:
-            possible[key] = {}
-
+    possible: dict[tuple[str, int], dict[tuple, int]] = {
+        key: {} for key, kind in kinds.items() if kind is PredKind.DEFINED
+    }
     clauses: list[GroundClause] = []
     seen: set[tuple] = set()
-    grew = True
+    intern = table.intern_args
 
     def emit_clause(idx: int, cl: Clause, plan: _Plan):
         bounds = _unknown_bounds(cl.body)
-        negs = [_compile_atom(n.atom, constants, bounds) for n in plan.negs]
-        head = _compile_atom(cl.head, constants, bounds)
+        negs = [(n.atom.pred, _compile_args(n.atom, constants, bounds)) for n in plan.negs]
+        pred = cl.head.pred
+        head = _compile_args(cl.head, constants, bounds)
+        ext = possible[cl.head.key]
 
         def emit(binding, pos_ids):
-            nonlocal grew
-            neg_ids = tuple([table.intern(neg(binding)) for neg in negs])
-            head_atom = head(binding)
-            head_id = table.intern(head_atom)
+            neg_ids = tuple([intern(neg_pred, neg(binding)) for neg_pred, neg in negs])
+            args = head(binding)
+            head_id = intern(pred, args)
             key = (idx, head_id, pos_ids, neg_ids)
             if key in seen:
                 return
@@ -1649,21 +1792,30 @@ def _close_definitions(
             if len(table) > _ATOM_CAP:
                 msg = f"grounding exceeded {_ATOM_CAP} atoms in {plan.label}"
                 raise _error(msg, plan.span)
-            if _within_hull(head_atom, hull):
-                ext = possible[cl.head.key]
-                if head_atom.args not in ext:
-                    ext[head_atom.args] = head_id
-                    grew = True
+            if args not in ext and _within_hull(args, hull):
+                ext[args] = head_id
 
         return emit
 
     emits = [emit_clause(idx, cl, plans[idx]) for idx, cl in enumerate(definitions)]
-    while grew:
-        grew = False
+    # per plan: each growing literal's index among the positive literals, and its key
+    growing = [
+        [(k, lit.atom.key) for k, lit in enumerate(step[1] for step in plan.steps if step[0] == "pos")
+         if lit.atom.key in possible]
+        for plan in plans
+    ]
+    start = None  # each list's length when the previous round began
+    while True:
         candidates = _Candidates(abd_candidates, possible)
-        for plan, emit in zip(plans, emits):
-            _enumerate_plan(plan, candidates, constants, emit)
-    return clauses, possible
+        sizes = {key: len(ext) for key, ext in possible.items()}
+        for plan, emit, grow in zip(plans, emits, growing):
+            if start is None:
+                _enumerate_plan(plan, candidates, constants, emit)
+            elif any(start[key] < sizes[key] for _, key in grow):
+                _delta_join(plan, candidates, constants, emit, grow, start)({}, ())
+        if all(len(ext) == sizes[key] for key, ext in possible.items()):
+            return clauses, possible
+        start = sizes
 
 
 # ---------------------------------------------------------------------------
@@ -1831,7 +1983,7 @@ def collect_forced(program: Program, kinds: dict, constants: dict[str, int]) -> 
             continue
         if _atom_vars(head.atom):
             raise _error(f"unbounded variable in unconditional constraint {con}", con.span)
-        ga = _compile_atom(head.atom, constants, {})({})
+        ga = GroundAtom(head.atom.pred, _compile_args(head.atom, constants, {})({}))
         if ga not in seen:
             seen.add(ga)
             forced.append(ga)
@@ -1938,7 +2090,7 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
         """The emit for one constraint, specialised to its shape when the
         plan is built."""
         bounds = _unknown_bounds(con.body)
-        negs = [_compile_atom(n.atom, constants, bounds) for n in plan.negs]
+        negs = [(n.atom.pred, _compile_args(n.atom, constants, bounds)) for n in plan.negs]
         n_pos = sum(isinstance(lit, Pos) for lit in con.body)
         if not con.heads and not negs:
             return _denial_emitter(origin, plan, groups, n_pos, seen, keep, count)
@@ -1947,24 +2099,25 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
         # negative body atoms, only the first is kept: the rest admit
         # exactly the same hypothesis sets.
         heads = [
-            (_getter(_compile_test(h, constants, bounds)), None)
+            (None, _getter(_compile_test(h, constants, bounds)), None)
             if isinstance(h, Builtin)
-            else (_compile_atom(h.atom, constants, bounds), isinstance(h, Pos))
+            else (h.atom.pred, _compile_args(h.atom, constants, bounds), isinstance(h, Pos))
             for h in con.heads
         ]
+        intern = table.intern_args
 
         def emit(binding, pos_ids):
             count[0] += _orbit_size(pos_ids, groups) if groups else 1
             if count[0] > _CONSTRAINT_CAP:
                 raise _over_cap(plan)
-            neg_ids = tuple([table.intern(neg(binding)) for neg in negs])
+            neg_ids = tuple([intern(pred, neg(binding)) for pred, neg in negs])
             head_ids: list[tuple[int, bool]] = []
-            for head, wanted in heads:
+            for pred, head, wanted in heads:
                 if wanted is None:
                     if head(binding):
                         return  # a builtin head holds: so does the constraint
                     continue  # a false builtin head drops out
-                head_ids.append((table.intern(head(binding)), wanted))
+                head_ids.append((intern(pred, head(binding)), wanted))
             if head_ids or neg_ids:
                 key = (_sorted_set(head_ids), _sorted_set(pos_ids), _sorted_set(neg_ids))
             else:  # every head folded away: a pure denial, keyed as one

@@ -392,6 +392,33 @@ def test_grounding_caps_report_the_rule(monkeypatch, tmp_path, capsys, cap, valu
     assert err.startswith(f"{path}:{line}:1: grounding exceeded {value} ")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("c(0).\nc(X+1) :- c(X).\nfalse <- c(40).\n", 2),
+        # c depends on an abducible: ground's closure, not the base model's
+        ("abducible a/0.\nc(0) :- a.\nc(X+1) :- c(X).\nfalse <- c(40).\n", 3),
+    ],
+    ids=["base-model", "ground"],
+)
+def test_atom_cap_crossed_in_a_later_round_reports_the_rule(monkeypatch, tmp_path, capsys, text, line):
+    # The first round makes c(0) possible and each later round one more
+    # c atom, up to the hull's top, 40: the cap of 20 atoms is crossed
+    # rounds later, at the recursive rule.
+    monkeypatch.setattr(importlib.import_module("alp.ground"), "_ATOM_CAP", 20)
+    with pytest.raises(GroundError, match="exceeded 20 atoms in clause c") as info:
+        theory_for(text, "chain.alp")
+    (diag,) = info.value.diagnostics
+    assert (diag.span.line, diag.span.column) == (line, 1)
+
+    path = tmp_path / "chain.alp"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["ground", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{path}:{line}:1: grounding exceeded 20 atoms in clause c(X+1) :- c(X).")
+
+
 @pytest.mark.parametrize("symmetric", [True, False])
 @pytest.mark.parametrize(
     "text, count, kept",
