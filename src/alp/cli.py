@@ -235,11 +235,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--minimal", action="store_true", help="keep only subset-minimal solutions"
     )
-    p_solve.add_argument("--json", action="store_true", help="one JSON array per solution")
-    p_solve.add_argument("--stats", action="store_true", help="print a search stats footer")
-    p_solve.add_argument(
+    output = p_solve.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="one JSON array per solution")
+    output.add_argument(
         "--trace", action="store_true", help="print fixpoint traces for each solution"
     )
+    p_solve.add_argument("--stats", action="store_true", help="print a search stats footer")
     add_overrides(p_solve)
     p_solve.set_defaults(fn=_cmd_solve)
 

@@ -694,7 +694,7 @@ def _compile_generator(lit: Builtin, constants: dict[str, int], bounds: dict) ->
         low = lof(binding)
         high = hif(binding)
         if high - low + 1 > _DOMAIN_CAP:
-            raise GroundError(f"interval {low}..{high} exceeds {_DOMAIN_CAP} values")
+            raise _error(f"interval {low}..{high} exceeds {_DOMAIN_CAP} values", lit.span)
         return range(low, high + 1)
 
     return values, value_bounds
@@ -825,10 +825,10 @@ class _Candidates:
     and groups each group by the values at some variable positions.
     Every bucket keeps the order of the list, so probing a bucket yields
     the same candidates in the same order as filtering the whole list.
-    A ranked index holds (args, atom id, rank) triples instead, where the
-    rank is the candidate's position in its list, so a bucket is sorted
-    by rank and bisects on it.  The lists must not change once an index
-    on them exists.
+    A candidate's rank is its position in its list (see rank), so every
+    bucket is in rank order, and the candidates ranked at least some
+    value are a tail of it, which bisect finds (_rank_cut).  The lists
+    must not change once an index or a rank on them exists.
 
     A list copied from a possible dict is the dict in insertion order,
     and the closure only adds to a dict at its end.  So the candidates
@@ -845,6 +845,7 @@ class _Candidates:
             self.lists[key] = list(ext.items())
         self._indexes: dict[tuple, dict] = {}
         self._bounds: dict[tuple, tuple | None] = {}
+        self._ranks: dict[tuple[str, int], dict[int, int]] = {}
 
     def bounds(self, key, i) -> tuple | None:
         """The (lo, hi) range of the values at position i of key's
@@ -855,23 +856,30 @@ class _Candidates:
             self._bounds[key, i] = (min(column), max(column)) if ints else None
         return self._bounds[key, i]
 
-    def table(self, key, repeats, const_pos, const_vals, var_pos, ranked=False):
+    def rank(self, key) -> dict[int, int]:
+        """The rank of each of key's candidates, by atom id: an atom is
+        a candidate at most once per list, since the abducible lists
+        hold distinct atoms and a possible dict maps args to ids."""
+        ranks = self._ranks.get(key)
+        if ranks is None:
+            ranks = self._ranks[key] = {atom_id: n for n, (_, atom_id) in enumerate(self.lists.get(key, ()))}
+        return ranks
+
+    def table(self, key, repeats, const_pos, const_vals, var_pos):
         """The candidates whose repeated positions agree and whose const_pos
         hold const_vals: a list when var_pos is empty, else a dict from the
         values at var_pos (a single value for one position) to lists."""
-        ikey = (key, repeats, const_pos, var_pos, ranked)
+        ikey = (key, repeats, const_pos, var_pos)
         index = self._indexes.get(ikey)
         if index is None:
-            index = self._indexes[ikey] = self._index(key, repeats, const_pos, var_pos, ranked)
+            index = self._indexes[ikey] = self._index(key, repeats, const_pos, var_pos)
         return index.get(const_vals[0] if len(const_vals) == 1 else const_vals, {} if var_pos else ())
 
-    def _index(self, key, repeats, const_pos, var_pos, ranked) -> dict:
+    def _index(self, key, repeats, const_pos, var_pos) -> dict:
         """An index for table: keyed by the value at const_pos (a single
         value for one position, () for none), then by the values at
         var_pos when there are some."""
         cands = self.lists.get(key, ())
-        if ranked:
-            cands = [cand + (rank,) for rank, cand in enumerate(cands)]
         if repeats:
             cands = [cand for cand in cands if all(cand[0][i] == cand[0][j] for i, j in repeats)]
         const_key = itemgetter(*const_pos) if const_pos else None
@@ -905,7 +913,7 @@ def _enumerate_plan(
 
 
 def _compile_join(
-    plan: _Plan, candidates: _Candidates, constants: dict[str, int], emit, groups=(), make_pos=None, ranked=()
+    plan: _Plan, candidates: _Candidates, constants: dict[str, int], emit, groups=(), make_selector=None
 ) -> Callable:
     """The join of a plan, as a function start(binding, pos_ids) that
     calls emit(binding, pos_ids) for every way to satisfy the body.
@@ -932,36 +940,32 @@ def _compile_join(
     groups lists symmetric groups of positive literals, by their index
     in pos_ids (see _symmetric_groups).  Each literal of a group after
     its first takes only the candidates ranked at least as high as the
-    one the group's previous literal took, so of every way to permute a
-    group's candidates only the one with ranks in order is enumerated.
+    atom that the group's previous literal took, which pos_ids holds,
+    so of every way to permute a group's candidates only the one with
+    ranks in order is enumerated.
 
-    make_pos(k, table, probe, fresh, link), when given, makes the step
-    maker of the k-th positive literal in place of _pos_step or
-    _ranked_pos_step, from the same table, probe, fresh variables and
-    rank cells (None outside a group); see LazyDenial.  The positive
-    literals whose indexes are in ranked get ranked tables outside a
-    group too, for make_pos to read the ranks (see _delta_join).
+    make_selector(k, table, probe, cut), when given, makes the selector
+    of the k-th positive literal (see _selector) in place of
+    _selector(table, probe, cut), where cut is the literal's group cut
+    or None; see LazyDenial and _delta_join.
     """
     # Why narrowing changes nothing.  Buckets keep list order, so the
     # narrowed probe yields exactly the candidates with Y = X, in the
     # order the plain probe yields them; it skips the others.  A skipped
     # candidate would have bound the literal's fresh variables, run the
     # tests placed before X = Y, and then failed X = Y: no later step
-    # runs for it, so it emits nothing and writes no rank cell a later
-    # step reads.  The kept candidates bind the same values (Y from its
-    # own column, equal to X) and run the same tests.  So emit sees the
-    # same calls in the same order, and the enumeration ends with the
+    # runs for it, so it emits nothing and puts no atom in the pos_ids a
+    # later step reads.  The kept candidates bind the same values (Y from
+    # its own column, equal to X) and run the same tests.  So emit sees
+    # the same calls in the same order, and the enumeration ends with the
     # same GroundError unless one of the skipped tests would have raised
     # first.  That is ruled out at compile time: the tests between the
     # literal and X = Y must all be safe (_Term.safe), which they are,
     # for instance, when their arithmetic stays in range and their
     # ordering comparisons read integer columns only.  A generator in
     # between also stops narrowing.
-    links = {}  # positive literal index -> (rank cell it reads, rank cell it writes)
-    for group in groups:
-        cells = [[0] for _ in group]
-        for n, k in enumerate(group):
-            links[k] = (cells[n - 1] if n else None, cells[n])
+    # positive literal of a group -> the group's literal before it
+    previous = {k: prev for group in groups for prev, k in zip(group, group[1:])}
     steps = plan.steps
     bounds: dict[str, tuple | None] = {}  # bound variable -> bounds of its values
     lead: list[_Term] = []  # tests that run before the first step
@@ -1012,19 +1016,19 @@ def _compile_join(
                     continue
             safe = safe and _compile_test(lit, constants, bounds).safe
         probes.sort()
-        var_pos = tuple(i for i, _ in probes)
-        link = links.get(n_pos)
         table = candidates.table(
-            atom.key, tuple(repeats), tuple(const_pos), tuple(const_vals), var_pos,
-            ranked=link is not None or n_pos in ranked,
+            atom.key, tuple(repeats), tuple(const_pos), tuple(const_vals), tuple(i for i, _ in probes)
         )
         probe = itemgetter(*(name for _, name in probes)) if probes else None
-        if make_pos is not None:
-            makers.append((make_pos(n_pos, table, probe, tuple(fresh), link), []))
-        elif link is None:
-            makers.append((partial(_pos_step, table, probe, tuple(fresh)), []))
+        cut = None
+        if n_pos in previous:
+            rank = candidates.rank(atom.key)
+            cut = _rank_cut(rank, lambda pos_ids, rank=rank, prev=previous[n_pos]: rank[pos_ids[prev]])
+        if make_selector is None:
+            select = _selector(table, probe, cut)
         else:
-            makers.append((partial(_ranked_pos_step, table, probe, tuple(fresh), *link), []))
+            select = make_selector(n_pos, table, probe, cut)
+        makers.append((partial(_pos_step, select, tuple(fresh)), []))
         n_pos += 1
 
     step = emit
@@ -1041,42 +1045,57 @@ def _compile_join(
     return start
 
 
-def _pos_step(table, probe, fresh, tests, nxt):
-    """Step over the candidates of one positive literal: the whole bucket
-    list when probe is None, else the bucket the bound values select;
-    each candidate that passes all tests goes on to nxt."""
+def _selector(table, probe, cut=None, value=None, open_=False):
+    """The selector of a positive literal: a function from the binding
+    and pos_ids to the candidates the literal takes there, in order.
+
+    Those are the bucket that probe selects from table (all of table
+    when probe is None), cut(bucket, pos_ids) when cut is given, and
+    then, when value is given, only the atoms that value makes true
+    (value[2 * id] == 1), or with open_ those it does not make false
+    (value[2 * id] != 0).  A candidate filtered out costs one lookup,
+    before it binds anything."""
+    if cut is None and value is None:
+        if probe is None:
+            return lambda binding, pos_ids: table
+        get = table.get
+        return lambda binding, pos_ids: get(probe(binding), ())
+
+    def select(binding, pos_ids):
+        bucket = table if probe is None else table.get(probe(binding), ())
+        if cut is not None:
+            bucket = cut(bucket, pos_ids)
+        if value is None:
+            return bucket
+        if open_:
+            return [cand for cand in bucket if value[2 * cand[1]] != 0]
+        return [cand for cand in bucket if value[2 * cand[1]] == 1]
+
+    return select
+
+
+def _rank_cut(rank, low):
+    """A cut for _selector to the candidates of a bucket ranked at least
+    low(pos_ids), by the ranks of _Candidates.rank: the bucket's tail
+    from there, since a bucket is in rank order."""
+
+    def by_rank(cand):
+        return rank[cand[1]]
+
+    def cut(bucket, pos_ids):
+        lo = low(pos_ids)
+        return bucket[bisect_left(bucket, lo, key=by_rank):] if lo else bucket
+
+    return cut
+
+
+def _pos_step(select, fresh, tests, nxt):
+    """Step over the candidates that select(binding, pos_ids) gives one
+    positive literal; each candidate that passes all tests goes on to
+    nxt."""
 
     def step(binding, pos_ids):
-        bucket = table if probe is None else table.get(probe(binding), ())
-        for args, atom_id in bucket:
-            for name, i in fresh:
-                binding[name] = args[i]
-            for test in tests:
-                if not test(binding):
-                    break
-            else:
-                nxt(binding, pos_ids + (atom_id,))
-        for name, _ in fresh:
-            binding.pop(name, None)
-
-    return step
-
-
-_RANK = itemgetter(2)
-
-
-def _ranked_pos_step(table, probe, fresh, rank_in, rank_out, tests, nxt):
-    """Step over the candidates of one literal of a symmetric group, from
-    a ranked table: only those ranked at least rank_in[0] when the group
-    has an earlier literal, and each one's rank goes to rank_out[0] for
-    the next."""
-
-    def step(binding, pos_ids):
-        bucket = table if probe is None else table.get(probe(binding), ())
-        if rank_in is not None:
-            bucket = bucket[bisect_left(bucket, rank_in[0], key=_RANK):]
-        for args, atom_id, rank in bucket:
-            rank_out[0] = rank
+        for args, atom_id in select(binding, pos_ids):
             for name, i in fresh:
                 binding[name] = args[i]
             for test in tests:
@@ -1102,58 +1121,6 @@ def _gen_step(name, values, tests, nxt):
             else:
                 nxt(binding, pos_ids)
         binding.pop(name, None)
-
-    return step
-
-
-def _true_step(value, table, probe, fresh, link, tests, nxt):
-    """_pos_step, or _ranked_pos_step when link holds rank cells, over
-    the candidates that value makes true (value[2 * id] == 1) only: a
-    candidate that is not costs one lookup, before it binds anything."""
-    rank_in, rank_out = link or (None, None)
-
-    def step(binding, pos_ids):
-        bucket = table if probe is None else table.get(probe(binding), ())
-        if rank_in is not None:
-            bucket = bucket[bisect_left(bucket, rank_in[0], key=_RANK):]
-        for cand in bucket:
-            atom_id = cand[1]
-            if value[2 * atom_id] != 1:
-                continue
-            if rank_out is not None:
-                rank_out[0] = cand[2]
-            args = cand[0]
-            for name, i in fresh:
-                binding[name] = args[i]
-            for test in tests:
-                if not test(binding):
-                    break
-            else:
-                nxt(binding, pos_ids + (atom_id,))
-        for name, _ in fresh:
-            binding.pop(name, None)
-
-    return step
-
-
-def _open_step(value, table, probe, fresh, tests, nxt):
-    """_pos_step over the candidates that value does not make false
-    (value[2 * id] != 0): the true ones and the unassigned ones."""
-
-    def step(binding, pos_ids):
-        bucket = table if probe is None else table.get(probe(binding), ())
-        for args, atom_id in bucket:
-            if value[2 * atom_id] == 0:
-                continue
-            for name, i in fresh:
-                binding[name] = args[i]
-            for test in tests:
-                if not test(binding):
-                    break
-            else:
-                nxt(binding, pos_ids + (atom_id,))
-        for name, _ in fresh:
-            binding.pop(name, None)
 
     return step
 
@@ -1415,11 +1382,12 @@ class LazyDenial:
         def found(binding, pos_ids):
             raise _StopJoin(pos_ids)
 
-        def make_pos(k, table, probe, fresh, link):
-            return partial(_true_step, value, table, probe, fresh, link)
+        def make_selector(k, table, probe, cut):
+            return _selector(table, probe, cut, value)
 
         try:
-            _compile_join(self.plan, self.candidates, self.constants, found, self.groups, make_pos)({}, ())
+            join = _compile_join(self.plan, self.candidates, self.constants, found, self.groups, make_selector)
+            join({}, ())
         except _StopJoin as stop:
             return GroundConstraint((), stop.args[0], (), self.origin)
         return None
@@ -1469,15 +1437,15 @@ class LazyDenial:
             cell: list = [None]
             seeds: list = []
 
-            def make_pos(k, table, probe, fresh, link):
+            # cell=cell: the seed's selector keeps this plan's cell, not the
+            # last one the loop makes
+            def make_selector(k, table, probe, cut, cell=cell):
                 if k == 0:
                     seeds.extend(table)  # the candidates this literal admits
-                    return partial(_pos_step, cell, None, fresh)
-                if k == n_pos - 1:
-                    return partial(_open_step, value, table, probe, fresh)
-                return partial(_true_step, value, table, probe, fresh, link)
+                    return lambda binding, pos_ids: cell
+                return _selector(table, probe, cut, value, open_=k == n_pos - 1)
 
-            start = _compile_join(plan, self.candidates, self.constants, imply, groups, make_pos)
+            start = _compile_join(plan, self.candidates, self.constants, imply, groups, make_selector)
             for cand in seeds:
                 triggers.setdefault(cand[1], []).append((cell, cand, start))
         return triggers
@@ -1692,11 +1660,17 @@ def _within_hull(args: tuple[Value, ...], hull: tuple[int, int] | None) -> bool:
 # and its builtins compute the same values.  So its clause is already in
 # seen, it interns no new atom (its head and negative atoms were interned
 # then), and any GroundError it could raise was raised then.  Δ is
-# therefore marked by position in the lists, as a rank boundary in
-# ranked buckets, and never by atom id: emit interns a negative
+# therefore marked by position in the lists, as a rank boundary
+# (_Candidates.rank), and never by atom id: emit interns a negative
 # literal's atom before that atom becomes possible (blocks' frame rule
 # interns terminates_on(B,T) first), so an old id can be a new
 # candidate.
+#
+# Whether an earlier growing literal took a Δ atom is read from pos_ids,
+# which holds the atom each earlier literal took: it did when that
+# atom's rank is at least its key's start.  A literal's candidates come
+# in rank order, so once it takes a Δ atom every later one it takes is
+# Δ too; what is asked is only whether its current atom is Δ.
 
 
 def _delta_join(
@@ -1705,48 +1679,24 @@ def _delta_join(
     """The join of a plan in a semi-naive round, as _compile_join makes
     it.  growing lists (k, key) for each growing literal: its index
     among the positive literals and its predicate key, whose candidates
-    ranked start[key] or later are Δ.  The growing literals probe ranked
-    tables; the last takes only Δ unless an earlier one took a Δ atom,
-    which took[0] records."""
-    took = [False]
-    keys = dict(growing)
-    last = growing[-1][0]
+    ranked start[key] or later are Δ.  The last growing literal takes
+    only Δ unless the atom that an earlier one took, in pos_ids, is Δ."""
+    *earlier, (last, key) = growing
+    earlier = [(k, candidates.rank(k_key), start[k_key]) for k, k_key in earlier]
+    delta = start[key]
 
-    def make_pos(k, table, probe, fresh, link):
-        if k not in keys:
-            return partial(_pos_step, table, probe, fresh)
-        return partial(_growing_step, table, probe, fresh, start[keys[k]], took, k == last)
+    def low(pos_ids):
+        for k, rank, first in earlier:
+            if rank[pos_ids[k]] >= first:
+                return 0
+        return delta
 
-    return _compile_join(plan, candidates, constants, emit, make_pos=make_pos, ranked=keys)
+    cut = _rank_cut(candidates.rank(key), low)
 
+    def make_selector(k, table, probe, _group_cut):
+        return _selector(table, probe, cut if k == last else None)
 
-def _growing_step(table, probe, fresh, start, took, last, tests, nxt):
-    """Step over a growing literal, from a ranked table, whose Δ
-    candidates are those ranked start or later, the tail of the bucket.
-    took[0] is set while this literal or an earlier growing one takes a
-    Δ atom; unless it was set before, the last growing literal takes
-    only the Δ candidates."""
-
-    def step(binding, pos_ids):
-        bucket = table if probe is None else table.get(probe(binding), ())
-        earlier = took[0]
-        if last and not earlier:
-            bucket = bucket[bisect_left(bucket, start, key=_RANK):]
-        for args, atom_id, rank in bucket:
-            if rank >= start:
-                took[0] = True
-            for name, i in fresh:
-                binding[name] = args[i]
-            for test in tests:
-                if not test(binding):
-                    break
-            else:
-                nxt(binding, pos_ids + (atom_id,))
-        took[0] = earlier
-        for name, _ in fresh:
-            binding.pop(name, None)
-
-    return step
+    return _compile_join(plan, candidates, constants, emit, make_selector=make_selector)
 
 
 def _close_definitions(

@@ -11,7 +11,7 @@ raises, with the same message and diagnostic span.
 from __future__ import annotations
 
 from alp.ground import _DOMAIN_CAP, Value, _apply_arith, _error
-from alp.syntax import Builtin, GroundError, IntConst, Range, SymConst, Term, Var
+from alp.syntax import Builtin, IntConst, Range, SymConst, Term, Var
 
 
 class _Unbound(Exception):
@@ -77,7 +77,7 @@ def eval_builtin(
                 lo = _eval_int(rng.lo, binding, constants)
                 hi = _eval_int(rng.hi, binding, constants)
                 if hi - lo + 1 > _DOMAIN_CAP:
-                    raise GroundError(f"interval {lo}..{hi} exceeds {_DOMAIN_CAP} values")
+                    raise _error(f"interval {lo}..{hi} exceeds {_DOMAIN_CAP} values", lit.span)
                 name = lit.lhs.name
                 return [dict(binding, **{name: v}) for v in range(lo, hi + 1)]
             v = _eval_value(lit.lhs, binding, constants)

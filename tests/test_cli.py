@@ -70,6 +70,16 @@ def test_solve_all_and_max_models_exclude_each_other(queens, capsys):
     assert "not allowed with argument --all" in err
 
 
+def test_solve_json_and_trace_exclude_each_other(queens, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", queens, "-c", "size=4", "--all", "--json", "--trace"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[--json | --trace]" in err
+    assert "not allowed with argument --json" in err
+
+
 def test_solve_reports_no_solutions(queens, capsys):
     code, out, _err = run(capsys, "solve", queens, "-c", "size=2")
     assert code == 1

@@ -374,22 +374,32 @@ CAPPED = (
 
 
 @pytest.mark.parametrize(
-    "cap,value,line,what",
-    [("_ATOM_CAP", 20, 3, "atoms in clause p"), ("_CONSTRAINT_CAP", 5, 4, "constraint instances")],
+    "cap,value,line,column,what",
+    [
+        ("_ATOM_CAP", 20, 3, 1, "grounding exceeded 20 atoms in clause p"),
+        ("_CONSTRAINT_CAP", 5, 4, 1, "grounding exceeded 5 constraint instances"),
+        # the interval's builtin, at its operator
+        ("_DOMAIN_CAP", 20, 3, 11, "interval 1..40 exceeds 20 values"),
+    ],
+    ids=[
+        "_ATOM_CAP-20-3-atoms in clause p",
+        "_CONSTRAINT_CAP-5-4-constraint instances",
+        "_DOMAIN_CAP-20-3-interval",
+    ],
 )
-def test_grounding_caps_report_the_rule(monkeypatch, tmp_path, capsys, cap, value, line, what):
+def test_grounding_caps_report_the_rule(monkeypatch, tmp_path, capsys, cap, value, line, column, what):
     monkeypatch.setattr(importlib.import_module("alp.ground"), cap, value)
-    with pytest.raises(GroundError, match=what) as info:
+    with pytest.raises(GroundError, match=re.escape(what)) as info:
         theory_for(CAPPED, "capped.alp")
     (diag,) = info.value.diagnostics
-    assert (diag.span.line, diag.span.column) == (line, 1)
+    assert (diag.span.line, diag.span.column) == (line, column)
 
     path = tmp_path / "capped.alp"
     path.write_text(CAPPED, encoding="utf-8")
     assert cli.main(["ground", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"{path}:{line}:1: grounding exceeded {value} ")
+    assert err.startswith(f"{path}:{line}:{column}: {what}")
 
 
 @pytest.mark.parametrize(

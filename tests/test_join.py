@@ -6,6 +6,10 @@ position in the sequence, and on whether the enumeration ends in a
 GroundError (an ordering test or arithmetic on a symbol), with the same
 message and diagnostic spans.  Every term and builtin carries a span of
 its own, so an error reported at the wrong one shows.
+
+The same comparison covers the joins that take only some candidates by
+rank, a candidate's position in its list: with symmetric groups, and
+with a semi-naive round's Δ (_delta_join).
 """
 
 import itertools
@@ -13,7 +17,7 @@ import random
 
 import pytest
 
-from alp.ground import _Candidates, _enumerate_plan, _plan_rule
+from alp.ground import _Candidates, _delta_join, _enumerate_plan, _plan_rule
 from alp.syntax import (
     ArithExpr,
     Atom,
@@ -60,9 +64,29 @@ def match(pattern, values, binding):
     return out
 
 
-def naive_join(plan, lists, constants):
-    """Reference: every candidate of every literal in turn, filtered."""
+def naive_join(plan, lists, constants, groups=(), delta=None):
+    """Reference: every candidate of every literal in turn, filtered.
+
+    With groups, a literal of a group after its first skips the
+    candidates ranked below the atom that the group's previous literal
+    took, so the instances are those whose group ranks do not decrease.
+    With delta, a pair (growing, start) as _delta_join takes them, the
+    last growing literal skips the candidates ranked below its key's
+    start unless an earlier one took an atom ranked at least its own
+    key's start, so the instances are those with a Δ atom."""
     steps = plan.steps
+    rank = {atom_id: n for entries in lists.values() for n, (_, atom_id) in enumerate(entries)}
+    previous = {k: group[n - 1] for group in groups for n, k in enumerate(group) if n}
+    growing, start = delta or ((), {})
+
+    def floor(k, pos_ids):
+        """The lowest rank the k-th positive literal takes."""
+        if k in previous:
+            return rank[pos_ids[previous[k]]]
+        if growing and k == growing[-1][0]:
+            if not any(rank[pos_ids[j]] >= start[key] for j, key in growing[:-1]):
+                return start[growing[-1][1]]
+        return 0
 
     def rec(i, binding, pos_ids):
         if i == len(steps):
@@ -70,7 +94,10 @@ def naive_join(plan, lists, constants):
             return
         lit = steps[i][1]
         if steps[i][0] == "pos":
+            low = floor(len(pos_ids), pos_ids)
             for values, atom_id in lists.get(lit.atom.key, ()):
+                if rank[atom_id] < low:
+                    continue
                 extended = match(lit.atom.args, values, binding)
                 if extended is not None:
                     yield from rec(i + 1, extended, pos_ids + (atom_id,))
@@ -172,9 +199,55 @@ def linked_body(rng):
     return tuple(body)
 
 
-def compare_joins(rng, make_body, int_columns=0.0):
+def repeated_body(rng):
+    """A body of two to four positive literals over one or two
+    predicates, so that literals share a predicate, with a few tests."""
+    preds = rng.sample(PREDS, rng.randint(1, 2))
+    body = []
+    for _ in range(rng.randint(2, 4)):
+        pred, arity = rng.choice(preds)
+        body.append(Pos(Atom(pred, tuple(random_term(rng) for _ in range(arity)))))
+    for _ in range(rng.randint(0, 2)):
+        body.insert(rng.randint(0, len(body)), random_builtin(rng))
+    return tuple(body)
+
+
+def positive_keys(plan):
+    return [step[1].atom.key for step in plan.steps if step[0] == "pos"]
+
+
+def random_groups(rng, plan, lists):
+    """Disjoint groups of two or more positive literals of one predicate,
+    each in pos_ids order, as _symmetric_groups gives them, and no Δ."""
+    keys = positive_keys(plan)
+    groups = []
+    for key in dict.fromkeys(keys):
+        ks = [k for k, other in enumerate(keys) if other == key]
+        rng.shuffle(ks)
+        while len(ks) >= 2 and rng.random() < 0.8:
+            size = rng.randint(2, len(ks))
+            groups.append(tuple(sorted(ks[:size])))
+            ks = ks[size:]
+    return groups, None
+
+
+def random_delta(rng, plan, lists):
+    """No groups, and a semi-naive round's Δ as (growing, start):
+    growing lists (k, key) for the positive literals over some of the
+    body's predicates, and start maps each of those keys to where its Δ
+    begins in its list."""
+    keys = positive_keys(plan)
+    chosen = {key for key in keys if rng.random() < 0.7} or {rng.choice(keys)}
+    start = {key: rng.randint(0, len(lists.get(key, ()))) for key in chosen}
+    return (), ([(k, key) for k, key in enumerate(keys) if key in chosen], start)
+
+
+def compare_joins(rng, make_body, int_columns=0.0, prune=None):
     """Compare the two joins on 150 safe bodies from make_body; a share
-    int_columns of them get candidate lists of integers only."""
+    int_columns of them get candidate lists of integers only.  prune,
+    when given, is random_groups or random_delta, which give the groups
+    and the Δ the two joins take; with a Δ, the compiled join is
+    _delta_join."""
     checked = 0
     while checked < 150:
         body = make_body(rng)
@@ -183,13 +256,20 @@ def compare_joins(rng, make_body, int_columns=0.0):
         except GroundError:
             continue  # unsafe body: no plan to compare
         lists = random_lists(rng, VALUES[:3] if rng.random() < int_columns else VALUES)
-        compiled = run(
-            lambda out: _enumerate_plan(
-                plan, _Candidates(lists, {}), {}, lambda b, ids: out.append((dict(b), ids))
-            )
-        )
-        reference = run(lambda out: out.extend(naive_join(plan, lists, {})))
-        assert compiled == reference, [str(lit) for lit in body]
+        groups, delta = prune(rng, plan, lists) if prune else ((), None)
+
+        def enumerate_compiled(out):
+            def emit(binding, pos_ids):
+                out.append((dict(binding), pos_ids))
+
+            if delta is None:
+                _enumerate_plan(plan, _Candidates(lists, {}), {}, emit, groups)
+            else:
+                _delta_join(plan, _Candidates(lists, {}), {}, emit, *delta)({}, ())
+
+        compiled = run(enumerate_compiled)
+        reference = run(lambda out: out.extend(naive_join(plan, lists, {}, groups, delta)))
+        assert compiled == reference, ([str(lit) for lit in body], groups, delta)
         checked += 1
 
 
@@ -203,3 +283,13 @@ def test_compiled_join_matches_nested_loops_where_equality_links_literals(seed):
     # The ordering tests before X = Y can raise on mixed columns, so the
     # probe may be narrowed only where the columns they read are integers.
     compare_joins(random.Random(7400 + seed), linked_body, int_columns=0.35)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compiled_join_matches_nested_loops_over_symmetric_groups(seed):
+    compare_joins(random.Random(7500 + seed), repeated_body, prune=random_groups)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_delta_join_matches_nested_loops_with_a_delta_atom(seed):
+    compare_joins(random.Random(7600 + seed), repeated_body, prune=random_delta)
