@@ -171,6 +171,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.which == "queens":
+        if args.n < 0:
+            raise SolveError(f"N must be at least 0, got {args.n}")
         count, solutions = queens_brute(args.n)
         args.status = 0
         print(count)
@@ -189,6 +191,20 @@ def _cmd_oracle(args) -> int:
             goal = {int(b): _location(loc) for b, loc in goal}
     except (KeyError, TypeError, ValueError) as exc:
         raise SolveError(f"{args.file}: malformed plan file ({exc})") from None
+    # simulate_plan ignores moves outside the horizon and takes any
+    # block it is given: such a plan would pass unchecked.
+    if horizon < 0:
+        raise SolveError(f"{args.file}: horizon must be at least 0, got {horizon}")
+    for b, target, at in moves:
+        if not 0 <= at < horizon:
+            raise SolveError(
+                f"{args.file}: move of block {b} at time {at} is outside the horizon {horizon}"
+            )
+        for block in (b, target):
+            if isinstance(block, int) and block not in initial:
+                raise SolveError(
+                    f"{args.file}: move of block {b} names block {block}, not in initial"
+                )
     final = simulate_plan(initial, moves, horizon)
     failed = isinstance(final, Violation) or (goal is not None and final != goal)
     args.status = 1 if failed else 0

@@ -20,9 +20,12 @@ ones through two watched literals each, listed in one watch array per
 literal (Chaff, MiniSat), so assigning a literal visits only the
 clauses that may have become unit, and undoing it only resets its
 entry: backtracking pops the trail and touches no clause.  The search
-branches first-fail on the open support clauses, the goals an abductive
-proof still has to meet: a completion clause that needs one of a
-defined atom's bodies, or a constraint with heads.  Of those not yet
+branches first-fail on the open support clauses: the clauses of three
+or more literals, none from a denial, that hold a candidate.  Each is a
+constraint with heads, a completion clause by which a defined atom
+needs one of its bodies, or the clause of a body's auxiliary variable,
+which makes it true once all of the body's literals are (most support
+clauses of blocks and hamcycle are of this kind).  Of those not yet
 satisfied that still have an unassigned candidate, the first with the
 fewest unassigned literals gives the decision, its first unassigned
 candidate, tried absent before present; with none open, the candidates
@@ -345,8 +348,8 @@ class _Search:
                 if not constraints[ci].heads:
                     self.is_denial[position[keys[ci]]] = True
         self.n_constraint_clauses = len(self.clauses)
-        self._find_loops(theory.clauses)
-        self._add_completion(theory.clauses, origin_of)
+        bodies = self._find_loops(theory.clauses)
+        self._add_completion(bodies, origin_of)
 
     def _add_lazy_denials(self, theory: GroundTheory):
         """Compile the lazy denials: triggers[2 * a] lists the joins to
@@ -375,55 +378,88 @@ class _Search:
                 triggers.setdefault(2 * a, []).extend(runs)
             self.denial_units += [(a, conflict) for a in rule.unit_atoms()]
 
-    def _add_completion(self, clauses: list[GroundClause], origin_of: dict[tuple[int, ...], int]):
+    def _add_completion(
+        self, bodies: dict[int, dict[tuple, int]], origin_of: dict[tuple[int, ...], int]
+    ):
+        """Add the completion of the definition layer, from each head's
+        distinct bodies (see _find_loops).  A fact head is a unit clause.
+        Otherwise each body stands for its one literal or for a fresh
+        variable dj equivalent to its conjunction, each body implies the
+        head, and the head implies the disjunction of its bodies, its
+        support clause.
+
+        The clauses are those that adding each one through _key and the
+        dedup dict origin_of would give, in the same order, but a clause
+        holding a fresh dj skips both.  No clause made before dj holds
+        it, and of those made later only its head's support clause may.
+        So the clauses of one body, (lit, ¬dj) for each literal,
+        (¬lits..., dj) and (2h, ¬dj), are new but for repeats among
+        themselves: a repeated literal, the head clause when the head is
+        a positive body atom (it is then one of the (lit, ¬dj)), and the
+        body clause when it is a tautology, the body holding an atom
+        and its negation.  They are appended sorted, since dj is the
+        greatest variable so far.  A support clause holding a fresh dj
+        may equal only a body clause of its own head, and only when it
+        holds one dj: that dj's body clause.  The other clauses hold
+        atoms only and may repeat a constraint clause or one another."""
+        clauses = self.clauses
+        origins = self.origins
+        first = len(clauses)
+
         def add(key: tuple[int, ...] | None, origin: int):
             """Add a completion clause with sorted literal set key, unless
             it is a tautology (None, see alp.ground._key) or in already."""
             if key is None or key in origin_of:
                 return
             origin_of[key] = origin
-            self.clauses.append(key)
-            self.origins.append(origin)
-            self.is_denial.append(False)
+            clauses.append(key)
+            origins.append(origin)
 
-        bodies_by_head: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-        order: list[int] = []
-        for gc in clauses:
-            if gc.head not in bodies_by_head:
-                bodies_by_head[gc.head] = []
-                order.append(gc.head)
-            entry = (gc.pos, gc.neg)
-            if entry not in bodies_by_head[gc.head]:
-                bodies_by_head[gc.head].append(entry)
-        for head in order:
-            bodies = bodies_by_head[head]
-            if any(not pos and not neg for pos, neg in bodies):
+        for head, of_head in bodies.items():
+            if ((), ()) in of_head:
                 add((2 * head,), head)
                 continue
             support = [2 * head + 1]
-            for pos, neg in bodies:
-                lits = [2 * a for a in pos] + [2 * a + 1 for a in neg]
-                if len(lits) == 1:
-                    dj = lits[0]
+            fresh = 0  # the bodies given a fresh variable
+            for pos, neg in of_head:
+                if len(pos) + len(neg) == 1:
+                    dj = 2 * pos[0] if pos else 2 * neg[0] + 1
+                    add(_key((dj ^ 1, 2 * head)), head)
                 else:
                     dj = 2 * self.nvars  # a fresh auxiliary variable
                     self.nvars += 1
-                    for lit in lits:
-                        add(_key((dj ^ 1, lit)), head)
-                    add(_key([dj] + [lit ^ 1 for lit in lits]), head)
-                add(_key((dj ^ 1, 2 * head)), head)
+                    fresh += 1
+                    lits = dict.fromkeys([2 * a for a in pos] + [2 * a + 1 for a in neg])
+                    made = [(lit, dj ^ 1) for lit in lits]
+                    body_clause = None
+                    if not neg or set(pos).isdisjoint(neg):
+                        body_clause = (*sorted([lit ^ 1 for lit in lits]), dj)
+                        made.append(body_clause)
+                    if head not in pos:
+                        made.append((2 * head, dj ^ 1))
+                    clauses += made
+                    origins += [head] * len(made)
                 support.append(dj)
                 if head in self.loop_atoms:
                     self._add_loop_body(head, dj, pos)
-            add(_key(support), head)
+            key = _key(support)
+            if not fresh:
+                add(key, head)
+            elif key is not None and not (fresh == 1 and key == body_clause):
+                clauses.append(key)
+                origins.append(head)
         # Atoms that are neither derivable nor assumable are simply false.
         for a in range(self.n_atoms):
-            if a not in bodies_by_head and a not in self.candidates:
+            if a not in bodies and a not in self.candidates:
                 add((2 * a + 1,), a)
+        self.is_denial += [False] * (len(clauses) - first)
 
-    def _find_loops(self, clauses: list[GroundClause]):
-        """Find the loops of the definition layer in one pass over its
-        strongly connected components.
+    def _find_loops(self, clauses: list[GroundClause]) -> dict[int, dict[tuple, int]]:
+        """Group the definition layer's bodies by head and find its loops
+        in one pass over the strongly connected components of its
+        dependency graph.  Returns, for each head in order of its first
+        clause, its distinct bodies (pos, neg) in order, each with the
+        index of the first clause giving it.
 
         negative_loop_atom is the head of the first clause with a
         negative body atom in the head's own component, None when there
@@ -432,27 +468,40 @@ class _Search:
         clause has a positive body atom of the head's own component,
         except heads of a fact clause, which are always founded.  Their
         bodies are numbered as _add_completion meets them (see
-        _add_loop_body).
+        _add_loop_body).  A repeated body adds only edges that are there
+        already, which leaves every component as it is.
         """
-        succ: dict[int, list[int]] = {}
-        for gc in clauses:
-            succ.setdefault(gc.head, []).extend(gc.pos + gc.neg)
+        bodies: dict[int, dict[tuple, int]] = {}
+        for i, gc in enumerate(clauses):
+            of_head = bodies.get(gc.head)
+            if of_head is None:
+                of_head = bodies[gc.head] = {}
+            of_head.setdefault((gc.pos, gc.neg), i)
+        succ = {h: [b for pos, neg in of_head for b in pos + neg] for h, of_head in bodies.items()}
         comp = _components(succ)
-        self.negative_loop_atom = next(
-            (gc.head for gc in clauses if any(comp.get(b) == comp[gc.head] for b in gc.neg)),
-            None,
-        )
-        looped = {
-            comp[gc.head] for gc in clauses if any(comp.get(b) == comp[gc.head] for b in gc.pos)
-        }
-        facts = {gc.head for gc in clauses if not gc.pos and not gc.neg}
-        self.loop_atoms = {h: comp[h] for h in succ if comp[h] in looped and h not in facts}
+        members: dict[int, set[int]] = {}
+        for a, c in comp.items():
+            members.setdefault(c, set()).add(a)
+        looped = set()
+        negative = []  # the first clauses of bodies with a negative loop
+        for h, of_head in bodies.items():
+            c = comp[h]
+            inside = members[c]
+            for (pos, neg), i in of_head.items():
+                if not inside.isdisjoint(pos):
+                    looped.add(c)
+                if neg and not inside.isdisjoint(neg):
+                    negative.append(i)
+        self.negative_loop_atom = clauses[min(negative)].head if negative else None
+        facts = {h for h, of_head in bodies.items() if ((), ()) in of_head}
+        self.loop_atoms = {h: comp[h] for h in bodies if comp[h] in looped and h not in facts}
         self.body_head: list[int] = []
         self.body_lit: list[int] = []
         self.body_internal: list[tuple[int, ...]] = []
         self.bodies_of: dict[int, list[int]] = {}
         self.dependents: dict[int, list[int]] = {}
         self.body_watch: dict[int, list[int]] = {}
+        return bodies
 
     def _add_loop_body(self, head: int, lit: int, pos: tuple[int, ...]):
         """Number a body of a loop atom: body_head[k] is body k's head,
@@ -723,11 +772,14 @@ class _Search:
 
         Variables before branch_vars[start] are assigned on this path,
         so the node is a leaf when none from start on is unassigned.
-        Otherwise the decision is first-fail on the support clauses: of
-        those in goals that are not satisfied and have an unassigned
-        candidate, the first with the fewest unassigned literals gives
-        its first unassigned candidate; with none open, the decision is
-        branch_vars[start].  A clause that is satisfied or has no
+        Otherwise the decision is first-fail on the support clauses
+        (constraint clauses with heads, a defined atom's need for one of
+        its bodies and a body's clause for its auxiliary variable; see
+        the module docstring): of those in goals that are not satisfied
+        and have an unassigned candidate, the first with the fewest
+        unassigned literals gives its first unassigned candidate; with
+        none open, the decision is branch_vars[start].  A clause that
+        is satisfied or has no
         unassigned candidate stays so below this node, so goals, which
         holds every support clause that may still be open, is filtered
         on the way down.

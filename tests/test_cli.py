@@ -222,6 +222,45 @@ def test_oracle_plan_detects_violation(tmp_path, capsys):
     assert out.startswith("violation at t=0")
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"moves": [[2, "table", 7]]}, "move of block 2 at time 7 is outside the horizon 3"),
+        ({"moves": [[2, "table", -1]]}, "move of block 2 at time -1 is outside the horizon 3"),
+        ({"moves": [[3, 2, 0]]}, "move of block 3 names block 3, not in initial"),
+        ({"moves": [[2, 9, 0]]}, "move of block 2 names block 9, not in initial"),
+        ({"horizon": -1, "moves": []}, "horizon must be at least 0, got -1"),
+    ],
+)
+def test_oracle_plan_rejects_what_it_cannot_simulate(tmp_path, capsys, change, message):
+    # Without the checks, each of these exits 0: a move outside the
+    # horizon is dropped, a block not in initial appears from nowhere.
+    plan = {"initial": [[1, 2], [2, "table"]], "horizon": 3, "goal": [[1, 2], [2, "table"]]}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan | change), encoding="utf-8")
+    code, out, err = run(capsys, "oracle", "plan", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"{path}: {message}\n"
+
+
+def test_readme_plan_example_reaches_its_goal(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("A plan file for `oracle plan`", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "plan.json"
+    path.write_text(block, encoding="utf-8")
+    code, out, _err = run(capsys, "oracle", "plan", str(path))
+    assert (code, out) == (0, "on(1,table)\non(2,1)\ngoal reached\n")
+
+
+def test_oracle_queens_rejects_a_negative_size(capsys):
+    code, out, err = run(capsys, "oracle", "queens", "-2")
+    assert (code, out, err) == (2, "", "N must be at least 0, got -2\n")
+    code, out, _err = run(capsys, "oracle", "queens", "0")
+    assert (code, out) == (0, "1\n\n")  # one board, the empty one
+
+
 def test_override_must_be_integer(tiny, capsys):
     code, _out, err = run(capsys, "solve", tiny, "-c", "v=big")
     assert code == 2

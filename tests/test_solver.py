@@ -34,6 +34,7 @@ from alp.solver import (
 )
 from alp.syntax import ArithExpr, Atom, IntConst, ProgramError, SolveError, SymConst, Var
 from alp.wfs import TRUE, is_two_valued, well_founded
+from reference_completion import ReferenceSearch
 from test_ground import random_program, symmetric_program
 
 
@@ -328,6 +329,142 @@ def test_grounded_constraint_clauses_match_a_plain_reference_encoding():
     # with a repeated literal, 2,151 tautologies, 14 duplicates across
     # rules, 3 denial flags ORed into a clause first given by heads).
     floors = {"repeated literal": 2900, "tautology": 1000, "duplicate": 7, "denial ORed": 1}
+    assert all(seen[case] >= floor for case, floor in floors.items()), seen
+
+
+COMPILED = (
+    "clauses origins is_denial nvars n_constraint_clauses implied watches watch0 watch1 "
+    "binary units negative_loop_atom loop_atoms body_head body_lit body_internal "
+    "bodies_of dependents body_watch"
+).split()
+
+
+def count_completion_cases(theory, seen):
+    """Count the definition layer's shapes that the completion must
+    compile as the reference does: repeats inside one body, the head
+    among its own body atoms, an atom and its negation in one body, a
+    one-literal body whose clause is a constraint clause, a fact head,
+    a support clause that is a tautology or equals a body clause, and a
+    unit clause that repeats a constraint clause."""
+    constraint_clauses = set(theory.constraint_clauses)
+    bodies = {}
+    for gc in theory.clauses:
+        bodies.setdefault(gc.head, {})[gc.pos, gc.neg] = None
+    for head, of_head in bodies.items():
+        if ((), ()) in of_head:
+            seen["fact head"] += 1
+            seen["fact repeats a constraint clause"] += (2 * head,) in constraint_clauses
+            continue
+        singles, long = set(), []
+        for pos, neg in of_head:
+            lits = [2 * a for a in pos] + [2 * a + 1 for a in neg]
+            if len(lits) == 1:
+                singles.add(lits[0])
+                if tuple(sorted((lits[0] ^ 1, 2 * head))) in constraint_clauses:
+                    seen["one-literal body repeats a constraint clause"] += 1
+                continue
+            seen["repeated body literal"] += len(set(lits)) < len(lits)
+            seen["head among its body atoms"] += head in pos
+            if set(pos) & set(neg):
+                seen["complementary body literals"] += 1
+            else:
+                long.append({lit ^ 1 for lit in lits})
+        if 2 * head in singles or any(lit ^ 1 in singles for lit in singles):
+            seen["tautological support clause"] += 1
+        elif len(long) == 1 and long[0] == singles | {2 * head + 1}:
+            seen["support clause repeats a body clause"] += 1
+    candidates = set(theory.universe) | set(theory.forced)
+    for a in range(theory.n_atoms):
+        if a not in bodies and a not in candidates and (2 * a + 1,) in constraint_clauses:
+            seen["false atom's unit repeats a constraint clause"] += 1
+
+
+def definition_clashes(rng, theory):
+    """The theory with constraints inserted at random places that give
+    a completion clause: the clause of a one-literal body (h <- b for
+    h :- b, and h ; b <- true for h :- not b), a fact's unit and the
+    unit of an atom that is neither defined nor a candidate."""
+    defined = {gc.head for gc in theory.clauses}
+    candidates = set(theory.universe) | set(theory.forced)
+    planted = []
+    for gc in theory.clauses:
+        if len(gc.pos) + len(gc.neg) == 1 and rng.random() < 0.5:
+            heads = ((gc.head, True),) + tuple((b, True) for b in gc.neg)
+            planted.append(GroundConstraint(heads, gc.pos))
+        elif not gc.pos and not gc.neg:
+            planted.append(GroundConstraint(((gc.head, True),)))
+    undefined = [a for a in range(theory.n_atoms) if a not in defined and a not in candidates]
+    if undefined:
+        planted.append(GroundConstraint((), (rng.choice(undefined),)))
+    constraints = list(theory.constraints)
+    for gc in planted:
+        constraints.insert(rng.randint(0, len(constraints)), gc)
+    return GroundTheory(theory.atoms, theory.clauses, constraints, theory.universe, theory.forced)
+
+
+def assert_compiled_like_the_reference(theory, seen, label):
+    """Every structure _Search compiles, against ReferenceSearch."""
+    count_completion_cases(theory, seen)
+    ref = ReferenceSearch(theory, SolveOptions(), SolveStats())
+    new = _Search(theory, SolveOptions(), SolveStats())
+    for name in COMPILED:
+        assert getattr(new, name) == getattr(ref, name), (label, name)
+
+    def support(search):  # itemgetters compare by identity, so by repr
+        return [(repr(lits), cands, repr(get)) for lits, cands, get in search.support]
+
+    assert support(new) == support(ref), label
+
+
+# Programs that meet each case count_completion_cases counts, and one
+# whose first clause with a negative loop has not the first head that
+# has one: negative_loop_atom is b.
+COMPLETION_CASES = [
+    "abducible q/0.\nh :- h, q.\nh :- not q.\n",
+    "abducible q/0.\nabducible r/0.\nh :- q, q, r.\nh :- q, not q.\nh :- h.\n",
+    "abducible q/0.\nh :- q.\nh <- q.\nf.\nf <- true.\ng :- f, q.\n",
+    "abducible q/0.\na :- q.\nb :- not b, q.\na :- not a.\n",
+]
+
+
+def test_completion_compiles_like_the_reference():
+    theories = [(text, theory_for(text)) for text in COMPLETION_CASES]
+    theories += [
+        ("queens-6", bundled_theory("queens.alp", size=6)),
+        ("queens-8", bundled_theory("queens.alp", size=8)),
+        ("queens-10", bundled_theory("queens.alp", size=10)),
+        ("blocks", bundled_theory("blocks.alp")),
+        ("hamcycle-1", bench_hamcycle_theory(1)),
+        ("hamcycle-2", bench_hamcycle_theory(2)),
+    ]
+    for seed, family in ((6610, random_program), (8, symmetric_program)):
+        rng = random.Random(seed)
+        theories += [(f"{family.__name__} {i}", theory_for(family(rng))) for i in range(100)]
+    rng = random.Random(19)
+    for i in range(400):
+        theory = random_ground_theory(rng, positive_loops=i % 2 == 0)
+        theories.append((f"random {i}", definition_clashes(rng, theory)))
+        theories.append((f"negative loop {i}", negative_loop_theory(rng)))
+    seen = collections.Counter()
+    for label, theory in theories:
+        assert_compiled_like_the_reference(theory, seen, label)
+    # Floors at about half of what these seeds give (471 fact heads,
+    # 205 units of a false atom, 198 fact units and 110 one-literal body
+    # clauses that repeat a constraint clause, 123 repeated body
+    # literals, 116 heads among their body atoms, 114 bodies with an
+    # atom and its negation, 27 tautological support clauses and 2
+    # support clauses equal to a body clause, COMPLETION_CASES included).
+    floors = {
+        "fact head": 235,
+        "false atom's unit repeats a constraint clause": 100,
+        "fact repeats a constraint clause": 100,
+        "one-literal body repeats a constraint clause": 55,
+        "repeated body literal": 60,
+        "head among its body atoms": 58,
+        "complementary body literals": 57,
+        "tautological support clause": 13,
+        "support clause repeats a body clause": 1,
+    }
     assert all(seen[case] >= floor for case, floor in floors.items()), seen
 
 
