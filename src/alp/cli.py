@@ -183,12 +183,12 @@ def _cmd_oracle(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        initial = {int(b): _location(loc) for b, loc in data["initial"]}
-        moves = [(int(b), _location(t), int(at)) for b, t, at in data["moves"]]
-        horizon = int(data["horizon"])
+        initial = _configuration(data["initial"], "initial")
+        moves = [(_integer(b, "block"), _location(t), _integer(at, "time")) for b, t, at in data["moves"]]
+        horizon = _integer(data["horizon"], "horizon")
         goal = data.get("goal")
         if goal is not None:
-            goal = {int(b): _location(loc) for b, loc in goal}
+            goal = _configuration(goal, "goal")
     except (KeyError, TypeError, ValueError) as exc:
         raise SolveError(f"{args.file}: malformed plan file ({exc})") from None
     # simulate_plan ignores moves outside the horizon and takes any
@@ -218,10 +218,30 @@ def _cmd_oracle(args) -> int:
     return args.status
 
 
+def _integer(value, what: str) -> int:
+    """A number of a plan file, which must be a JSON integer: not a
+    float, a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} {json.dumps(value)} is not an integer")
+    return value
+
+
 def _location(value):
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"bad location {value!r}")
-    return int(value) if isinstance(value, int) else value
+    """What a block rests on or moves to: a block or "table"."""
+    if isinstance(value, str) and value != "table":
+        raise ValueError(f'location {json.dumps(value)} is neither a block nor "table"')
+    return value if value == "table" else _integer(value, "location")
+
+
+def _configuration(pairs, what: str) -> dict:
+    """The [block, location] pairs of initial or goal, each block once."""
+    out = {}
+    for b, loc in pairs:
+        b = _integer(b, "block")
+        if b in out:
+            raise ValueError(f"block {b} is listed twice in {what}")
+        out[b] = _location(loc)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -18,10 +18,15 @@ which probes a hash index of its candidates on the arguments already
 bound, and a step per generator builtin.  Every test builtin compiles
 into a function of the binding, with its constants folded, and runs in
 the step that binds the last of its variables (see "compiled builtins"
-below for what it computes and which errors it raises).  A test
-``X = Y`` that links a bound variable to one that the next positive
-literal binds first is not run at all: that literal's probe takes Y's
-position with X's value, provided no test placed between them can raise.
+below for what it computes and which errors it raises).  A test that
+allows a variable Y of the literal before it at most two integer
+values, once the literal's other variables are known, is answered by
+index lookups: ``Y = X + 1`` or ``abs(R2-R1) = abs(C2-C1)`` probes the
+literal's index with the values it allows instead of trying every
+candidate (see _solve).  That is done only where no test placed
+between the literal and the solved one can raise, and the solved test
+cannot raise either; it still runs on what the probe yields, except a
+test ``Y = e``, which the probe answers exactly.
 
 Head arithmetic such as ``on(B,L,T+1)`` can chain without bound, so the
 closure clips derivation at the integer hull: the interval spanned by
@@ -62,7 +67,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import factorial, prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -875,6 +880,27 @@ class _Candidates:
             index = self._indexes[ikey] = self._index(key, repeats, const_pos, var_pos)
         return index.get(const_vals[0] if len(const_vals) == 1 else const_vals, {} if var_pos else ())
 
+    def split(self, key, repeats, const_pos, const_vals, var_pos, open_pos, y_pos) -> dict:
+        """Each bucket of table(key, repeats, const_pos, const_vals,
+        var_pos), split on open_pos and y_pos: a dict from the bucket's
+        key, () when var_pos is empty, to a dict from each value z at
+        open_pos, keyed as table keys them (a single value for one
+        position, () for none), to a dict from each value at y_pos to
+        the bucket's candidates that hold both, in rank order."""
+        ikey = (key, repeats, const_pos, const_vals, var_pos, open_pos, y_pos)
+        index = self._indexes.get(ikey)
+        if index is None:
+            table = self.table(key, repeats, const_pos, const_vals, var_pos)
+            index = self._indexes[ikey] = {}
+            open_key = itemgetter(*open_pos) if open_pos else lambda args: ()
+            for probed, bucket in table.items() if var_pos else [((), table)]:
+                parts: dict = {}
+                for cand in bucket:
+                    args = cand[0]
+                    parts.setdefault(open_key(args), {}).setdefault(args[y_pos], []).append(cand)
+                index[probed] = parts
+        return index
+
     def _index(self, key, repeats, const_pos, var_pos) -> dict:
         """An index for table: keyed by the value at const_pos (a single
         value for one position, () for none), then by the values at
@@ -912,6 +938,101 @@ def _enumerate_plan(
     _compile_join(plan, candidates, constants, emit, groups)({}, ())
 
 
+class _Solved(NamedTuple):
+    """A test solved for a fresh variable y of a positive literal (_solve).
+
+    values maps the binding, with the variables in opens bound as well,
+    to the values that the test allows y: at most two, in ascending
+    order.  exact is e for a test ``y = e``, which a probe answers
+    exactly, and None for the other forms."""
+
+    y: str
+    opens: tuple[str, ...]
+    values: Callable
+    exact: Term | None
+
+
+_ZERO = IntConst(0)
+
+
+def _isolate(t: Term, y: str, v: Term) -> tuple[Term, Term | None] | None:
+    """y isolated from ``t = v``, where t reaches its one occurrence of y
+    through ``+``, ``-`` and at most one abs: (d, None) when that gives
+    y = d, (d, u) when it gives y = d - u or y = d + u for the value u
+    that the abs equals, and None for another t.  ``t + a = v`` gives
+    t = v - a, ``t - a = v`` gives t = v + a and ``a - t = v`` gives
+    t = a - v; under the abs the steps start from 0, since their signs
+    only swap -u and u."""
+    if isinstance(t, Var):
+        return (v, None) if t.name == y else None
+    if not isinstance(t, ArithExpr) or t.op == "*":
+        return None
+    if t.op == "abs":
+        inner = _isolate(t.args[0], y, _ZERO)
+        return None if inner is None or inner[1] is not None else (inner[0], v)
+    left, right = t.args
+    in_left = y in term_variables(left)
+    if in_left == (y in term_variables(right)):
+        return None
+    if t.op == "+":
+        v = ArithExpr("-", (v, right if in_left else left))
+    elif in_left:
+        v = right if v == _ZERO else ArithExpr("+", (v, right))
+    else:
+        v = left if v == _ZERO else ArithExpr("-", (left, v))
+    return _isolate(left if in_left else right, y, v)
+
+
+def _solve(lit: Builtin, known: set[str], opens: list[str], constants: dict[str, int], bounds: dict) -> _Solved | None:
+    """lit solved for the first variable y in opens that it allows at
+    most two values once the variables in known and the rest of opens
+    are bound, or None.
+
+    lit must be ``s = e`` or ``e = s``, where e does not read y and s is
+    y or reaches y's one occurrence through ``+``, ``-`` and at most one
+    abs (_isolate): ``y = x + 1``, ``k - y = x``, ``abs(y - x) = abs(z - w)``."""
+    if lit.op != "=":
+        return None
+    for y in opens:
+        for side, other in ((lit.lhs, lit.rhs), (lit.rhs, lit.lhs)):
+            found = None if y in term_variables(other) else _isolate(side, y, other)
+            if found is None:
+                continue
+            reads = term_variables(found[0]) | term_variables(found[1])
+            if not reads <= known.union(opens):
+                continue
+            values = _values(*found, constants, bounds)
+            if values is not None:
+                exact = other if isinstance(side, Var) else None
+                return _Solved(y, tuple(v for v in opens if v in reads), values, exact)
+    return None
+
+
+def _values(d: Term, u: Term | None, constants: dict[str, int], bounds: dict) -> Callable | None:
+    """The function from the binding to the values of y that _isolate
+    gave as (d, u), or None when computing them might raise: d alone,
+    or d - u and d + u when u > 0, d when u = 0 and none when u < 0."""
+    if u is None:
+        term = _compile_term(d, constants, bounds)
+        if not term.safe:
+            return None
+        get = _getter(term)
+        return lambda binding: (get(binding),)
+    d, u = _compile_term(d, constants, bounds, True), _compile_term(u, constants, bounds, True)
+    if not (d.safe and u.safe):
+        return None
+    get_d, get_u = _getter(d), _getter(u)
+
+    def values(binding):
+        u = get_u(binding)
+        if u < 0:
+            return ()
+        d = get_d(binding)
+        return (d - u, d + u) if u else (d,)
+
+    return values
+
+
 def _compile_join(
     plan: _Plan, candidates: _Candidates, constants: dict[str, int], emit, groups=(), make_selector=None
 ) -> Callable:
@@ -931,11 +1052,20 @@ def _compile_join(
     folded from the last step back, so no step function refers to
     itself.
 
-    A test ``X = Y`` where X is bound before a positive literal and that
-    literal binds Y first narrows the literal's probe instead: the index
-    is probed on Y's position with X's value, and the test is dropped.
-    This is done only when no test that runs between the literal and
-    ``X = Y`` can raise; see the argument below.
+    A test placed at a positive literal's step that allows one of the
+    literal's fresh variables, Y, at most two values (_solve) narrows
+    the literal's probe, provided the test cannot raise (_Term.safe)
+    and neither can any test that runs between the literal and it.  A
+    test ``Y = X`` or ``Y = c``, with X bound before the literal and c a
+    constant, works as though the literal had X or c at Y's position.
+    Any other such test is the last to narrow the literal: each distinct
+    value of the other fresh variables Z that Y's values read (none when
+    they read only variables bound before) in the literal's bucket gives
+    Y's values, and the candidates holding both are taken from the
+    bucket split on Z and Y (_Candidates.split), in rank order, the order
+    of the plain bucket.  The solved test still runs on every candidate
+    the probe yields, except a test ``Y = e``, which the probe answers
+    exactly.  See the argument below.
 
     groups lists symmetric groups of positive literals, by their index
     in pos_ids (see _symmetric_groups).  Each literal of a group after
@@ -944,36 +1074,44 @@ def _compile_join(
     so of every way to permute a group's candidates only the one with
     ranks in order is enumerated.
 
-    make_selector(k, table, probe, cut), when given, makes the selector
-    of the k-th positive literal (see _selector) in place of
-    _selector(table, probe, cut), where cut is the literal's group cut
-    or None; see LazyDenial and _delta_join.
+    make_selector(k, bucket, cut), when given, makes the selector of
+    the k-th positive literal (see _selector) in place of
+    _selector(bucket, cut), where bucket gives the literal's candidates
+    and cut is its group cut or None; see LazyDenial and _delta_join.
     """
-    # Why narrowing changes nothing.  Buckets keep list order, so the
-    # narrowed probe yields exactly the candidates with Y = X, in the
-    # order the plain probe yields them; it skips the others.  A skipped
+    # Why narrowing changes nothing.  The values the narrowed probe takes
+    # hold every value of Y for which the test holds, given the other
+    # variables: each step of the solved side inverts exactly over the
+    # integers, and the test's safety means that every term it reads
+    # under arithmetic, Y and Z included, holds integers in range.  For a
+    # test ``Y = e`` they are e's value alone, compared as the index
+    # compares it, symbols included.  So the probe yields the candidates
+    # of the plain bucket for which the test can hold, in the plain
+    # bucket's order, and skips only candidates that fail it.  A skipped
     # candidate would have bound the literal's fresh variables, run the
-    # tests placed before X = Y, and then failed X = Y: no later step
-    # runs for it, so it emits nothing and puts no atom in the pos_ids a
-    # later step reads.  The kept candidates bind the same values (Y from
-    # its own column, equal to X) and run the same tests.  So emit sees
-    # the same calls in the same order, and the enumeration ends with the
-    # same GroundError unless one of the skipped tests would have raised
-    # first.  That is ruled out at compile time: the tests between the
-    # literal and X = Y must all be safe (_Term.safe), which they are,
-    # for instance, when their arithmetic stays in range and their
-    # ordering comparisons read integer columns only.  A generator in
-    # between also stops narrowing.
+    # tests placed before the solved test, and then failed it: no later
+    # step runs for it, so it emits nothing and puts no atom in the
+    # pos_ids that a later step reads.  The kept candidates bind the same
+    # values from their own columns and run the same tests, and a
+    # ``Y = e`` that is not run holds on each of them.  So emit sees the
+    # same calls in the same order, and the enumeration ends with the
+    # same GroundError unless a skipped candidate would have raised
+    # first, in the solved test or a test before it.  That is ruled out
+    # at compile time: those tests must all be safe, which they are, for
+    # instance, when their arithmetic stays in range and reads integer
+    # columns only, and their ordering comparisons read integer columns
+    # only.  Computing the values cannot raise either (_values), and a
+    # generator in between stops narrowing.
     # positive literal of a group -> the group's literal before it
     previous = {k: prev for group in groups for prev, k in zip(group, group[1:])}
     steps = plan.steps
     bounds: dict[str, tuple | None] = {}  # bound variable -> bounds of its values
     lead: list[_Term] = []  # tests that run before the first step
     makers = []  # (step maker, its tests)
-    narrowed: set[int] = set()  # plan steps dropped by narrowing
+    dropped: set[int] = set()  # plan steps of tests that a probe answers exactly
     n_pos = 0
     for s, step in enumerate(steps):
-        if s in narrowed:
+        if s in dropped:
             continue
         if step[0] == "builtin":
             _, lit, binds = step
@@ -998,36 +1136,52 @@ def _compile_join(
             else:
                 const_pos.append(i)
                 const_vals.append(arg.value if isinstance(arg, IntConst) else arg.name)
-        before = set(bounds)
+        known = set(bounds)
         for name, i in fresh:
             bounds[name] = candidates.bounds(atom.key, i)
+        opens = [name for name, _ in fresh]
+        solved = None
         safe = True
         for t in range(s + 1, len(steps)):
             if steps[t][0] == "pos" or steps[t][2] is not None:
                 break
             lit = steps[t][1]
-            if safe and lit.op == "=" and isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var):
-                x, y = lit.lhs.name, lit.rhs.name
-                if y in before:
-                    x, y = y, x
-                if x in before and y in first_at:
-                    probes.append((first_at[y], x))
-                    narrowed.add(t)
-                    continue
-            safe = safe and _compile_test(lit, constants, bounds).safe
+            test = _compile_test(lit, constants, bounds)
+            found = _solve(lit, known, opens, constants, bounds) if safe and test.safe else None
+            if found is None:
+                safe = safe and test.safe
+                continue
+            e = found.exact
+            if e is not None:
+                dropped.add(t)
+            if found.opens or not isinstance(e, (Var, IntConst, SymConst)):
+                solved = found
+                break
+            # Y = X or Y = c: Y's position is probed or fixed like X's or c's
+            opens.remove(found.y)
+            if isinstance(e, Var):
+                probes.append((first_at[found.y], e.name))
+            else:
+                const_pos.append(first_at[found.y])
+                const_vals.append(e.value if isinstance(e, IntConst) else e.name)
         probes.sort()
-        table = candidates.table(
-            atom.key, tuple(repeats), tuple(const_pos), tuple(const_vals), tuple(i for i, _ in probes)
-        )
         probe = itemgetter(*(name for _, name in probes)) if probes else None
+        key, repeats, const_pos, const_vals = atom.key, tuple(repeats), tuple(const_pos), tuple(const_vals)
+        probe_pos = tuple(i for i, _ in probes)
+        if solved is None:
+            bucket = _bucket(candidates.table(key, repeats, const_pos, const_vals, probe_pos), probe)
+        else:
+            open_pos = tuple(first_at[name] for name in solved.opens)
+            split = candidates.split(key, repeats, const_pos, const_vals, probe_pos, open_pos, first_at[solved.y])
+            bucket = _solved_bucket(split, probe, solved, candidates.rank(key))
         cut = None
         if n_pos in previous:
-            rank = candidates.rank(atom.key)
+            rank = candidates.rank(key)
             cut = _rank_cut(rank, lambda pos_ids, rank=rank, prev=previous[n_pos]: rank[pos_ids[prev]])
         if make_selector is None:
-            select = _selector(table, probe, cut)
+            select = _selector(bucket, cut)
         else:
-            select = make_selector(n_pos, table, probe, cut)
+            select = make_selector(n_pos, bucket, cut)
         makers.append((partial(_pos_step, select, tuple(fresh)), []))
         n_pos += 1
 
@@ -1045,31 +1199,74 @@ def _compile_join(
     return start
 
 
-def _selector(table, probe, cut=None, value=None, open_=False):
+def _bucket(table, probe):
+    """The bucket function of a literal: from the binding and pos_ids
+    to the candidates that probe selects from table (all of table when
+    probe is None)."""
+    if probe is None:
+        return lambda binding, pos_ids: table
+    get = table.get
+    return lambda binding, pos_ids: get(probe(binding), ())
+
+
+_NO_PARTS: dict = {}
+
+
+def _solved_bucket(split, probe, solved: _Solved, rank) -> Callable:
+    """The bucket function of a literal narrowed by a solved test: in
+    the bucket of split that probe selects, each distinct value z of
+    the test's other fresh variables, bound in turn, gives the values
+    of its variable y, and the candidates holding z and one of those
+    come together in rank order (see _Candidates.split and
+    _compile_join)."""
+    opens, values = solved.opens, solved.values
+
+    def by_rank(cand):
+        return rank[cand[1]]
+
+    one = opens[0] if len(opens) == 1 else None
+
+    def bucket(binding, pos_ids):
+        found = []
+        for z, parts in split.get(() if probe is None else probe(binding), _NO_PARTS).items():
+            if one is None:
+                binding.update(zip(opens, z))
+            else:
+                binding[one] = z
+            for y in values(binding):
+                cands = parts.get(y)
+                if cands is not None:
+                    found.append(cands)
+        for name in opens:
+            binding.pop(name, None)
+        if len(found) == 1:
+            return found[0]
+        return sorted(chain.from_iterable(found), key=by_rank) if found else ()
+
+    return bucket
+
+
+def _selector(bucket, cut=None, value=None, open_=False):
     """The selector of a positive literal: a function from the binding
     and pos_ids to the candidates the literal takes there, in order.
 
-    Those are the bucket that probe selects from table (all of table
-    when probe is None), cut(bucket, pos_ids) when cut is given, and
-    then, when value is given, only the atoms that value makes true
-    (value[2 * id] == 1), or with open_ those it does not make false
-    (value[2 * id] != 0).  A candidate filtered out costs one lookup,
-    before it binds anything."""
+    Those are bucket(binding, pos_ids), cut(those, pos_ids) when cut is
+    given, and then, when value is given, only the atoms that value
+    makes true (value[2 * id] == 1), or with open_ those it does not make
+    false (value[2 * id] != 0).  A candidate filtered out costs one
+    lookup, before it binds anything."""
     if cut is None and value is None:
-        if probe is None:
-            return lambda binding, pos_ids: table
-        get = table.get
-        return lambda binding, pos_ids: get(probe(binding), ())
+        return bucket
 
     def select(binding, pos_ids):
-        bucket = table if probe is None else table.get(probe(binding), ())
+        cands = bucket(binding, pos_ids)
         if cut is not None:
-            bucket = cut(bucket, pos_ids)
+            cands = cut(cands, pos_ids)
         if value is None:
-            return bucket
+            return cands
         if open_:
-            return [cand for cand in bucket if value[2 * cand[1]] != 0]
-        return [cand for cand in bucket if value[2 * cand[1]] == 1]
+            return [cand for cand in cands if value[2 * cand[1]] != 0]
+        return [cand for cand in cands if value[2 * cand[1]] == 1]
 
     return select
 
@@ -1382,8 +1579,8 @@ class LazyDenial:
         def found(binding, pos_ids):
             raise _StopJoin(pos_ids)
 
-        def make_selector(k, table, probe, cut):
-            return _selector(table, probe, cut, value)
+        def make_selector(k, bucket, cut):
+            return _selector(bucket, cut, value)
 
         try:
             join = _compile_join(self.plan, self.candidates, self.constants, found, self.groups, make_selector)
@@ -1439,11 +1636,11 @@ class LazyDenial:
 
             # cell=cell: the seed's selector keeps this plan's cell, not the
             # last one the loop makes
-            def make_selector(k, table, probe, cut, cell=cell):
+            def make_selector(k, bucket, cut, cell=cell):
                 if k == 0:
-                    seeds.extend(table)  # the candidates this literal admits
+                    seeds.extend(bucket({}, ()))  # the candidates this literal admits
                     return lambda binding, pos_ids: cell
-                return _selector(table, probe, cut, value, open_=k == n_pos - 1)
+                return _selector(bucket, cut, value, open_=k == n_pos - 1)
 
             start = _compile_join(plan, self.candidates, self.constants, imply, groups, make_selector)
             for cand in seeds:
@@ -1693,8 +1890,8 @@ def _delta_join(
 
     cut = _rank_cut(candidates.rank(key), low)
 
-    def make_selector(k, table, probe, _group_cut):
-        return _selector(table, probe, cut if k == last else None)
+    def make_selector(k, bucket, _group_cut):
+        return _selector(bucket, cut if k == last else None)
 
     return _compile_join(plan, candidates, constants, emit, make_selector=make_selector)
 

@@ -230,11 +230,27 @@ def test_oracle_plan_detects_violation(tmp_path, capsys):
         ({"moves": [[3, 2, 0]]}, "move of block 3 names block 3, not in initial"),
         ({"moves": [[2, 9, 0]]}, "move of block 2 names block 9, not in initial"),
         ({"horizon": -1, "moves": []}, "horizon must be at least 0, got -1"),
+        ({"moves": [[2.7, "table", 0]]}, "malformed plan file (block 2.7 is not an integer)"),
+        ({"moves": [[2, "table", True]]}, "malformed plan file (time true is not an integer)"),
+        ({"moves": [[2, "table", "0"]]}, 'malformed plan file (time "0" is not an integer)'),
+        ({"moves": [[2, 1.0, 0]]}, "malformed plan file (location 1.0 is not an integer)"),
+        ({"horizon": 3.0, "moves": []}, "malformed plan file (horizon 3.0 is not an integer)"),
+        ({"horizon": False, "moves": []}, "malformed plan file (horizon false is not an integer)"),
+        ({"moves": [[1, "floor", 0]]}, 'malformed plan file (location "floor" is neither a block nor "table")'),
+        ({"initial": [[1, "Table"], [2, "table"]], "moves": []},
+         'malformed plan file (location "Table" is neither a block nor "table")'),
+        ({"initial": [[1, "table"], [1, 2], [2, "table"]], "moves": []},
+         "malformed plan file (block 1 is listed twice in initial)"),
+        ({"goal": [[1, 2], [2, "table"], [2, 1]], "moves": []},
+         "malformed plan file (block 2 is listed twice in goal)"),
     ],
 )
 def test_oracle_plan_rejects_what_it_cannot_simulate(tmp_path, capsys, change, message):
     # Without the checks, each of these exits 0: a move outside the
-    # horizon is dropped, a block not in initial appears from nowhere.
+    # horizon is dropped, a block not in initial appears from nowhere, a
+    # float or bool is read as the integer it rounds to, an unknown
+    # location string is taken as a place, and a block listed twice
+    # keeps its last location.
     plan = {"initial": [[1, 2], [2, "table"]], "horizon": 3, "goal": [[1, 2], [2, "table"]]}
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan | change), encoding="utf-8")

@@ -201,6 +201,35 @@ def test_queens_ground_counts_scale():
     assert len(t.universe) == 16 and not t.forced
 
 
+def test_queens_diagonal_test_runs_on_few_candidates(monkeypatch):
+    # abs(R2-R1) = abs(C2-C1) is answered by probing the two columns on
+    # each row that it allows, not by trying every second queen: about
+    # n**3 runs of the test instead of n**4 / 2.  The bound is a count,
+    # so it holds on any machine; the test runs 1,012 times here.
+    ground_mod = importlib.import_module("alp.ground")
+    compile_test = ground_mod._compile_test
+    calls = Counter()
+
+    def counting(lit, constants, bounds):
+        test = compile_test(lit, constants, bounds)
+        if "abs" not in str(lit) or test.fn is None:
+            return test
+        fn = test.fn
+
+        def counted(binding):
+            calls[str(lit)] += 1
+            return fn(binding)
+
+        return test._replace(fn=counted)
+
+    monkeypatch.setattr(ground_mod, "_compile_test", counting)
+    n = 12
+    theory = build_theory(apply_const_overrides(parse_text(bundled("queens.alp"), "q"), {"size": n}))
+    assert len(theory.constraints) == 2896
+    assert list(calls) == ["abs(R2-R1) = abs(C2-C1)"]
+    assert 0 < calls.total() <= n**3
+
+
 def test_head_builtin_folding():
     # the one-queen-per-row rule grounds to pure denials: equal-column
     # instances are discharged at ground time, unequal ones keep nothing

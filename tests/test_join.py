@@ -12,8 +12,10 @@ rank, a candidate's position in its list: with symmetric groups, and
 with a semi-naive round's Δ (_delta_join).
 """
 
+import importlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -146,17 +148,19 @@ def random_builtin(rng):
     return builtin("\\=", x, random_term(rng))
 
 
-def random_lists(rng, values=VALUES):
-    """Candidate lists: some empty, some missing, ids in list order."""
+def random_lists(rng, values=VALUES, int_keys=0.0):
+    """Candidate lists: some empty, some missing, ids in list order; a
+    share int_keys of the keys hold integers only, whatever values is."""
     lists = {}
     next_id = 0
     for key in PREDS:
         if rng.random() < 0.15:
             continue
+        pool = VALUES[:3] if int_keys and rng.random() < int_keys else values
         seen = set()
         entries = []
         for _ in range(rng.choice((0, 3, 8, 20))):
-            args = tuple(rng.choice(values) for _ in range(key[1]))
+            args = tuple(rng.choice(pool) for _ in range(key[1]))
             if args not in seen:
                 seen.add(args)
                 entries.append((args, next_id))
@@ -197,6 +201,84 @@ def linked_body(rng):
     if rng.random() < 0.5:
         body.append(random_builtin(rng))
     return tuple(body)
+
+
+def arith(op, *args):
+    return ArithExpr(op, args, span=span())
+
+
+def solved_body(rng):
+    """A body whose test fixes Y, which the second of two positive
+    literals binds first, once the first literal's X and W are bound:
+    ``Y = X + k``, ``k - Y = X``, ``abs(X - Y) = W``, or
+    ``abs(Y - X) = abs(Z - W)`` with Z fresh in the second literal too,
+    each with its sides either way round.  Ordering tests between the two
+    literals' variables may come before it, and a random test after."""
+    first = [var("X"), var("W")] + [random_term(rng, ("A",)) for _ in range(rng.randint(0, 1))]
+    second = [var("Y"), var("Z")] + [rng.choice((var("B"), var("X"), random_term(rng, ("B",))))
+                                     for _ in range(rng.randint(0, 1))]
+    rng.shuffle(first)
+    rng.shuffle(second)
+    # two literals of arity 2 take different predicates, so different lists
+    preds = {2: rng.sample(("q", "e"), 2), 3: ["r", "r"]}
+    body = [Pos(Atom(preds[len(args)].pop(), tuple(args))) for args in (first, second)]
+    if rng.random() < 0.3:
+        lhs, rhs = var(rng.choice(("X", "W"))), var(rng.choice(("Y", "Z")))
+        body.append(builtin(rng.choice(ORDERINGS), *((lhs, rhs) if rng.random() < 0.5 else (rhs, lhs))))
+    k = IntConst(rng.randint(0, 2), span=span())
+    if rng.random() < 0.4:
+        lhs, rhs = arith("abs", arith("-", var("Y"), var("X"))), arith("abs", arith("-", var("Z"), var("W")))
+    else:
+        lhs, rhs = rng.choice((
+            lambda: (var("Y"), arith("+", var("X"), k)),
+            lambda: (arith("-", k, var("Y")), var("X")),
+            lambda: (arith("abs", arith("-", var("X"), var("Y"))), var("W")),
+        ))()
+    n = next(_COLUMNS)
+    body.append(Builtin("=", *((lhs, rhs) if rng.random() < 0.5 else (rhs, lhs)), span=SourceSpan("solved", 1, n, n)))
+    if rng.random() < 0.3:
+        body.append(random_builtin(rng))
+    return tuple(body)
+
+
+def count_solving(monkeypatch):
+    """Record how the compiled joins meet the tests of solved_body.
+    Returns solved_body, noting the tests it makes, and a function that
+    gives the counts: tests solved with values that read only variables
+    bound before the literal ("one-level") or other fresh ones too
+    ("two-level"), runs of an abs test's values that gave one value
+    ("coinciding"), and tests never solved ("refused")."""
+    ground_mod = importlib.import_module("alp.ground")
+    solve = ground_mod._solve
+    met = Counter()
+    made, solved = set(), set()
+
+    def making(rng):
+        body = solved_body(rng)
+        made.update(lit.span for lit in body if isinstance(lit, Builtin) and lit.span.file == "solved")
+        return body
+
+    def recording(lit, known, opens, constants, bounds):
+        found = solve(lit, known, opens, constants, bounds)
+        if found is None or lit.span.file != "solved":
+            return found
+        solved.add(lit.span)
+        met["two-level" if found.opens else "one-level"] += 1
+        values = found.values
+
+        def counted(binding):
+            out = values(binding)
+            met["coinciding"] += len(out) == 1 and "abs" in str(lit)
+            return out
+
+        return found._replace(values=counted)
+
+    def counts():
+        met["refused"] = len(made - solved)
+        return met
+
+    monkeypatch.setattr(ground_mod, "_solve", recording)
+    return making, counts
 
 
 def repeated_body(rng):
@@ -242,9 +324,10 @@ def random_delta(rng, plan, lists):
     return (), ([(k, key) for k, key in enumerate(keys) if key in chosen], start)
 
 
-def compare_joins(rng, make_body, int_columns=0.0, prune=None):
+def compare_joins(rng, make_body, int_columns=0.0, prune=None, int_keys=0.0):
     """Compare the two joins on 150 safe bodies from make_body; a share
-    int_columns of them get candidate lists of integers only.  prune,
+    int_columns of them get candidate lists of integers only, and of the
+    others' lists a share int_keys (see random_lists).  prune,
     when given, is random_groups or random_delta, which give the groups
     and the Δ the two joins take; with a Δ, the compiled join is
     _delta_join."""
@@ -255,7 +338,7 @@ def compare_joins(rng, make_body, int_columns=0.0, prune=None):
             plan = _plan_rule(body, set(), None, "body")
         except GroundError:
             continue  # unsafe body: no plan to compare
-        lists = random_lists(rng, VALUES[:3] if rng.random() < int_columns else VALUES)
+        lists = random_lists(rng, VALUES[:3] if rng.random() < int_columns else VALUES, int_keys)
         groups, delta = prune(rng, plan, lists) if prune else ((), None)
 
         def enumerate_compiled(out):
@@ -293,3 +376,23 @@ def test_compiled_join_matches_nested_loops_over_symmetric_groups(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_delta_join_matches_nested_loops_with_a_delta_atom(seed):
     compare_joins(random.Random(7600 + seed), repeated_body, prune=random_delta)
+
+
+# solved_body on integer columns only; on a share of symbol columns,
+# some next to integer ones in the same body, where narrowing must
+# refuse and the join raise the same GroundError at the same span; and with symmetric groups and with a Δ, which cut the
+# narrowed bucket by rank.
+SOLVING = [
+    (7700, {}),
+    (7800, {"int_columns": 0.35, "int_keys": 0.5}),
+    (7900, {"int_columns": 0.8, "prune": random_groups}),
+    (8000, {"int_columns": 0.8, "prune": random_delta}),
+]
+
+
+@pytest.mark.parametrize("seed, options", SOLVING, ids=["plain", "symbols", "groups", "delta"])
+def test_compiled_join_matches_nested_loops_where_a_test_fixes_a_fresh_variable(monkeypatch, seed, options):
+    make_body, counts = count_solving(monkeypatch)
+    compare_joins(random.Random(seed), make_body, **{"int_columns": 1.0} | options)
+    met = counts()
+    assert all(met[case] >= 10 for case in ("one-level", "two-level", "coinciding", "refused")), met
