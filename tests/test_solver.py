@@ -19,6 +19,7 @@ from alp.ground import (
     GroundTheory,
     apply_const_overrides,
     build_theory,
+    clause_key,
 )
 from alp.parser import parse_text, pretty_print
 from alp.solver import (
@@ -781,6 +782,42 @@ def test_root_conflict_on_a_loop_without_outside_support_names_its_atom():
     assert reason.split(": ")[1] in {
         f"definition of {atom} (a loop without outside support)" for atom in "pq"
     }
+
+
+# Constraints that force atoms true or false at the root, so that the
+# random programs below meet root conflicts.
+FORCING = (
+    "a(1) <- true.\n", "a(2) <- true.\n", "b(1,1) <- true.\n", "b(2,3) <- true.\n", "b(3,2) <- true.\n",
+    "p(1) <- true.\n", "p(3) <- true.\n", "not a(3) <- true.\n", "not p(2) <- true.\n", "not b(1,2) <- true.\n",
+)
+
+
+def test_root_conflicts_on_grounded_constraint_clauses_name_their_first_instance():
+    # Whenever root propagation of a grounded program meets a falsified
+    # constraint clause, unsat_reason renders the first of every ground
+    # constraint (expand_constraints) whose clause that is.  The floors
+    # sit at about half of what these seeds give: 353 such conflicts, 39
+    # of them named by a constraint with heads and a body, 24 by one with
+    # a negative body atom.
+    met = collections.Counter()
+    for seed, family in ((21, random_program), (22, symmetric_program)):
+        rng = random.Random(seed)
+        for i in range(600):
+            text = family(rng) + "".join(rng.sample(FORCING, rng.randint(3, 8)))
+            theory = theory_for(text)
+            search = _Search(theory, SolveOptions(), SolveStats())
+            idx = search.propagate_pending()
+            if idx is None or not 0 <= idx < search.n_constraint_clauses:
+                continue
+            clause = search.clauses[idx]
+            first = next(gc for gc in theory.expand_constraints() if clause_key(gc) == clause)
+            reason = "constraints are contradictory before any hypothesis: " + theory.render_constraint(first)
+            assert solve(theory).unsat_reason == reason, f"{family.__name__} {i}:\n{text}"
+            met["conflicts"] += 1
+            met["heads"] += bool(first.heads and (first.pos or first.neg))
+            met["negative atoms"] += bool(first.neg)
+    floors = {"conflicts": 170, "heads": 19, "negative atoms": 12}
+    assert all(met[case] >= floor for case, floor in floors.items()), met
 
 
 def test_solve_forced_atoms_in_every_solution():
