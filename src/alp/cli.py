@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .ground import GroundAtom, GroundTheory, apply_const_overrides, build_theory
 from .oracles import Violation, queens_brute, simulate_plan
-from .parser import load_program
+from .parser import load_program, read_source
 from .solver import (
     NotTwoValued,
     Sat,
@@ -59,8 +59,7 @@ def _delta_json(theory: GroundTheory, delta: Sequence[int]) -> str:
 
 
 def _read_delta_file(theory: GroundTheory, path: str) -> list[int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = json.loads(read_source(path))
     if not isinstance(data, list):
         raise SolveError(f"{path}: delta file must be a JSON array of atoms")
     ids: list[int] = []
@@ -180,8 +179,7 @@ def _cmd_oracle(args) -> int:
             print(" ".join(str(c) for c in cols))
         return args.status
 
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = json.loads(read_source(args.file))
     try:
         initial = _configuration(data["initial"], "initial")
         moves = [(_integer(b, "block"), _location(t), _integer(at, "time")) for b, t, at in data["moves"]]

@@ -37,26 +37,26 @@ candidate.  Atoms beyond the hull can never reach a constraint, because
 constraints are instantiated from in-hull candidates only, so the
 truncation does not change which hypothesis sets are admissible.
 
-Ground constraints are deduplicated as they are made.  A constraint
-body that stays the same when some of its literals are swapped, such
-as ``move(B1,L1,T), move(B2,L2,T), move(B3,L3,T)`` with pairwise
-distinct blocks, is enumerated once per set of candidates for those
-literals instead of once per ordering of them, and yields the same
-constraints.  Each kept constraint also gets its clause, the sorted
-literal set that the solver propagates (see clause_key); a pure denial's
-clause doubles as its deduplication key.
+The theory stores each ground constraint in one form, its clause: the
+sorted literal set that the solver propagates, each distinct one once,
+with the source constraint that first gives it (ConstraintClause).  A
+constraint body that stays the same when some of its literals are
+swapped, such as ``move(B1,L1,T), move(B2,L2,T), move(B3,L3,T)`` with
+pairwise distinct blocks, is enumerated once per set of candidates for
+those literals instead of once per ordering of them, and yields the
+same clauses.
 
-One kind of constraint is not instantiated at all: a denial with no
-negative literal and three or more positive ones, all over abducible
-predicates, whose builtins are tests that cannot raise (_is_lazy).
-That is blocks' three-move rule, whose instances grow with the cube of
-the candidates.  The theory keeps such a rule as a LazyDenial, its plan
-over the grounder's candidate indexes, and each reader runs the same
-join over the atoms that matter to it: the search from each atom it
-makes true, check_delta over the true atoms of a model, and
-GroundTheory.expand_constraints, which dump and ``alp ground`` print,
-over all candidates, giving every instance that instantiating the rule
-gives, in the same order.
+Each source constraint is kept as a ConstraintRule, its plan over the
+grounder's candidate indexes, and every reader that needs an instance
+re-runs that join over the atoms that matter to it: check_delta over
+the true atoms of a model, the search's root unsat_reason over the
+atoms of the conflicting clause, and GroundTheory.expand_constraints,
+which dump and ``alp ground`` print, over all candidates.  One kind of
+rule is not instantiated at all: a denial with no negative literal and
+three or more positive ones, all over abducible predicates, whose
+builtins are tests that cannot raise (_is_lazy).  That is blocks'
+three-move rule, whose instances grow with the cube of the candidates;
+the search runs its join from each atom it makes true.
 """
 
 from __future__ import annotations
@@ -214,7 +214,8 @@ class GroundClause:
 
 @dataclass(frozen=True, slots=True)
 class GroundConstraint:
-    """Ground integrity constraint.
+    """Ground integrity constraint: an instance of a source constraint,
+    as the readers that re-run its rule's join return it.
 
     heads holds (atom id, wanted) disjuncts: wanted True means the
     constraint is satisfied when the atom is true, False when it is
@@ -240,13 +241,29 @@ def _key(lits: Iterable[int]) -> tuple[int, ...] | None:
     return tuple(sorted(uniq))
 
 
-def clause_key(gc: GroundConstraint) -> tuple[int, ...] | None:
-    """A ground constraint as a clause: the sorted literal set of its
+def _clause(heads, pos, neg) -> tuple[int, ...] | None:
+    """The clause of a constraint instance: the sorted literal set of its
     head verdicts and negated body literals, or None for a tautology."""
-    lits = [2 * a + (not wanted) for a, wanted in gc.heads]
-    lits += [2 * a + 1 for a in gc.pos]
-    lits += [2 * a for a in gc.neg]
+    lits = [2 * a + (not wanted) for a, wanted in heads]
+    lits += [2 * a + 1 for a in pos]
+    lits += [2 * a for a in neg]
     return _key(lits)
+
+
+def clause_key(gc: GroundConstraint) -> tuple[int, ...] | None:
+    """A ground constraint as a clause (see _clause)."""
+    return _clause(gc.heads, gc.pos, gc.neg)
+
+
+class ConstraintClause(NamedTuple):
+    """A distinct clause of the instantiated constraints, the one form
+    in which a theory stores them: the sorted literal set, the origin
+    of the first source constraint whose instances give it, and whether
+    any instance giving it is a denial, one without heads."""
+
+    clause: tuple[int, ...]
+    origin: int
+    denial: bool
 
 
 @dataclass
@@ -254,31 +271,21 @@ class GroundTheory:
     """A ground theory: definition clauses and integrity constraints over
     interned atoms, with the abducible universe and the forced atoms.
 
-    constraint_clauses[i] is clause_key(constraints[i]), the literal set
-    that the solver's search and check_delta read.  ground fills it as
-    it emits the constraints; a theory built by hand gets it from
-    __post_init__.  The theory must not be changed once built: it caches
+    rules[o] is the ConstraintRule of source constraint o, whose origin
+    is o.  constraints, the one stored form of the ground constraints,
+    holds the clauses of the rules that are not lazy (see
+    _constraint_clauses); a reader that needs an instance re-runs its
+    rule's join.  The theory must not be changed once built: it caches
     definition_arrays, the one thing compiled from it that it keeps;
     each solve compiles its own search.
-
-    lazy_denials holds the constraints that ground left unground (see
-    LazyDenial), in origin order.  constraints holds the rest: those
-    ground instantiated, each in the order it was kept.  Their union,
-    in the order and with the deduplication of a grounding that
-    instantiates every constraint, is expand_constraints().
     """
 
     atoms: AtomTable
     clauses: list[GroundClause]
-    constraints: list[GroundConstraint]
+    constraints: list[ConstraintClause]
     universe: tuple[int, ...]
     forced: tuple[int, ...]
-    constraint_clauses: list[tuple[int, ...] | None] = field(default=None, compare=False, repr=False)
-    lazy_denials: tuple[LazyDenial, ...] = field(default=(), repr=False)
-
-    def __post_init__(self):
-        if self.constraint_clauses is None:
-            self.constraint_clauses = [clause_key(gc) for gc in self.constraints]
+    rules: tuple[ConstraintRule, ...] = field(repr=False)
 
     @cached_property
     def definition_arrays(self) -> wfs.ClauseArrays:
@@ -316,36 +323,31 @@ class GroundTheory:
 
     def expand_constraints(self) -> list[GroundConstraint]:
         """Every ground constraint, as a grounding that instantiates each
-        constraint makes them: in origin order, each instance of a lazy
-        denial at its place in its join, and of the instances with one
-        set of heads and body atoms only the first.
-
-        Only a pure denial (no heads, no negative atom) can share its
-        set with a lazy denial's instance, and its set is its clause.
-        Raises the GroundError that such a grounding raises when the
-        instances of a lazy denial take the count past _CONSTRAINT_CAP
-        (see LazyDenial.expand)."""
-        if not self.lazy_denials:
-            return self.constraints
+        rule makes them: in origin order, each rule's in join order, and
+        of those with one set of heads and body atoms only the first
+        (ConstraintRule.expand).  One count runs over every rule, so the
+        GroundError of _CONSTRAINT_CAP comes where such a grounding's does."""
         out: list[GroundConstraint] = []
-        seen: set[tuple[int, ...]] = set()
-        done = 0  # eager constraints taken
-        lazy_count = 0  # instances of the lazy denials enumerated so far
-
-        def take(stop):
-            for gc, key in zip(self.constraints[done:stop], self.constraint_clauses[done:stop]):
-                if not gc.heads and not gc.neg:
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                out.append(gc)
-
-        for rule in self.lazy_denials:
-            take(rule.position)
-            done = rule.position
-            lazy_count = rule.expand(seen, out.append, lazy_count)
-        take(len(self.constraints))
+        seen: set[tuple] = set()
+        count = [0]
+        for rule in self.rules:
+            rule.expand(seen, out.append, count)
         return out
+
+    def first_instance(self, ci: int | None, value=None) -> GroundConstraint | None:
+        """The first constraint of expand_constraints() whose clause is
+        constraints[ci]'s; with value given (value[lit] == 1 for a true
+        literal), the first that value violates, constraints[ci] being the
+        first clause it falsifies (None: none).  No rule that is not lazy
+        gives that clause before its origin, so only the lazy denials
+        before that rule are searched before it (first_with, first_true)."""
+        clause, origin, _denial = (None, len(self.rules), None) if ci is None else self.constraints[ci]
+        for rule in self.rules[:origin]:
+            if rule.lazy:
+                gc = rule.first_with(clause) if value is None else rule.first_true(value)
+                if gc is not None:
+                    return gc
+        return None if ci is None else self.rules[origin].first_with(clause)
 
     def dump(self) -> str:
         """Deterministic text form of the whole theory, with every ground
@@ -1077,7 +1079,7 @@ def _compile_join(
     make_selector(k, bucket, cut), when given, makes the selector of
     the k-th positive literal (see _selector) in place of
     _selector(bucket, cut), where bucket gives the literal's candidates
-    and cut is its group cut or None; see LazyDenial and _delta_join.
+    and cut is its group cut or None; see ConstraintRule and _delta_join.
     """
     # Why narrowing changes nothing.  The values the narrowed probe takes
     # hold every value of Y for which the test holds, given the other
@@ -1465,15 +1467,18 @@ def _orbit_size(pos_ids: tuple[int, ...], groups) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lazy denials
+# constraint rules
 #
-# A denial over abducibles with three or more positive literals, such as
-# blocks' three-move rule, is not instantiated: its instances grow with
+# The theory keeps each source constraint as a rule, its plan over the
+# grounder's candidate indexes, and stores the clauses of its instances
+# only.  A reader that needs an instance re-runs the rule's join over
+# the atoms that matter to it (see ConstraintRule).  A denial over
+# abducibles with three or more positive literals, such as blocks'
+# three-move rule, is not instantiated at all: its instances grow with
 # the cube of the candidates, while the search only ever makes a few of
-# its atoms true.  The theory keeps the rule's plan, and each reader
-# runs the grounder's join over the atoms that matter to it (see
-# LazyDenial).  This is how SLDNFA (Denecker & De Schreye, 1998) treats
-# a denial, resolving it against each abduced atom, and how lazy
+# its atoms true, and the search runs the join from each atom it makes
+# true.  This is how SLDNFA (Denecker & De Schreye, 1998) treats a
+# denial, resolving it against each abduced atom, and how lazy
 # grounding treats a constraint in ASP (Weinzierl, 2017).
 
 
@@ -1482,7 +1487,7 @@ class _StopJoin(Exception):
 
 
 def _is_lazy(con: Constraint, kinds: dict, candidates: _Candidates, constants: dict[str, int]) -> bool:
-    """Whether ground keeps con as a LazyDenial: a constraint without
+    """Whether ground leaves con's rule lazy: a constraint without
     heads whose body has no negative literal and three or more positive
     ones, all over abducible predicates, and whose builtins are tests
     that cannot raise.
@@ -1518,26 +1523,18 @@ def _is_lazy(con: Constraint, kinds: dict, candidates: _Candidates, constants: d
 
 
 @dataclass(eq=False)
-class LazyDenial:
-    """A constraint that ground did not instantiate (see _is_lazy):
-    ``false <- a1, ..., an, tests`` with n >= 3 atoms over abducibles.
+class ConstraintRule:
+    """A source constraint as the theory keeps it: its plan, its
+    symmetric groups and the grounder's candidate indexes, constants and
+    atom table.  lazy is set when ground did not instantiate it (see
+    _is_lazy): ``false <- a1, ..., an, tests`` with n >= 3 atoms over
+    abducibles.
 
-    It keeps what instantiating it takes: its plan, its symmetric groups
-    and the grounder's candidate indexes and constants.  position is
-    the number of instantiated constraints before it, and counted the
-    number of plain-join constraint instances that ground had counted
-    when it reached the rule.  followers lists the constraints that
-    ground instantiated after it, up to the next lazy denial, each as
-    ground's count after it and its plan: with the instances of the
-    lazy denials added, those counts tell where a grounding of every
-    constraint would have passed _CONSTRAINT_CAP.
-
-    Every reader runs the plan through _compile_join.  expand makes the
-    instances that ground would have made.  first_true finds the first
-    of them whose atoms are all true, with every literal probing true
-    atoms only.  propagators gives the search a join seeded with each
-    atom that becomes true (see there), and unit_atoms the instances
-    that put one atom at every literal.
+    Every reader runs the plan through _compile_join with the emit of
+    _emitter, meeting the instances in the order ground meets them.
+    first_with and first_true give the first instance of some kind,
+    with every literal taking the atoms that can be part of it only; the
+    search propagates a lazy denial through propagators and unit_atoms.
     """
 
     origin: int
@@ -1546,47 +1543,112 @@ class LazyDenial:
     groups: list[tuple[int, ...]]
     candidates: _Candidates
     constants: dict[str, int]
-    position: int
-    counted: int
-    followers: list[tuple[int, _Plan]] = field(default_factory=list)
+    atoms: AtomTable
+    lazy: bool
 
-    def expand(self, seen: set, keep, lazy_count: int) -> int:
-        """Make the instances, as ground makes a pure denial's: keep(gc)
-        for each whose clause is not in seen, which it joins.  lazy_count
-        is the number of instances of the lazy denials before this one;
-        the number including this one's comes back.  Raises ground's
-        GroundError where a grounding of every constraint would pass
-        _CONSTRAINT_CAP, in this rule or in a follower."""
-        count = [self.counted + lazy_count]
-        n_pos = sum(isinstance(lit, Pos) for lit in self.con.body)
-        emit = _denial_emitter(self.origin, self.plan, self.groups, n_pos, seen, lambda gc, _key: keep(gc), count)
-        _enumerate_plan(self.plan, self.candidates, self.constants, emit, self.groups)
-        lazy_count = count[0] - self.counted
-        for counted, plan in self.followers:
-            if counted + lazy_count > _CONSTRAINT_CAP:
-                raise _over_cap(plan)
-        return lazy_count
+    def _emitter(self, found, count: list[int] | None = None):
+        """The emit of the rule's join: found(clause, heads, pos_ids,
+        neg_ids) for each instance that no true builtin head satisfies,
+        heads holding the (atom id, wanted) disjuncts that are atoms and
+        clause as _clause gives it; head and negative atoms are interned
+        as met.  count[0], when count is given, counts the instances of
+        the plain join, each standing for its orbit under the groups, and
+        the join ends past _CONSTRAINT_CAP."""
+        plan, groups = self.plan, self.groups
+        bounds = _unknown_bounds(self.con.body)
+        negs = [(n.atom.pred, _compile_args(n.atom, self.constants, bounds)) for n in plan.negs]
+        if not self.con.heads and not negs:
+            n_pos = sum(isinstance(lit, Pos) for lit in self.con.body)
+            # the orbit size of an instance whose positive atoms are distinct
+            distinct_orbit = prod(factorial(len(group)) for group in groups)
 
-    def first_true(self, value) -> GroundConstraint | None:
-        """The first instance, in the order expand meets them, whose atoms
-        value makes all true (value[2 * a] == 1), or None.
+            def emit_denial(binding, pos_ids):
+                clause = tuple(sorted({2 * a + 1 for a in pos_ids}))
+                if count is not None:
+                    count[0] += distinct_orbit if len(clause) == n_pos else _orbit_size(pos_ids, groups)
+                    if count[0] > _CONSTRAINT_CAP:
+                        raise _over_cap(plan)
+                found(clause, (), pos_ids, ())
 
-        It is the first instance expand keeps among those: one before it
-        with the same atoms would be all true too.  And if the instance
-        of an earlier constraint with the same clause was kept instead,
-        that one is all true and comes first in expand_constraints."""
+            return emit_denial
 
-        def found(binding, pos_ids):
-            raise _StopJoin(pos_ids)
+        heads = [
+            (None, _getter(_compile_test(h, self.constants, bounds)), None)
+            if isinstance(h, Builtin)
+            else (h.atom.pred, _compile_args(h.atom, self.constants, bounds), isinstance(h, Pos))
+            for h in self.con.heads
+        ]
+        intern = self.atoms.intern_args
+
+        def emit(binding, pos_ids):
+            if count is not None:
+                count[0] += _orbit_size(pos_ids, groups) if groups else 1
+                if count[0] > _CONSTRAINT_CAP:
+                    raise _over_cap(plan)
+            neg_ids = tuple([intern(pred, neg(binding)) for pred, neg in negs])
+            head_ids = []
+            for pred, head, wanted in heads:
+                if wanted is None:
+                    if head(binding):
+                        return  # a builtin head holds: so does the constraint
+                    continue  # a false builtin head drops out
+                head_ids.append((intern(pred, head(binding)), wanted))
+            found(_clause(head_ids, pos_ids, neg_ids), tuple(head_ids), pos_ids, neg_ids)
+
+        return emit
+
+    def each_instance(self, found, count: list[int]) -> None:
+        """Run the join over every candidate: found as _emitter calls it,
+        for each instance, counted in count."""
+        _enumerate_plan(self.plan, self.candidates, self.constants, self._emitter(found, count), self.groups)
+
+    def expand(self, seen: set, keep, count: list[int]) -> None:
+        """keep(gc) for each instance, in join order, whose set of head
+        disjuncts, positive and negative body atoms is not in seen, which
+        it joins: the rest admit exactly the same hypothesis sets.  An
+        instance without heads and negative atoms is keyed by its clause,
+        a flat tuple of ints that no (heads, pos, neg) key can equal."""
+        origin = self.origin
+
+        def found(clause, heads, pos_ids, neg_ids):
+            key = (_sorted_set(heads), _sorted_set(pos_ids), _sorted_set(neg_ids)) if heads or neg_ids else clause
+            if key not in seen:
+                seen.add(key)
+                keep(GroundConstraint(heads, pos_ids, neg_ids, origin))
+
+        self.each_instance(found, count)
+
+    def first_with(self, clause: tuple[int, ...]) -> GroundConstraint | None:
+        """The first instance, in join order, whose clause is clause, or
+        None.  Each of its positive atoms a has 2a+1 in clause, so every
+        literal takes only those."""
+        value = bytearray(2 * len(self.atoms))
+        for lit in clause:
+            if lit & 1:
+                value[lit - 1] = 1
+        return self.first_true(value, clause)
+
+    def first_true(self, value, clause: tuple[int, ...] | None = None) -> GroundConstraint | None:
+        """The first instance, in join order, whose positive atoms value
+        makes all true (value[2 * a] == 1) and, given clause, whose clause
+        it is; or None.  Of a lazy denial's instances with every atom
+        true, that is the first expand keeps: one before it with the same
+        atoms would be all true too, and the instance of an earlier rule
+        kept in its stead would be all true and come first."""
+        origin = self.origin
+
+        def found(c, heads, pos_ids, neg_ids):
+            if clause is None or c == clause:
+                raise _StopJoin(GroundConstraint(heads, pos_ids, neg_ids, origin))
 
         def make_selector(k, bucket, cut):
             return _selector(bucket, cut, value)
 
+        emit = self._emitter(found)
         try:
-            join = _compile_join(self.plan, self.candidates, self.constants, found, self.groups, make_selector)
-            join({}, ())
+            _compile_join(self.plan, self.candidates, self.constants, emit, self.groups, make_selector)({}, ())
         except _StopJoin as stop:
-            return GroundConstraint((), stop.args[0], (), self.origin)
+            return stop.args[0]
         return None
 
     def unit_atoms(self) -> list[int]:
@@ -2151,47 +2213,41 @@ def _over_cap(plan: _Plan) -> GroundError:
     return _error(msg, plan.span)
 
 
-def _denial_emitter(origin: int, plan: _Plan, groups, n_pos: int, seen: set, keep, count: list[int]):
-    """The emit for a pure denial (no heads, no negative literal).
+def _constraint_clauses(rules: Iterable[ConstraintRule]) -> list[ConstraintClause]:
+    """The clauses of the instances of the rules that are not lazy, each
+    distinct one once, in order of first occurrence, with the origin of
+    the first rule giving it and the denial flag ORed over every
+    instance giving it; tautologies are dropped.  One count runs over
+    the rules (see ConstraintRule._emitter)."""
+    kept: dict[tuple[int, ...], ConstraintClause] = {}
+    count = [0]
+    for rule in rules:
+        if rule.lazy:
+            continue
 
-    count[0] counts the instances of the plain join, each one the groups
-    let through standing for its whole orbit, and ends the enumeration
-    past _CONSTRAINT_CAP.  A pure denial's set of head disjuncts,
-    positive and negative body atoms is its positive atoms, so its key
-    is its clause (see clause_key), a flat tuple of ints that no (heads,
-    pos, neg) key of the general path can equal.  An instance whose key
-    is not in seen goes to keep(constraint, key)."""
-    # the orbit size of an instance whose positive atoms are distinct
-    distinct_orbit = prod(factorial(len(group)) for group in groups)
+        def found(clause, heads, pos_ids, neg_ids, origin=rule.origin):
+            if clause is None:
+                return
+            old = kept.get(clause)
+            if old is None:
+                kept[clause] = ConstraintClause(clause, origin, not heads)
+            elif not heads and not old.denial:
+                kept[clause] = old._replace(denial=True)
 
-    def emit_denial(binding, pos_ids):
-        key = tuple(sorted({2 * a + 1 for a in pos_ids}))
-        if not groups:
-            count[0] += 1
-        elif len(key) == n_pos:
-            count[0] += distinct_orbit
-        else:
-            count[0] += _orbit_size(pos_ids, groups)
-        if count[0] > _CONSTRAINT_CAP:
-            raise _over_cap(plan)
-        if key not in seen:
-            seen.add(key)
-            keep(GroundConstraint((), pos_ids, (), origin), key)
-
-    return emit_denial
+        rule.each_instance(found, count)
+    return list(kept.values())
 
 
 def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -> GroundTheory:
     """Instantiate a normalized program over its abducible universe.
 
-    Ground constraints are kept once: of the instances with the same set
-    of head disjuncts, positive and negative body atoms, the first.  A
+    Each source constraint becomes a ConstraintRule.  The join of each
+    one that _is_lazy refuses runs once, and the theory keeps the
+    distinct clauses of its instances (_constraint_clauses).  A
     constraint body with interchangeable literals is enumerated once per
     permutation orbit, with the literals' candidates in rank order (see
-    _symmetric_groups); the first instance of each set is among those.
-    Each kept constraint's clause (clause_key) goes into the theory's
-    constraint_clauses as it is emitted.  A constraint that _is_lazy
-    accepts is not instantiated but kept as a LazyDenial.
+    _symmetric_groups); the first instance of each clause is among
+    those.
     """
     kinds = classify_predicates(program)
     constants = domains.constants
@@ -2223,76 +2279,21 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
     )
 
     candidates = _Candidates(abd_candidates, possible)
-    constraints: list[GroundConstraint] = []
-    constraint_clauses: list[tuple[int, ...] | None] = []
-    lazy: list[LazyDenial] = []
-    seen: set[tuple] = set()
-    count = [0]  # constraint instances of the plain join, across constraints
+    rules: list[ConstraintRule] = []
 
-    def keep(gc, key):
-        constraints.append(gc)
-        constraint_clauses.append(key)
+    def planned():
+        """Each source constraint's rule, planned once the join of the
+        rule before it has run, so that errors come in source order."""
+        for origin, con in enumerate(program.constraints):
+            head_vars = set().union(*map(literal_variables, con.heads))
+            plan = _plan_rule(con.body, head_vars, con.span, f"constraint {con}")
+            groups = _symmetric_groups(con, plan)
+            lazy = _is_lazy(con, kinds, candidates, constants)
+            rules.append(ConstraintRule(origin, con, plan, groups, candidates, constants, table, lazy))
+            yield rules[-1]
 
-    def emit_constraint(origin: int, con: Constraint, plan: _Plan, groups):
-        """The emit for one constraint, specialised to its shape when the
-        plan is built."""
-        bounds = _unknown_bounds(con.body)
-        negs = [(n.atom.pred, _compile_args(n.atom, constants, bounds)) for n in plan.negs]
-        n_pos = sum(isinstance(lit, Pos) for lit in con.body)
-        if not con.heads and not negs:
-            return _denial_emitter(origin, plan, groups, n_pos, seen, keep, count)
-
-        # Of the instances with one set of head disjuncts, positive and
-        # negative body atoms, only the first is kept: the rest admit
-        # exactly the same hypothesis sets.
-        heads = [
-            (None, _getter(_compile_test(h, constants, bounds)), None)
-            if isinstance(h, Builtin)
-            else (h.atom.pred, _compile_args(h.atom, constants, bounds), isinstance(h, Pos))
-            for h in con.heads
-        ]
-        intern = table.intern_args
-
-        def emit(binding, pos_ids):
-            count[0] += _orbit_size(pos_ids, groups) if groups else 1
-            if count[0] > _CONSTRAINT_CAP:
-                raise _over_cap(plan)
-            neg_ids = tuple([intern(pred, neg(binding)) for pred, neg in negs])
-            head_ids: list[tuple[int, bool]] = []
-            for pred, head, wanted in heads:
-                if wanted is None:
-                    if head(binding):
-                        return  # a builtin head holds: so does the constraint
-                    continue  # a false builtin head drops out
-                head_ids.append((intern(pred, head(binding)), wanted))
-            if head_ids or neg_ids:
-                key = (_sorted_set(head_ids), _sorted_set(pos_ids), _sorted_set(neg_ids))
-            else:  # every head folded away: a pure denial, keyed as one
-                key = tuple(sorted({2 * a + 1 for a in pos_ids}))
-            if key not in seen:
-                seen.add(key)
-                gc = GroundConstraint(tuple(head_ids), pos_ids, neg_ids, origin)
-                keep(gc, clause_key(gc) if head_ids or neg_ids else key)
-
-        return emit
-
-    for origin, con in enumerate(program.constraints):
-        head_vars: set[str] = set()
-        for h in con.heads:
-            head_vars |= literal_variables(h)
-        plan = _plan_rule(con.body, head_vars, con.span, f"constraint {con}")
-        groups = _symmetric_groups(con, plan)
-        if _is_lazy(con, kinds, candidates, constants):
-            lazy.append(
-                LazyDenial(origin, con, plan, groups, candidates, constants, len(constraints), count[0])
-            )
-            continue
-        _enumerate_plan(plan, candidates, constants, emit_constraint(origin, con, plan, groups), groups)
-        if lazy:
-            lazy[-1].followers.append((count[0], plan))
-    return GroundTheory(
-        table, clauses, constraints, universe_ids, forced_ids, constraint_clauses, tuple(lazy)
-    )
+    constraints = _constraint_clauses(planned())
+    return GroundTheory(table, clauses, constraints, universe_ids, forced_ids, tuple(rules))
 
 
 # ---------------------------------------------------------------------------

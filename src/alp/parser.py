@@ -24,6 +24,7 @@ single run reports every error it can find.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .syntax import (
     INT_MAX,
@@ -83,6 +84,12 @@ _PUNCT = [
 _CMP_OPS = frozenset(["=", "\\=", "<", ">", "=<", ">="])
 
 _NEG_COMPLEMENT = {"=": "\\=", "\\=": "=", "<": ">=", ">=": "<", ">": "=<", "=<": ">"}
+
+# The deepest term accepted, each parenthesis, abs and operator around a
+# constant or variable counting one level.  The passes over terms, here
+# and in the grounder, recurse once per level or more, and a deeper term
+# could overflow Python's stack.
+MAX_TERM_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -164,6 +171,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.diags = diags
+        self.depth = 0  # of the last term parsed
 
     # -- token helpers ------------------------------------------------------
 
@@ -203,23 +211,31 @@ class _Parser:
 
     # -- terms --------------------------------------------------------------
 
-    def parse_term(self) -> Term:
-        return self._additive()
+    def parse_term(self, opened: int = 0) -> Term:
+        """A term, whose depth (see MAX_TERM_DEPTH) is then self.depth;
+        opened counts the parentheses and abs already open around it."""
+        return self._operation(("+", "-"), opened)
 
-    def _additive(self) -> Term:
-        t = self._multiplicative()
-        while self.peek().kind == "punct" and self.peek().text in ("+", "-"):
+    def _deeper(self, depth: int, tok: Token) -> int:
+        """depth + 1, for a level at tok around a term of depth depth;
+        past MAX_TERM_DEPTH, an error there."""
+        if depth >= MAX_TERM_DEPTH:
+            self.fail(f"term nested deeper than {MAX_TERM_DEPTH} levels", tok)
+        return depth + 1
+
+    def _operation(self, ops: tuple[str, ...], opened: int) -> Term:
+        """Operands joined by the operators in ops, nested to the left:
+        a sum of products for ("+", "-"), a product of primaries for
+        ("*",)."""
+        operand = partial(self._operation, ("*",)) if "*" not in ops else self._primary
+        t = operand(opened)
+        depth = self.depth
+        while self.peek().kind == "punct" and self.peek().text in ops:
             op = self.next()
-            rhs = self._multiplicative()
+            rhs = operand(opened)
+            depth = self._deeper(max(depth, self.depth), op)
             t = ArithExpr(op.text, (t, rhs), span=op.span)
-        return t
-
-    def _multiplicative(self) -> Term:
-        t = self._primary()
-        while self.at_punct("*"):
-            op = self.next()
-            rhs = self._primary()
-            t = ArithExpr("*", (t, rhs), span=op.span)
+        self.depth = depth
         return t
 
     def _int_const(self, value: int, tok: Token) -> IntConst:
@@ -229,8 +245,9 @@ class _Parser:
             self.fail(f"integer {value} is outside the range {INT_MIN}..{INT_MAX}", tok)
         return IntConst(value, span=tok.span)
 
-    def _primary(self) -> Term:
+    def _primary(self, opened: int) -> Term:
         tok = self.peek()
+        self.depth = 0
         if tok.kind == "int":
             self.next()
             return self._int_const(tok.value, tok)
@@ -244,8 +261,9 @@ class _Parser:
         if tok.kind == "kw" and tok.text == "abs":
             self.next()
             self.eat_punct("(")
-            inner = self.parse_term()
+            inner = self.parse_term(self._deeper(opened, tok))
             self.eat_punct(")")
+            self.depth = self._deeper(self.depth, tok)
             return ArithExpr("abs", (inner,), span=tok.span)
         if tok.kind == "ident":
             self.next()
@@ -254,8 +272,9 @@ class _Parser:
             return SymConst(tok.text, span=tok.span)
         if tok.kind == "punct" and tok.text == "(":
             self.next()
-            inner = self.parse_term()
+            inner = self.parse_term(self._deeper(opened, tok))
             self.eat_punct(")")
+            self.depth = self._deeper(self.depth, tok)
             return inner
         self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
@@ -560,9 +579,24 @@ def parse_text(text: str, filename: str = "<input>") -> Program:
     return parse_program(tokens, diags)
 
 
+def read_source(path) -> str:
+    """The text of a UTF-8 file, its line ends read as "\\n" as in text
+    mode; a ParseError at the first byte that does not decode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        column = len(before) - before.rfind("\n")
+        span = SourceSpan(str(path), before.count("\n") + 1, column, len(before))
+        message = f"not valid UTF-8: byte 0x{data[exc.start]:02x}"
+        raise ParseError(message, [Diagnostic(span, message)]) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_program(path) -> Program:
-    with open(path, encoding="utf-8") as fh:
-        return parse_text(fh.read(), str(path))
+    return parse_text(read_source(path), str(path))
 
 
 def _lint_arities(program: Program) -> list[Diagnostic]:

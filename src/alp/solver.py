@@ -5,15 +5,15 @@ layer yields a total well-founded model satisfying every constraint.
 The search is a trail-based DPLL over the abducible candidates.  Unit
 propagation runs on a clause database built from two sources:
 
-  * every ground constraint, as the disjunction of its head verdicts
-    and negated body literals, the clause the grounder made with it
-    (GroundTheory.constraint_clauses), and
+  * the ground constraints' clauses, the one form the theory stores
+    them in (GroundTheory.constraints), and
   * a supported-model (completion) encoding of the definition layer,
     with one auxiliary variable per multi-literal clause body,
 
-and on the constraints the grounder left unground (lazy denials,
-alp.ground.LazyDenial), which propagate through the grounder's join,
-run from each atom that becomes true.
+and on the constraints the grounder left unground (lazy denials, see
+alp.ground.ConstraintRule), which propagate through the grounder's
+join, run from each atom that becomes true.  check_delta and the root
+unsat_reason re-run a rule's join to name a constraint instance.
 
 Binary clauses propagate through per-literal implication lists, longer
 ones through two watched literals each, listed in one watch array per
@@ -102,8 +102,8 @@ def check_delta(theory: GroundTheory, delta: Iterable[int]) -> CheckResult:
     Computes the well-founded model of definitions plus delta, requires
     it to be total, and then tests every ground constraint.  The delta
     must stay inside universe plus forced atoms.  Reads the theory's
-    constraint clauses and definition arrays only: it compiles no
-    _Search.
+    constraint clauses and definition arrays and re-runs the joins of
+    its rules (see _first_falsified): it compiles no _Search.
     """
     dset = set(delta)
     stray = sorted(dset.difference(theory.universe, theory.forced))
@@ -124,40 +124,18 @@ def _first_falsified(theory: GroundTheory, truth: Sequence[int]) -> GroundConstr
     """The first constraint of theory.expand_constraints() whose clause
     has every literal false under a total truth array; under a total
     model a constraint is violated exactly when its clause is falsified.
-    This is also the origin of the search's first falsified constraint
-    clause: a set's first constraint is falsified together with every
-    later copy.
-
-    The instantiated constraints are read in order, and each lazy
-    denial at its place among them, through its join over the true
-    atoms (LazyDenial.first_true), so nothing is expanded.  An
-    instantiated pure denial that shares its clause with an instance of
-    an earlier lazy denial is read although expand_constraints drops
-    it: if it is falsified, so is that instance, which is met first."""
+    GroundTheory.first_instance finds it from the first stored clause
+    that truth falsifies, without expanding anything."""
     true_lit = bytearray(2 * theory.n_atoms)
     true_lit[0::2] = bytes(t == wfs.TRUE for t in truth)
     true_lit[1::2] = bytes(t != wfs.TRUE for t in truth)
-    clauses = theory.constraint_clauses
-    done = 0
-    for rule in theory.lazy_denials:
-        ci = _first_false_clause(true_lit, clauses, done, rule.position)
-        if ci is not None:
-            return theory.constraints[ci]
-        gc = rule.first_true(true_lit)
-        if gc is not None:
-            return gc
-        done = rule.position
-    ci = _first_false_clause(true_lit, clauses, done, len(clauses))
-    return None if ci is None else theory.constraints[ci]
+    return theory.first_instance(_first_false_clause(true_lit, theory.constraints), true_lit)
 
 
-def _first_false_clause(true_lit, clauses, start: int, stop: int) -> int | None:
-    """The index of the first of clauses[start:stop] that has no true
-    literal, skipping tautologies (None)."""
-    for ci in range(start, stop):
-        clause = clauses[ci]
-        if clause is None:
-            continue
+def _first_false_clause(true_lit, constraints) -> int | None:
+    """The index of the first of constraints whose clause has no true
+    literal, or None."""
+    for ci, (clause, _origin, _denial) in enumerate(constraints):
         for lit in clause:
             if true_lit[lit]:
                 break
@@ -206,10 +184,12 @@ class _Search:
     "v true", 2*v+1 is "v false".  Clauses are literal sets in order of
     first occurrence, deduplicated (the denial flag is ORed over
     duplicates) and without tautologies.  The first n_constraint_clauses
-    are the theory's constraint_clauses as the grounder made them, with
-    origins[i] the index of the first constraint giving that set; the
-    rest encode the completion of the definition layer, with origins[i]
-    the defined atom.
+    are the theory's constraints as it stores them, already so, with
+    origins[i] and is_denial[i] their origin and denial flag, and
+    describe_origin names the first instance of one through
+    GroundTheory.first_instance.  The rest encode the completion of the
+    definition layer, deduplicated against them, with origins[i] the
+    defined atom.
 
     The theory's lazy denials have no clauses.  Each is compiled into
     joins (see _add_lazy_denials) that run when one of its atoms
@@ -217,9 +197,10 @@ class _Search:
     make an atom false when every other atom of an instance is true,
     or report a conflict when all are.  _fixpoint alternates them with
     clause propagation, and the argument there shows that the search
-    meets the same nodes as over every instance.  A conflict in rule r
-    is reported as the index len(clauses) + r, and describe_origin
-    names the rule's first instance whose atoms are all true.
+    meets the same nodes as over every instance.  A conflict in the
+    rule of origin r is reported as the index len(clauses) + r, and
+    describe_origin names the rule's first instance whose atoms are all
+    true.
 
     The loop tables come from one pass over the strongly connected
     components of the definition layer's dependency graph (head to
@@ -320,50 +301,36 @@ class _Search:
         self.source_log: list[tuple[int, int, int]] = []  # (trail length, atom, old source)
         self.triggers: dict[int, list] = {}
         self.denial_units: list[tuple[int, int]] = []
-        if theory.lazy_denials:
-            self._add_lazy_denials(theory)
+        self._add_lazy_denials(theory)
 
     # -- compiling the theory ---------------------------------------------
 
     def _add_clauses(self, theory: GroundTheory):
-        """Build clauses, origins and is_denial: the constraint clauses,
-        then the completion.  The dedup dict origin_of is local, so it is
-        freed on return, before __init__ builds the watch arrays: alive
-        beside them, it would raise the peak memory of solve."""
-        # The constraint clauses: each set once, at its first constraint,
-        # a denial when any constraint giving it is one.
-        keys = theory.constraint_clauses
-        constraints = theory.constraints
-        origin_of: dict[tuple[int, ...], int] = {}
-        repeats: list[int] = []  # constraints whose set an earlier one gave
-        for ci, key in enumerate(keys):
-            if key is not None and origin_of.setdefault(key, ci) != ci:
-                repeats.append(ci)
-        self.clauses: list[tuple[int, ...]] = list(origin_of)
-        self.origins: list[int] = list(origin_of.values())
-        self.is_denial: list[bool] = [not constraints[ci].heads for ci in self.origins]
-        if repeats:
-            position = {key: j for j, key in enumerate(self.clauses)}
-            for ci in repeats:
-                if not constraints[ci].heads:
-                    self.is_denial[position[keys[ci]]] = True
+        """Build clauses, origins and is_denial: the theory's constraint
+        clauses as they are, then the completion.  The set known, which
+        the completion is deduplicated against, is local, so it is freed
+        on return, before __init__ builds the watch arrays: alive beside
+        them, it would raise the peak memory of solve."""
+        self.clauses: list[tuple[int, ...]] = [record.clause for record in theory.constraints]
+        self.origins: list[int] = [record.origin for record in theory.constraints]
+        self.is_denial: list[bool] = [record.denial for record in theory.constraints]
         self.n_constraint_clauses = len(self.clauses)
         bodies = self._find_loops(theory.clauses)
-        self._add_completion(bodies, origin_of)
+        self._add_completion(bodies, set(self.clauses))
 
     def _add_lazy_denials(self, theory: GroundTheory):
         """Compile the lazy denials: triggers[2 * a] lists the joins to
-        run when atom a becomes true (LazyDenial.propagators), and
+        run when atom a becomes true (ConstraintRule.propagators), and
         denial_units the atoms that an instance alone makes false, each
-        with the conflict index of its rule, len(clauses) + its index
-        among the lazy denials.  The closures hold the assignment, not
-        the search, so they make no reference cycle."""
+        with the conflict index of its rule, len(clauses) + its origin.
+        The closures hold the assignment, not the search, so they make
+        no reference cycle."""
         value = self.value
         trail = self.trail
         stats = self.stats
         triggers = self.triggers
-        for r, rule in enumerate(theory.lazy_denials):
-            conflict = len(self.clauses) + r
+        for rule in (rule for rule in theory.rules if rule.lazy):
+            conflict = len(self.clauses) + rule.origin
 
             def imply(binding, pos_ids, conflict=conflict):
                 a = pos_ids[-1]
@@ -378,9 +345,7 @@ class _Search:
                 triggers.setdefault(2 * a, []).extend(runs)
             self.denial_units += [(a, conflict) for a in rule.unit_atoms()]
 
-    def _add_completion(
-        self, bodies: dict[int, dict[tuple, int]], origin_of: dict[tuple[int, ...], int]
-    ):
+    def _add_completion(self, bodies: dict[int, dict[tuple, int]], known: set[tuple[int, ...]]):
         """Add the completion of the definition layer, from each head's
         distinct bodies (see _find_loops).  A fact head is a unit clause.
         Otherwise each body stands for its one literal or for a fresh
@@ -389,9 +354,9 @@ class _Search:
         support clause.
 
         The clauses are those that adding each one through _key and the
-        dedup dict origin_of would give, in the same order, but a clause
-        holding a fresh dj skips both.  No clause made before dj holds
-        it, and of those made later only its head's support clause may.
+        set known of the clauses so far would give, in the same order, but
+        a clause holding a fresh dj skips both.  No clause made before dj
+        holds it, and of those made later only its head's support clause may.
         So the clauses of one body, (lit, ¬dj) for each literal,
         (¬lits..., dj) and (2h, ¬dj), are new but for repeats among
         themselves: a repeated literal, the head clause when the head is
@@ -409,9 +374,9 @@ class _Search:
         def add(key: tuple[int, ...] | None, origin: int):
             """Add a completion clause with sorted literal set key, unless
             it is a tautology (None, see alp.ground._key) or in already."""
-            if key is None or key in origin_of:
+            if key is None or key in known:
                 return
-            origin_of[key] = origin
+            known.add(key)
             clauses.append(key)
             origins.append(origin)
 
@@ -527,12 +492,11 @@ class _Search:
             atom = theory.atoms.render(-1 - idx)
             return f"definition of {atom} (a loop without outside support)"
         if idx >= len(self.clauses):  # a lazy denial, see _add_lazy_denials
-            rule = theory.lazy_denials[idx - len(self.clauses)]
+            rule = theory.rules[idx - len(self.clauses)]
             return theory.render_constraint(rule.first_true(self.value))
-        ref = self.origins[idx]
         if idx < self.n_constraint_clauses:
-            return theory.render_constraint(theory.constraints[ref])
-        return f"definition of {theory.atoms.render(ref)}"
+            return theory.render_constraint(theory.first_instance(idx))
+        return f"definition of {theory.atoms.render(self.origins[idx])}"
 
     # -- assignment machinery -------------------------------------------
 

@@ -3,7 +3,7 @@ clause database against.
 
 ReferenceSearch is alp.solver._Search with the completion of the
 definition layer compiled the plain way: every completion clause goes
-through alp.ground._key and the dedup dict, whatever it holds; each
+through alp.ground._key and the dedup set, whatever it holds; each
 head's bodies are collected in a list that is searched before each
 append; and the loops are found in four passes over the ground clauses.
 _Search must build the same clauses, origins, denial flags, variables,
@@ -20,11 +20,11 @@ class ReferenceSearch(_Search):
     """_Search's _add_clauses passes what _find_loops returns on to
     _add_completion: here, the ground clauses themselves."""
 
-    def _add_completion(self, clauses: list[GroundClause], origin_of):
+    def _add_completion(self, clauses: list[GroundClause], known):
         def add(key, origin):
-            if key is None or key in origin_of:
+            if key is None or key in known:
                 return
-            origin_of[key] = origin
+            known.add(key)
             self.clauses.append(key)
             self.origins.append(origin)
             self.is_denial.append(False)

@@ -20,7 +20,6 @@ from alp.ground import (
     GroundAtom,
     GroundClause,
     GroundConstraint,
-    GroundTheory,
     apply_const_overrides,
     build_theory,
 )
@@ -29,6 +28,7 @@ from alp.parser import parse_text, pretty_print
 from alp.solver import NotTwoValued, Sat, SolveOptions, check_delta, solve, translate_query
 from alp.syntax import Atom, IntConst
 from alp.wfs import well_founded
+from test_solver import hand_built
 
 
 def bundled(name: str) -> str:
@@ -191,7 +191,7 @@ def random_theory(rng, n_u):
             pos = tuple(rng.choice(all_atoms) for _ in range(rng.randint(0, 2)))
             neg = tuple(rng.choice(all_atoms) for _ in range(rng.randint(0, 2)))
             constraints.append(GroundConstraint(heads, pos, neg))
-    return GroundTheory(table, clauses, constraints, universe, tuple(forced))
+    return hand_built(table, clauses, constraints, universe, tuple(forced))
 
 
 def brute_force_solutions(theory):

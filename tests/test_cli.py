@@ -297,6 +297,45 @@ def test_parse_errors_go_to_stderr(tmp_path, capsys):
     assert "bad.alp:1:8" in err
 
 
+NOT_UTF8 = b"abducible p/0.\n% caf\xc3\xa9 \xff\np <- true.\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "ground", "check"])
+def test_a_program_that_is_not_utf8_is_an_error_at_its_first_bad_byte(tmp_path, capsys, command):
+    path = tmp_path / "latin1.alp"
+    path.write_bytes(NOT_UTF8)
+    delta = tmp_path / "delta.json"
+    delta.write_text("[]", encoding="utf-8")
+    extra = ["--delta", str(delta)] if command == "check" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err == f"{path}:2:8: not valid UTF-8: byte 0xff\n"
+
+
+def test_a_delta_file_that_is_not_utf8_is_an_error(tiny, tmp_path, capsys):
+    delta = tmp_path / "delta.json"
+    delta.write_bytes(b'[{"pred": "pick", "args": [1]}, "\xff"]')
+    code, out, err = run(capsys, "check", tiny, "--delta", str(delta))
+    assert (code, out) == (2, "")
+    assert err == f"{delta}:1:34: not valid UTF-8: byte 0xff\n"
+
+
+def test_a_plan_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_bytes(b'{"initial": [[1, "table"]],\r\n "moves": [], "horizon": "\xe9"}')
+    code, out, err = run(capsys, "oracle", "plan", str(plan))
+    assert (code, out) == (2, "")
+    assert err == f"{plan}:2:27: not valid UTF-8: byte 0xe9\n"
+
+
+def test_line_ends_read_as_in_text_mode(tmp_path, capsys):
+    # a carriage return ends a line, as it does in a file opened as text
+    path = tmp_path / "cr.alp"
+    path.write_bytes(b"abducible p/0.\r% a comment\rp <- true.\r\n")
+    code, out, _err = run(capsys, "solve", str(path))
+    assert (code, out) == (0, "% solution 1\np.\n\n")
+
+
 def test_readme_solve_example_is_the_cli_output(queens, monkeypatch, capsys):
     # The README's first console block: a command, then the head of its
     # output up to a "..." line.

@@ -1,4 +1,4 @@
-"""Long positive denials over abducibles, kept unground (LazyDenial).
+"""Long positive denials over abducibles, kept unground (lazy rules).
 
 ground keeps such a rule as its plan, and the search propagates it from
 the atoms it makes true; check_delta, the root's unsat_reason and dump
@@ -31,6 +31,10 @@ def bundled(name):
 
 def theory_for(text, name="t"):
     return build_theory(parse_text(text, name))
+
+
+def lazy_rules(theory):
+    return [rule for rule in theory.rules if rule.lazy]
 
 
 def eager_theory(monkeypatch, text, name="t"):
@@ -143,20 +147,20 @@ def test_lazy_denials_behave_as_their_ground_instances(monkeypatch):
         label = f"program {i}:\n{text}"
         lazy = theory_for(text)
         eager = eager_theory(monkeypatch, text)
-        assert not eager.lazy_denials, label
+        assert not lazy_rules(eager), label
         assert lazy.dump() == eager.dump(), label
-        assert lazy.expand_constraints() == eager.constraints, label
-        met["lazy"] += len(lazy.lazy_denials)
-        for rule in lazy.lazy_denials:
+        assert lazy.expand_constraints() == eager.expand_constraints(), label
+        met["lazy"] += len(lazy_rules(lazy))
+        for rule in lazy_rules(lazy):
             met["groups"] += bool(rule.groups)
             met["units"] += bool(rule.unit_atoms())
             met["tests"] += any(isinstance(lit, Builtin) for lit in rule.con.body)
             met["constants"] += any(
                 not isinstance(arg, Var) for lit in rule.con.body if isinstance(lit, Pos) for arg in lit.atom.args
             )
-        origins = {rule.origin for rule in lazy.lazy_denials}
+        origins = {rule.origin for rule in lazy_rules(lazy)}
         met["repeated atoms"] += any(
-            gc.origin in origins and len(set(gc.pos)) < len(gc.pos) for gc in eager.constraints
+            gc.origin in origins and len(set(gc.pos)) < len(gc.pos) for gc in eager.expand_constraints()
         )
         lazy_report, eager_report = solve(lazy), solve(eager)
         assert lazy_report.solutions == eager_report.solutions, label
@@ -187,7 +191,7 @@ def test_blocks_compiles_few_constraint_clauses():
     # the three-move rule's 20,580 instances stay unground: the search's
     # clauses from constraints are the other rules' 2,841
     theory = theory_for(bundled("blocks.alp"))
-    assert len(theory.constraints) == 2_841 and len(theory.lazy_denials) == 1
+    assert len(theory.constraints) == 2_841 and len(lazy_rules(theory)) == 1
     assert len(theory.expand_constraints()) == 23_421
     assert _Search(theory, SolveOptions(), SolveStats()).n_constraint_clauses < 3_000
 
@@ -231,7 +235,7 @@ def test_a_lazy_denial_past_the_cap_solves_but_does_not_dump(monkeypatch, tmp_pa
 )
 def test_a_root_conflict_in_a_lazy_denial_names_it(monkeypatch, tmp_path, capsys, text, instance):
     theory = theory_for(text)
-    assert theory.lazy_denials
+    assert lazy_rules(theory)
     report = solve(theory)
     reason = "constraints are contradictory before any hypothesis: " + instance
     assert report.solutions == [] and report.unsat_reason == reason

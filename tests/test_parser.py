@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from alp.parser import load_program, parse_text, pretty_print, tokenize
+from alp import cli
+from alp.ground import build_theory
+from alp.parser import MAX_TERM_DEPTH, load_program, parse_text, pretty_print, tokenize
+from alp.solver import solve
 from alp.syntax import (
     Atom,
     Builtin,
@@ -270,3 +273,48 @@ def test_documented_sugar_parses_to_the_plain_forms():
         Builtin(">=", X, IntConst(2)),
         Builtin("\\=", X, IntConst(3)),
     )
+
+
+def nested(depth):
+    """q(X) :- X = t with t a term of the given depth in parentheses."""
+    return "q(X) :- X = " + "(" * depth + "1" + ")" * depth + ".\n"
+
+
+def summed(depth):
+    """q(X) :- X = t with t a sum of depth + 1 ones, left nested."""
+    return "q(X) :- X = " + " + ".join(["1"] * (depth + 1)) + ".\n"
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        # the first parenthesis past the bound
+        (nested(MAX_TERM_DEPTH + 1), 13 + MAX_TERM_DEPTH),
+        (nested(250), 13 + MAX_TERM_DEPTH),
+        # the first operator past the bound
+        (summed(MAX_TERM_DEPTH + 1), 15 + 4 * MAX_TERM_DEPTH),
+        (summed(900), 15 + 4 * MAX_TERM_DEPTH),
+        (summed(1500), 15 + 4 * MAX_TERM_DEPTH),
+        # operators and abs add up: the outermost abs crosses the bound
+        ("q(X) :- X = " + "abs(" * 60 + summed(MAX_TERM_DEPTH - 59)[12:-2] + ")" * 60 + ".\n", 13),
+    ],
+    ids=["parentheses", "250-parentheses", "sum", "900-sum", "1500-sum", "abs-around-sum"],
+)
+def test_a_term_nested_too_deep_is_a_positioned_error(tmp_path, capsys, text, column):
+    with pytest.raises(ParseError, match=f"term nested deeper than {MAX_TERM_DEPTH} levels") as err:
+        parse_text(text, "deep")
+    (diag,) = err.value.diagnostics
+    assert (diag.span.line, diag.span.column) == (1, column)
+    path = tmp_path / "deep.alp"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["solve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{path}:1:{column}: term nested deeper than")
+
+
+@pytest.mark.parametrize("text", [nested(MAX_TERM_DEPTH), summed(MAX_TERM_DEPTH)], ids=["parentheses", "sum"])
+def test_a_term_at_the_depth_bound_still_solves(text):
+    value = MAX_TERM_DEPTH + 1 if "+" in text else 1
+    text = f"abducible p/0.\n{text[:-2]}, p.\nq({value}) <- true.\n"
+    theory = build_theory(parse_text(text, "deep"))
+    assert [theory.render_delta(s) for s in solve(theory).solutions] == [["p."]]

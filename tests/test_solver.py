@@ -17,6 +17,7 @@ from alp.ground import (
     GroundClause,
     GroundConstraint,
     GroundTheory,
+    _constraint_clauses,
     apply_const_overrides,
     build_theory,
     clause_key,
@@ -130,6 +131,38 @@ def reference_check(theory, delta):
     return Sat, None
 
 
+class FixedRule:
+    """A test double for alp.ground.ConstraintRule: one rule that is not
+    lazy, whose instances are a fixed list of ground constraints, in
+    order, with the reader methods the theory and the solver call.  Its
+    expansion keeps every instance, repeats included, and its readers
+    return the listed objects themselves."""
+
+    lazy = False
+    origin = 0
+
+    def __init__(self, instances):
+        self.instances = instances
+
+    def each_instance(self, found, count):
+        for gc in self.instances:
+            found(clause_key(gc), gc.heads, gc.pos, gc.neg)
+
+    def expand(self, seen, keep, count):
+        for gc in self.instances:
+            keep(gc)
+
+    def first_with(self, clause):
+        return next((gc for gc in self.instances if clause_key(gc) == clause), None)
+
+
+def hand_built(atoms, clauses, instances, universe, forced):
+    """A theory whose constraints are the given instances, through one
+    FixedRule, its clauses kept as ground keeps them."""
+    rule = FixedRule(instances)
+    return GroundTheory(atoms, clauses, _constraint_clauses([rule]), universe, forced, (rule,))
+
+
 def random_ground_theory(rng, positive_loops=False):
     """A small ground theory whose constraints repeat, permute and
     contradict themselves: equal copies, shuffled copies, tautologies and
@@ -180,7 +213,7 @@ def random_ground_theory(rng, positive_loops=False):
                     heads.append((a, True))
             constraints.append(GroundConstraint(tuple(heads), tuple(pos), tuple(neg)))
     forced = tuple(a for a in universe if rng.random() < 0.1)
-    return GroundTheory(table, clauses, constraints, universe, forced)
+    return hand_built(table, clauses, constraints, universe, forced)
 
 
 def test_check_delta_matches_field_by_field_reference():
@@ -207,9 +240,8 @@ def test_check_delta_matches_field_by_field_reference():
 
 
 def reference_clause(gc, seen):
-    """One constraint's literal set as GroundTheory.constraint_clauses
-    documents it, computed the plain way: sorted, or None for a
-    tautology.  seen counts the cases met."""
+    """One constraint's literal set, computed the plain way: sorted, or
+    None for a tautology.  seen counts the cases met."""
     lits = [2 * a + (0 if wanted else 1) for a, wanted in gc.heads]
     lits += [2 * a + 1 for a in gc.pos]
     lits += [2 * a for a in gc.neg]
@@ -221,22 +253,34 @@ def reference_clause(gc, seen):
     return tuple(sorted(set(lits)))
 
 
+def eager_instances(theory):
+    """(origin, instance) for each instance of the theory's rules that
+    are not lazy, as expanding those rules alone keeps them."""
+    out = []
+    seen = set()
+    for rule in theory.rules:
+        if not rule.lazy:
+            rule.expand(seen, lambda gc, origin=rule.origin: out.append((origin, gc)), [0])
+    return out
+
+
 def reference_constraint_clauses(theory, seen):
-    """The constraint clauses as _Search documents them, computed the
-    plain way: each constraint's literal set, tautologies dropped, the
-    first occurrence of each set kept with its constraint's index, and
-    the denial flag ORed over the constraints giving the set.  seen
-    counts the cases met."""
+    """The constraint clauses as GroundTheory documents them, computed
+    the plain way from the instances of the rules that are not lazy:
+    each instance's literal set, tautologies dropped, the first
+    occurrence of each set kept with its rule's origin, and the denial
+    flag ORed over the instances giving the set.  seen counts the cases
+    met."""
     clauses, origins, is_denial = [], [], []
     first = {}
-    for ci, gc in enumerate(theory.constraints):
+    for origin, gc in eager_instances(theory):
         key = reference_clause(gc, seen)
         if key is None:
             continue
         if key not in first:
             first[key] = len(clauses)
             clauses.append(key)
-            origins.append(ci)
+            origins.append(origin)
             is_denial.append(not gc.heads)
             continue
         seen["duplicate"] += 1
@@ -254,7 +298,7 @@ def clashing_constraints(rng, theory):
     is another constraint's body and negative heads, permuted, so that
     both give one literal set."""
     atoms = list(range(theory.n_atoms))
-    constraints = list(theory.constraints)
+    constraints = theory.expand_constraints()
     for _ in range(rng.randint(0, 6)):
         a = rng.choice(atoms)
         pos = tuple(rng.choice(atoms) for _ in range(rng.randint(0, 2)))
@@ -271,15 +315,14 @@ def clashing_constraints(rng, theory):
             body = list(src.pos) + [h for h, _wanted in src.heads]
             gc = GroundConstraint((), tuple(rng.sample(body, len(body))), src.neg)
         constraints.insert(rng.randint(0, len(constraints)), gc)
-    return GroundTheory(theory.atoms, theory.clauses, constraints, theory.universe, theory.forced)
+    return hand_built(theory.atoms, theory.clauses, constraints, theory.universe, theory.forced)
 
 
 def assert_constraint_clauses_match(theory, seen, label):
-    """The theory's constraint_clauses and the constraint part of its
-    search's clauses against the plain reference encodings."""
-    uncounted = collections.Counter()
-    assert theory.constraint_clauses == [reference_clause(gc, uncounted) for gc in theory.constraints], label
+    """The theory's constraint clauses and the constraint part of its
+    search's clauses against the plain reference encoding."""
     clauses, origins, is_denial = reference_constraint_clauses(theory, seen)
+    assert [tuple(record) for record in theory.constraints] == list(zip(clauses, origins, is_denial)), label
     db = _Search(theory, SolveOptions(), SolveStats())
     n = db.n_constraint_clauses
     assert n == len(clauses), label
@@ -294,7 +337,8 @@ def assert_constraint_clauses_match(theory, seen, label):
 
 
 def test_constraint_clauses_match_a_plain_reference_encoding():
-    # hand-built theories: constraint_clauses comes from __post_init__
+    # hand-built theories: the clauses come from _constraint_clauses
+    # over a FixedRule
     rng = random.Random(31)
     seen = collections.Counter()
     for i in range(500):
@@ -308,8 +352,8 @@ def test_constraint_clauses_match_a_plain_reference_encoding():
 
 
 def test_grounded_constraint_clauses_match_a_plain_reference_encoding():
-    # grounded theories: ground fills constraint_clauses as it emits,
-    # with a pure denial's dedup key as its clause
+    # grounded theories: ground keeps the clauses as it runs each
+    # rule's join
     theories = [
         ("queens-6", bundled_theory("queens.alp", size=6)),
         ("queens-8", bundled_theory("queens.alp", size=8)),
@@ -347,7 +391,7 @@ def count_completion_cases(theory, seen):
     one-literal body whose clause is a constraint clause, a fact head,
     a support clause that is a tautology or equals a body clause, and a
     unit clause that repeats a constraint clause."""
-    constraint_clauses = set(theory.constraint_clauses)
+    constraint_clauses = {record.clause for record in theory.constraints}
     bodies = {}
     for gc in theory.clauses:
         bodies.setdefault(gc.head, {})[gc.pos, gc.neg] = None
@@ -397,10 +441,10 @@ def definition_clashes(rng, theory):
     undefined = [a for a in range(theory.n_atoms) if a not in defined and a not in candidates]
     if undefined:
         planted.append(GroundConstraint((), (rng.choice(undefined),)))
-    constraints = list(theory.constraints)
+    constraints = theory.expand_constraints()
     for gc in planted:
         constraints.insert(rng.randint(0, len(constraints)), gc)
-    return GroundTheory(theory.atoms, theory.clauses, constraints, theory.universe, theory.forced)
+    return hand_built(theory.atoms, theory.clauses, constraints, theory.universe, theory.forced)
 
 
 def assert_compiled_like_the_reference(theory, seen, label):
@@ -687,7 +731,7 @@ def assert_conflict(search, idx):
     if idx < 0:  # a true loop atom left without a source
         assert search.loop_atoms and search.value[2 * (-1 - idx)] == 1
     elif idx >= len(search.clauses):  # a lazy denial with every atom true
-        rule = search.theory.lazy_denials[idx - len(search.clauses)]
+        rule = search.theory.rules[idx - len(search.clauses)]
         assert rule.first_true(search.value) is not None
     else:
         assert_falsified(search, idx)
@@ -933,8 +977,9 @@ def negative_loop_theory(rng):
         gate = tuple(rng.sample(theory.universe, 1 if i == 0 else rng.randint(0, 1)))
         clauses.append(GroundClause(head, gate, (loop[(i + 1) % n],)))
     side = GroundConstraint((), (rng.choice(loop),))
-    constraints = rng.sample(theory.constraints + [side], len(theory.constraints) + 1)
-    return GroundTheory(theory.atoms, clauses, constraints, theory.universe, theory.forced)
+    constraints = theory.expand_constraints()
+    constraints = rng.sample(constraints + [side], len(constraints) + 1)
+    return hand_built(theory.atoms, clauses, constraints, theory.universe, theory.forced)
 
 
 def test_total_leaves_under_a_negative_loop_are_checked(monkeypatch):
