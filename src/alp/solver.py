@@ -565,7 +565,7 @@ class _Search:
         literal.  Unit propagation reaches one fixpoint whatever order
         it assigns literals in, and reaches a conflict in every order if
         in any, and the joins imply exactly what the clauses of the
-        rules' instances would (LazyDenial.propagators): so the search
+        rules' instances would (ConstraintRule.propagators): so the search
         meets the same fixpoints and the same conflicting nodes as it
         would over every instance, and only the number of literals
         assigned before a conflict, in propagations, can differ.  The
