@@ -1062,20 +1062,25 @@ def bench_hamcycle_theory(seed):
 
 
 @pytest.mark.parametrize(
-    "program, counts",
+    "program, options, counts",
     [
-        (lambda: bundled_theory("queens.alp", size=8), (766, 6199, 292, 92, 92)),
-        (lambda: bundled_theory("blocks.alp"), (104, 4882, 29, 24, 24)),
-        (lambda: bench_hamcycle_theory(1), (668, 6084, 216, 119, 119)),
+        (lambda: bundled_theory("queens.alp", size=8), SolveOptions(), (766, 6199, 292, 92, 92)),
+        (lambda: bundled_theory("blocks.alp"), SolveOptions(), (104, 4882, 29, 24, 24)),
+        (lambda: bench_hamcycle_theory(1), SolveOptions(), (668, 6084, 216, 119, 119)),
+        (lambda: bundled_theory("queens.alp", size=8), SolveOptions(max_models=1), (56, 425, 23, 1, 1)),
+        (lambda: bundled_theory("blocks.alp"), SolveOptions(max_models=1), (25, 1665, 3, 1, 1)),
+        (lambda: bundled_theory("blocks.alp"), SolveOptions(minimal_only=True), (104, 4882, 29, 1, 1)),
     ],
-    ids=["queens-8", "blocks", "hamcycle-1"],
+    ids=["queens-8", "blocks", "hamcycle-1", "queens-8-first", "blocks-first", "blocks-minimal"],
 )
-def test_search_counts_are_pinned(program, counts):
-    # Nodes, propagations, pruned, checks and models of an all-solutions
-    # search.  They change with the branching rule or the order in which
-    # clauses are watched and implied, which would then change the order
-    # of the solutions too: such a change has to be made on purpose.
-    stats = solve(program()).stats
+def test_search_counts_are_pinned(program, options, counts):
+    # Nodes, propagations, pruned, checks and models of a search for all
+    # solutions, for the first one and for the minimal ones.  They change
+    # with the branching rule or the order in which clauses are watched
+    # and implied, which would then change the order of the solutions
+    # too: such a change has to be made on purpose.  A capped search
+    # stops at the node where it meets its last solution.
+    stats = solve(program(), options).stats
     assert (stats.nodes, stats.propagations, stats.pruned, stats.checks, stats.models) == counts
 
 
