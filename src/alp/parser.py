@@ -86,9 +86,10 @@ _CMP_OPS = frozenset(["=", "\\=", "<", ">", "=<", ">="])
 _NEG_COMPLEMENT = {"=": "\\=", "\\=": "=", "<": ">=", ">=": "<", ">": "=<", "=<": ">"}
 
 # The deepest term accepted, each parenthesis, abs and operator around a
-# constant or variable counting one level.  The passes over terms, here
-# and in the grounder, recurse once per level or more, and a deeper term
-# could overflow Python's stack.
+# constant or variable counting one level, and the deepest nesting of
+# parenthesised body groups.  The passes over terms and groups, here, in
+# alp.syntax and in the grounder, recurse once per level or more, and a
+# deeper term or group could overflow Python's stack.
 MAX_TERM_DEPTH = 100
 
 
@@ -216,11 +217,11 @@ class _Parser:
         opened counts the parentheses and abs already open around it."""
         return self._operation(("+", "-"), opened)
 
-    def _deeper(self, depth: int, tok: Token) -> int:
-        """depth + 1, for a level at tok around a term of depth depth;
-        past MAX_TERM_DEPTH, an error there."""
+    def _deeper(self, depth: int, tok: Token, what: str = "term") -> int:
+        """depth + 1, for a level at tok around a term (or body group) of
+        depth depth; past MAX_TERM_DEPTH, an error there."""
         if depth >= MAX_TERM_DEPTH:
-            self.fail(f"term nested deeper than {MAX_TERM_DEPTH} levels", tok)
+            raise _TooDeep(Diagnostic(tok.span, f"{what} nested deeper than {MAX_TERM_DEPTH} levels"))
         return depth + 1
 
     def _operation(self, ops: tuple[str, ...], opened: int) -> Term:
@@ -362,32 +363,40 @@ class _Parser:
             items.append(self.parse_body_item())
         return tuple(items)
 
-    def parse_body_item(self):
+    def parse_body_item(self, depth: int = 0):
+        """A literal or a parenthesised group; depth counts the groups
+        open around it."""
         if self.at_punct("("):
             # Could be a parenthesized disjunction or just a grouped
             # conjunction; both are an OrGroup, possibly with one branch.
             save = self.pos
-            self.next()
+            tok = self.next()
             try:
-                branches = [self._group_branch()]
+                inner = self._deeper(depth, tok, "body group")
+                branches = [self._group_branch(inner)]
                 while self.at_punct(";"):
                     self.next()
-                    branches.append(self._group_branch())
+                    branches.append(self._group_branch(inner))
                 self.eat_punct(")")
                 return OrGroup(tuple(branches))
-            except _Bail:
+            except _Bail as failed:
                 # Backtrack: the parenthesis may open a term such as
-                # (N-1)*2 on the left of a comparison.
+                # (N-1)*2 on the left of a comparison.  If that fails
+                # too, a bound the group crossed is the error to report.
                 self.pos = save
-                lhs = self.parse_term()
-                return self._builtin_tail(lhs)
+                try:
+                    return self._builtin_tail(self.parse_term())
+                except _Bail:
+                    if isinstance(failed, _TooDeep):
+                        raise failed from None
+                    raise
         return self.parse_literal()
 
-    def _group_branch(self) -> tuple:
-        items = [self.parse_body_item()]
+    def _group_branch(self, depth: int) -> tuple:
+        items = [self.parse_body_item(depth)]
         while self.at_punct(","):
             self.next()
-            items.append(self.parse_body_item())
+            items.append(self.parse_body_item(depth))
         return tuple(items)
 
     def parse_head_item(self):
@@ -522,6 +531,10 @@ class _Bail(Exception):
     def __init__(self, diagnostic: Diagnostic):
         super().__init__(diagnostic.message)
         self.diagnostic = diagnostic
+
+
+class _TooDeep(_Bail):
+    """A term or body group nested deeper than MAX_TERM_DEPTH."""
 
 
 def _contains_var(t: Term) -> bool:

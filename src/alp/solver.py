@@ -29,7 +29,7 @@ clauses of blocks and hamcycle are of this kind).  Of those not yet
 satisfied that still have an unassigned candidate, the first with the
 fewest unassigned literals gives the decision, its first unassigned
 candidate, tried absent before present; with none open, the candidates
-follow in atom order (see _Search.run).
+follow in atom order (see _Search.solutions).
 
 Any two-valued well-founded model extends to a total assignment of this
 database, so propagation and conflict pruning never lose a solution.
@@ -49,10 +49,11 @@ what makes the planning workload tractable.
 from __future__ import annotations
 
 import time
+from itertools import islice
 from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import wfs
 from .ground import GroundClause, GroundConstraint, GroundTheory, _key, _StopJoin
@@ -178,7 +179,10 @@ class SolveReport:
 
 class _Search:
     """One depth-first enumeration over a ground theory, which it
-    compiles for itself.
+    compiles for itself.  After propagate_pending, solutions() is a
+    generator that runs the search as one loop over an explicit stack
+    of open nodes and yields each solution when it reaches it; the
+    caller takes as many as it wants.
 
     Literals follow the grounder's encoding (alp.ground._key): 2*v is
     "v true", 2*v+1 is "v false".  Clauses are literal sets in order of
@@ -271,9 +275,10 @@ class _Search:
         self.watch0 = watch0 = array("i", [0]) * len(clauses)
         self.watch1 = watch1 = array("i", [0]) * len(clauses)
         # The support clauses, the clauses of three or more literals that
-        # are not denials and mention a candidate (see run): for each, a
-        # getter of its literals' values, its candidates and a getter of
-        # their values, so that run reads a clause in one call.
+        # are not denials and mention a candidate (see solutions): for
+        # each, a getter of its literals' values, its candidates and a
+        # getter of their values, so that the search reads a clause in
+        # one call.
         self.support: list[tuple[itemgetter, tuple[int, ...], itemgetter]] = []
         for ci, cl in enumerate(clauses):
             if len(cl) == 2:
@@ -295,7 +300,6 @@ class _Search:
                         self.support.append((itemgetter(*cl), cands, get_cands))
             else:
                 self.units.append(ci)
-        self.solutions: list[tuple[int, ...]] = []
         self.minimal_sets: list[frozenset[int]] = []
         self.source = [-1] * self.n_atoms
         self.source_log: list[tuple[int, int, int]] = []  # (trail length, atom, old source)
@@ -569,7 +573,7 @@ class _Search:
         meets the same fixpoints and the same conflicting nodes as it
         would over every instance, and only the number of literals
         assigned before a conflict, in propagations, can differ.  The
-        denials are no support clauses, so branching (see run) does not
+        denials are no support clauses, so branching (see solutions) does not
         change either, nor do nodes, pruned, checks, models or the
         order of the solutions."""
         conflict = self._propagate(head)
@@ -731,8 +735,23 @@ class _Search:
 
     # -- branching --------------------------------------------------------
 
-    def run(self, goals: list[int], start: int = 0) -> bool:
-        """DFS; returns False when the model cap stopped the search.
+    def solutions(self) -> Iterator[tuple[int, ...]]:
+        """Depth-first search from the root fixpoint (see
+        propagate_pending), yielding each solution as it is found.
+
+        The open nodes sit on an explicit stack, so the depth of the
+        search is bounded by memory alone.  A frame holds a node's kept
+        goals, its start, the trail mark taken before its decision and
+        the literals it still has to try, popped from the end so that
+        absent comes first.  Each turn of the loop is at a node whose
+        propagation met no conflict: it is a leaf, which _leaf decides,
+        or it pushes its frame.  Then the deepest frame with a literal
+        left undoes the trail to its mark and propagates that literal; a
+        conflict prunes the child and the next literal is taken.  A
+        frame with none left is dropped without undoing: the frame below
+        it undoes to an earlier mark.  A caller that stops taking
+        solutions leaves the generator suspended where it found the
+        last one, so the search meets no further node.
 
         Variables before branch_vars[start] are assigned on this path,
         so the node is a leaf when none from start on is unassigned.
@@ -743,61 +762,73 @@ class _Search:
         and have an unassigned candidate, the first with the fewest
         unassigned literals gives its first unassigned candidate; with
         none open, the decision is branch_vars[start].  A clause that
-        is satisfied or has no
-        unassigned candidate stays so below this node, so goals, which
-        holds every support clause that may still be open, is filtered
-        on the way down.
-        At a propagation fixpoint an open clause has at least two
-        unassigned literals, so the scan stops at the first one with
-        two.
+        is satisfied or has no unassigned candidate stays so below this
+        node, so goals, which holds every support clause that may still
+        be open, is filtered on the way down.  At a propagation fixpoint
+        an open clause has at least two unassigned literals, so the scan
+        stops at the first one with two.
 
         The decision thus depends only on the assignment at the node,
         which _leaf's argument for --minimal rests on: two leaves part
         at one node, on one variable, and the absent branch comes
         first."""
         value = self.value
+        trail = self.trail
+        stats = self.stats
         branch_vars = self.branch_vars
-        while start < len(branch_vars) and value[2 * branch_vars[start]] != -1:
-            start += 1
-        if start == len(branch_vars):  # no candidate left, so no clause open
-            return self._leaf()
         support = self.support
-        var = branch_vars[start]
-        best = 0
-        kept: list[int] = []
-        for i, s in enumerate(goals):
-            get_lits, cands, get_cands = support[s]
-            vals = get_lits(value)
-            if 1 in vals:
-                continue
-            n = vals.count(-1)
-            # Whether a candidate is unassigned matters only to a clause
-            # that would be picked; the others are kept.
-            if not best or n < best:
-                vals = get_cands(value)
-                if -1 not in vals:
-                    continue
-                var = cands[vals.index(-1)]
-                best = n
-                if n == 2:
-                    kept += goals[i:]
-                    break
-            kept.append(s)
-        for lit in (2 * var + 1, 2 * var):  # absent first
-            self.stats.nodes += 1
-            mark = len(self.trail)
-            conflict = self.propagate(lit)
-            if conflict is None:
-                more = self.run(kept, start)
-                self.undo_to(mark)
-                if not more:
-                    return False
+        propagate = self.propagate
+        undo_to = self.undo_to
+        stack: list[tuple[list[int], int, int, list[int]]] = []
+        goals = list(range(len(support)))
+        start = 0
+        while True:
+            while start < len(branch_vars) and value[2 * branch_vars[start]] != -1:
+                start += 1
+            if start == len(branch_vars):  # no candidate left, so no clause open
+                delta = self._leaf()
+                if delta is not None:
+                    yield delta
             else:
-                self.stats.pruned += 1
-                self.undo_to(mark)
-        return True
+                var = branch_vars[start]
+                best = 0
+                kept: list[int] = []
+                for i, s in enumerate(goals):
+                    get_lits, cands, get_cands = support[s]
+                    vals = get_lits(value)
+                    if 1 in vals:
+                        continue
+                    n = vals.count(-1)
+                    # Whether a candidate is unassigned matters only to a
+                    # clause that would be picked; the others are kept.
+                    if not best or n < best:
+                        vals = get_cands(value)
+                        if -1 not in vals:
+                            continue
+                        var = cands[vals.index(-1)]
+                        best = n
+                        if n == 2:
+                            kept += goals[i:]
+                            break
+                    kept.append(s)
+                stack.append((kept, start, len(trail), [2 * var, 2 * var + 1]))
+            while stack:
+                goals, start, mark, lits = stack[-1]
+                if not lits:
+                    stack.pop()
+                    continue
+                if len(trail) > mark:
+                    undo_to(mark)
+                stats.nodes += 1
+                if propagate(lits.pop()) is None:
+                    break
+                stats.pruned += 1
+            else:
+                return
 
-    def _leaf(self) -> bool:
+    def _leaf(self) -> tuple[int, ...] | None:
+        """The leaf's hypothesis set if it is a solution to emit, else
+        None."""
         value = self.value
         delta = tuple(v for v in self.branch_vars if value[2 * v] == 1)
         if self.options.minimal_only:
@@ -813,16 +844,14 @@ class _Search:
             # an emitted one.
             dset = frozenset(delta)
             if any(s <= dset for s in self.minimal_sets):
-                return True
+                return None
         self.stats.checks += 1
         if not self._admissible(delta):
-            return True
-        self.solutions.append(delta)
+            return None
         if self.options.minimal_only:
             self.minimal_sets.append(dset)
         self.stats.models += 1
-        cap = self.options.max_models
-        return cap is None or self.stats.models < cap
+        return delta
 
     def _admissible(self, delta: tuple[int, ...]) -> bool:
         """Whether check_delta(theory, delta) is Sat.
@@ -904,7 +933,10 @@ def solve(theory: GroundTheory, options: SolveOptions | None = None) -> SolveRep
     in _Search._admissible), so the report is sound by construction;
     completeness comes from every solution's model satisfying the
     propagation clauses and making every unfounded loop atom false.
-    A max_models cap below 1 raises SolveError.
+    The solutions are the first max_models that _Search.solutions
+    yields, taken by islice, which then resumes the search no more: it
+    stops at the node of the last one.  A max_models cap below 1
+    raises SolveError.
     """
     options = options or SolveOptions()
     if options.max_models is not None and options.max_models < 1:
@@ -928,8 +960,7 @@ def solve(theory: GroundTheory, options: SolveOptions | None = None) -> SolveRep
         )
         stats.wall_time = time.perf_counter() - t0
         return report
-    search.run(list(range(len(search.support))))
-    report.solutions = search.solutions
+    report.solutions = list(islice(search.solutions(), options.max_models))
     stats.wall_time = time.perf_counter() - t0
     return report
 

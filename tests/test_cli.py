@@ -114,6 +114,13 @@ def test_solve_minimal_cap_counts_only_minimal_solutions(tmp_path, capsys):
     assert out == "% solution 1\npick(2).\n\n% solution 2\npick(1).\n\n"
 
 
+def test_solve_finds_a_solution_1200_decisions_deep(tmp_path, capsys):
+    path = tmp_path / "deep.alp"
+    path.write_text("abducible p/1.\nn(X) :- X in 1..1200.\nn(X) <- p(X).\n", encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out, err) == (0, "% solution 1\n\n", "")
+
+
 def test_solve_stats_footer(tiny, capsys):
     code, out, _err = run(capsys, "solve", tiny, "--all", "--stats")
     assert code == 0

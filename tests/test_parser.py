@@ -285,23 +285,49 @@ def summed(depth):
     return "q(X) :- X = " + " + ".join(["1"] * (depth + 1)) + ".\n"
 
 
+def grouped(depth, item=""):
+    """q(X) :- X = 1 inside depth nested body groups, each opening with
+    item."""
+    return "q(X) :- " + f"({item}" * depth + "X = 1" + ")" * depth + ".\n"
+
+
 @pytest.mark.parametrize(
-    "text, column",
+    "text, column, what",
     [
         # the first parenthesis past the bound
-        (nested(MAX_TERM_DEPTH + 1), 13 + MAX_TERM_DEPTH),
-        (nested(250), 13 + MAX_TERM_DEPTH),
+        (nested(MAX_TERM_DEPTH + 1), 13 + MAX_TERM_DEPTH, "term"),
+        (nested(250), 13 + MAX_TERM_DEPTH, "term"),
         # the first operator past the bound
-        (summed(MAX_TERM_DEPTH + 1), 15 + 4 * MAX_TERM_DEPTH),
-        (summed(900), 15 + 4 * MAX_TERM_DEPTH),
-        (summed(1500), 15 + 4 * MAX_TERM_DEPTH),
+        (summed(MAX_TERM_DEPTH + 1), 15 + 4 * MAX_TERM_DEPTH, "term"),
+        (summed(900), 15 + 4 * MAX_TERM_DEPTH, "term"),
+        (summed(1500), 15 + 4 * MAX_TERM_DEPTH, "term"),
         # operators and abs add up: the outermost abs crosses the bound
-        ("q(X) :- X = " + "abs(" * 60 + summed(MAX_TERM_DEPTH - 59)[12:-2] + ")" * 60 + ".\n", 13),
+        ("q(X) :- X = " + "abs(" * 60 + summed(MAX_TERM_DEPTH - 59)[12:-2] + ")" * 60 + ".\n", 13, "term"),
+        # the first body group past the bound, whether or not its
+        # parentheses could also open a term
+        (grouped(MAX_TERM_DEPTH + 1), 9 + MAX_TERM_DEPTH, "body group"),
+        (grouped(1000), 9 + MAX_TERM_DEPTH, "body group"),
+        (grouped(1000, "p, "), 9 + 4 * MAX_TERM_DEPTH, "body group"),
+        (grouped(1000, "p ; "), 9 + 5 * MAX_TERM_DEPTH, "body group"),
+        # a term too deep inside a group, which no term can start either
+        ("q(X) :- (p, X = " + nested(MAX_TERM_DEPTH + 1)[12:-2] + ").\n", 17 + MAX_TERM_DEPTH, "term"),
     ],
-    ids=["parentheses", "250-parentheses", "sum", "900-sum", "1500-sum", "abs-around-sum"],
+    ids=[
+        "parentheses",
+        "250-parentheses",
+        "sum",
+        "900-sum",
+        "1500-sum",
+        "abs-around-sum",
+        "groups",
+        "1000-groups",
+        "1000-conjunctions",
+        "1000-disjunctions",
+        "term-in-group",
+    ],
 )
-def test_a_term_nested_too_deep_is_a_positioned_error(tmp_path, capsys, text, column):
-    with pytest.raises(ParseError, match=f"term nested deeper than {MAX_TERM_DEPTH} levels") as err:
+def test_a_term_nested_too_deep_is_a_positioned_error(tmp_path, capsys, text, column, what):
+    with pytest.raises(ParseError, match=f"{what} nested deeper than {MAX_TERM_DEPTH} levels") as err:
         parse_text(text, "deep")
     (diag,) = err.value.diagnostics
     assert (diag.span.line, diag.span.column) == (1, column)
@@ -309,10 +335,14 @@ def test_a_term_nested_too_deep_is_a_positioned_error(tmp_path, capsys, text, co
     path.write_text(text, encoding="utf-8")
     assert cli.main(["solve", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"{path}:1:{column}: term nested deeper than")
+    assert out == "" and err.startswith(f"{path}:1:{column}: {what} nested deeper than")
 
 
-@pytest.mark.parametrize("text", [nested(MAX_TERM_DEPTH), summed(MAX_TERM_DEPTH)], ids=["parentheses", "sum"])
+@pytest.mark.parametrize(
+    "text",
+    [nested(MAX_TERM_DEPTH), summed(MAX_TERM_DEPTH), grouped(MAX_TERM_DEPTH), grouped(MAX_TERM_DEPTH, "p, ")],
+    ids=["parentheses", "sum", "groups", "conjunctions"],
+)
 def test_a_term_at_the_depth_bound_still_solves(text):
     value = MAX_TERM_DEPTH + 1 if "+" in text else 1
     text = f"abducible p/0.\n{text[:-2]}, p.\nq({value}) <- true.\n"
