@@ -49,9 +49,9 @@ what makes the planning workload tractable.
 from __future__ import annotations
 
 import time
-from itertools import islice
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -573,9 +573,9 @@ class _Search:
         meets the same fixpoints and the same conflicting nodes as it
         would over every instance, and only the number of literals
         assigned before a conflict, in propagations, can differ.  The
-        denials are no support clauses, so branching (see solutions) does not
-        change either, nor do nodes, pruned, checks, models or the
-        order of the solutions."""
+        denials are no support clauses, so branching (see solutions)
+        does not change either, nor do nodes, pruned, checks, models or
+        the order of the solutions."""
         conflict = self._propagate(head)
         triggers = self.triggers
         if not triggers:
