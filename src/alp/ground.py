@@ -68,7 +68,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, combinations, product
-from math import factorial, prod
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -106,8 +105,8 @@ Value = int | str
 
 _DOMAIN_CAP = 1_000_000
 _ATOM_CAP = 2_000_000
-# ground constraint instances before deduplication, as a plain join
-# enumerates them: a symmetric body counts each pruned orbit in full
+# ground constraint instances before deduplication, as the grounder
+# enumerates them: a symmetric body once per set of candidates
 _CONSTRAINT_CAP = 2_000_000
 
 
@@ -325,8 +324,9 @@ class GroundTheory:
         """Every ground constraint, as a grounding that instantiates each
         rule makes them: in origin order, each rule's in join order, and
         of those with one set of heads and body atoms only the first
-        (ConstraintRule.expand).  One count runs over every rule, so the
-        GroundError of _CONSTRAINT_CAP comes where such a grounding's does."""
+        (ConstraintRule.expand).  One count of the instances the joins
+        enumerate runs over every rule, so the GroundError of
+        _CONSTRAINT_CAP comes where such a grounding's does."""
         out: list[GroundConstraint] = []
         seen: set[tuple] = set()
         count = [0]
@@ -1451,21 +1451,6 @@ def _symmetric_groups(con: Constraint, plan: _Plan) -> list[tuple[int, ...]]:
     return [tuple(ks) for ks in groups.values() if len(ks) > 1]
 
 
-def _orbit_size(pos_ids: tuple[int, ...], groups) -> int:
-    """The size of an instance's orbit: how many instances of the plain
-    join differ from it only in how each group's candidates are
-    permuted.  That is k!/(m1!...mr!) per group of k literals whose
-    atoms repeat m1, ..., mr times; a group's atoms are in rank order
-    here, so repeats are adjacent."""
-    size = 1
-    for group in groups:
-        run = 0
-        for n, k in enumerate(group):
-            run = run + 1 if n and pos_ids[k] == pos_ids[group[n - 1]] else 1
-            size = size * (n + 1) // run
-    return size
-
-
 # ---------------------------------------------------------------------------
 # constraint rules
 #
@@ -1551,27 +1536,11 @@ class ConstraintRule:
         neg_ids) for each instance that no true builtin head satisfies,
         heads holding the (atom id, wanted) disjuncts that are atoms and
         clause as _clause gives it; head and negative atoms are interned
-        as met.  count[0], when count is given, counts the instances of
-        the plain join, each standing for its orbit under the groups, and
-        the join ends past _CONSTRAINT_CAP."""
-        plan, groups = self.plan, self.groups
+        as met.  count[0], when count is given, counts the instances the
+        join enumerates, and the join ends past _CONSTRAINT_CAP."""
+        plan = self.plan
         bounds = _unknown_bounds(self.con.body)
         negs = [(n.atom.pred, _compile_args(n.atom, self.constants, bounds)) for n in plan.negs]
-        if not self.con.heads and not negs:
-            n_pos = sum(isinstance(lit, Pos) for lit in self.con.body)
-            # the orbit size of an instance whose positive atoms are distinct
-            distinct_orbit = prod(factorial(len(group)) for group in groups)
-
-            def emit_denial(binding, pos_ids):
-                clause = tuple(sorted({2 * a + 1 for a in pos_ids}))
-                if count is not None:
-                    count[0] += distinct_orbit if len(clause) == n_pos else _orbit_size(pos_ids, groups)
-                    if count[0] > _CONSTRAINT_CAP:
-                        raise _over_cap(plan)
-                found(clause, (), pos_ids, ())
-
-            return emit_denial
-
         heads = [
             (None, _getter(_compile_test(h, self.constants, bounds)), None)
             if isinstance(h, Builtin)
@@ -1582,10 +1551,10 @@ class ConstraintRule:
 
         def emit(binding, pos_ids):
             if count is not None:
-                count[0] += _orbit_size(pos_ids, groups) if groups else 1
+                count[0] += 1
                 if count[0] > _CONSTRAINT_CAP:
                     raise _over_cap(plan)
-            neg_ids = tuple([intern(pred, neg(binding)) for pred, neg in negs])
+            neg_ids = tuple([intern(pred, neg(binding)) for pred, neg in negs]) if negs else ()
             head_ids = []
             for pred, head, wanted in heads:
                 if wanted is None:
@@ -1593,7 +1562,10 @@ class ConstraintRule:
                         return  # a builtin head holds: so does the constraint
                     continue  # a false builtin head drops out
                 head_ids.append((intern(pred, head(binding)), wanted))
-            found(_clause(head_ids, pos_ids, neg_ids), tuple(head_ids), pos_ids, neg_ids)
+            if head_ids or neg_ids:
+                found(_clause(head_ids, pos_ids, neg_ids), tuple(head_ids), pos_ids, neg_ids)
+            else:  # a denial over positive atoms: never a tautology
+                found(tuple(sorted({2 * a + 1 for a in pos_ids})), (), pos_ids, ())
 
         return emit
 
@@ -2217,8 +2189,9 @@ def _constraint_clauses(rules: Iterable[ConstraintRule]) -> list[ConstraintClaus
     """The clauses of the instances of the rules that are not lazy, each
     distinct one once, in order of first occurrence, with the origin of
     the first rule giving it and the denial flag ORed over every
-    instance giving it; tautologies are dropped.  One count runs over
-    the rules (see ConstraintRule._emitter)."""
+    instance giving it; tautologies are dropped.  One count of the
+    instances the joins enumerate runs over the rules, against
+    _CONSTRAINT_CAP."""
     kept: dict[tuple[int, ...], ConstraintClause] = {}
     count = [0]
     for rule in rules:
@@ -2316,13 +2289,16 @@ def apply_const_overrides(program: Program, overrides: dict[str, int]) -> Progra
     For each NAME=VALUE pair: an existing constant declaration is
     replaced; otherwise unary integer facts ``NAME(k).`` are rewritten to
     ``NAME(VALUE).``; otherwise the constant is added.  This lets one
-    source file drive differently sized instances.
+    source file drive differently sized instances.  A VALUE outside the
+    64-bit range that integer literals keep to is a GroundError.
     """
     if not overrides:
         return program
     constants = list(program.decls.constants)
     definitions = list(program.definitions)
     for name, value in overrides.items():
+        if not INT_MIN <= value <= INT_MAX:
+            raise GroundError(f"override {name}={value} is outside the range {INT_MIN}..{INT_MAX}")
         replaced = False
         for i, c in enumerate(constants):
             if c.name == name:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import prod
 
 # Machine integer range; arithmetic outside it is an error rather than a
 # silent wrap.
@@ -378,6 +379,27 @@ class Program:
 # ---------------------------------------------------------------------------
 # normalization
 
+# The most plain statements that one statement normalizes into.  Each
+# body group multiplies the alternatives of the groups before it, and so
+# does each conjunctive head group of a constraint, so a statement past
+# this is refused before any alternative is built.
+MAX_ALTERNATIVES = 10_000
+
+
+def _body_count(body: tuple[BodyItem, ...]) -> int:
+    """How many conjunctions _body_alternatives multiplies body out into."""
+    n = 1
+    for item in body:
+        if isinstance(item, OrGroup):
+            n *= sum(map(_body_count, item.branches))
+    return n
+
+
+def _check_alternatives(n: int, span: SourceSpan | None) -> None:
+    if n > MAX_ALTERNATIVES:
+        message = f"groups multiply out to more than {MAX_ALTERNATIVES} alternatives"
+        raise ProgramError(message, [Diagnostic(span, message)])
+
 
 def _body_alternatives(body: tuple[BodyItem, ...]) -> list[tuple[Literal, ...]]:
     """Multiply out nested body disjunctions into plain conjunctions."""
@@ -413,10 +435,12 @@ def normalize(program: Program) -> Program:
     A clause whose body mentions disjunction becomes one clause per
     alternative; a constraint additionally splits on conjunctive head
     groups.  Sugar-free programs come back structurally identical, and
-    the operation is idempotent.
+    the operation is idempotent.  A statement that would split into more
+    than MAX_ALTERNATIVES is a ProgramError at its span.
     """
     definitions: list[Clause] = []
     for cl in program.definitions:
+        _check_alternatives(_body_count(cl.body), cl.span)
         alts = _body_alternatives(cl.body)
         if len(alts) == 1 and alts[0] == cl.body:
             definitions.append(cl)
@@ -425,6 +449,8 @@ def normalize(program: Program) -> Program:
                 definitions.append(Clause(cl.head, alt, span=cl.span))
     constraints: list[Constraint] = []
     for con in program.constraints:
+        n_heads = prod(len(item.items) for item in con.heads if isinstance(item, AndGroup))
+        _check_alternatives(n_heads * _body_count(con.body), con.span)
         body_alts = _body_alternatives(con.body)
         head_alts = _head_alternatives(con.heads)
         if (

@@ -290,6 +290,19 @@ def test_override_must_be_integer(tiny, capsys):
     assert "integer" in err
 
 
+def test_override_outside_the_integer_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "k.alp"
+    path.write_text("abducible p(d). domain d == 1..3. k(5). false <- p(X), k(K), X > K.\n", encoding="utf-8")
+    value = 99999999999999999999
+    code, out, err = run(capsys, "solve", str(path), "-c", f"k={value}", "--all")
+    assert (code, out) == (2, "")
+    assert err == f"override k={value} is outside the range -9223372036854775808..9223372036854775807\n"
+    # at the ends of the range: no p(X) exceeds k, or every one does
+    for value, count in (("9223372036854775807", 8), ("-9223372036854775808", 1)):
+        code, out, _err = run(capsys, "solve", str(path), "-c", f"k={value}", "--all")
+        assert (code, out.count("% solution")) == (0, count)
+
+
 def test_missing_file_is_an_error(capsys):
     code, _out, err = run(capsys, "solve", "/no/such/file.alp")
     assert code == 2

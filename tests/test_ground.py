@@ -26,6 +26,8 @@ from alp.ground import (
 from alp.parser import parse_text
 from alp.solver import SolveOptions, solve
 from alp.syntax import (
+    INT_MAX,
+    INT_MIN,
     Builtin,
     GroundError,
     IntConst,
@@ -408,13 +410,13 @@ CAPPED = (
     "cap,value,line,column,what",
     [
         ("_ATOM_CAP", 20, 3, 1, "grounding exceeded 20 atoms in clause p"),
-        ("_CONSTRAINT_CAP", 5, 4, 1, "grounding exceeded 5 constraint instances"),
+        ("_CONSTRAINT_CAP", 2, 4, 1, "grounding exceeded 2 constraint instances"),
         # the interval's builtin, at its operator
         ("_DOMAIN_CAP", 20, 3, 11, "interval 1..40 exceeds 20 values"),
     ],
     ids=[
         "_ATOM_CAP-20-3-atoms in clause p",
-        "_CONSTRAINT_CAP-5-4-constraint instances",
+        "_CONSTRAINT_CAP-2-4-constraint instances",
         "_DOMAIN_CAP-20-3-interval",
     ],
 )
@@ -462,15 +464,16 @@ def test_atom_cap_crossed_in_a_later_round_reports_the_rule(monkeypatch, tmp_pat
 
 @pytest.mark.parametrize("symmetric", [True, False])
 @pytest.mark.parametrize(
-    "text, count, kept",
-    [(CAPPED, 6, 3), (CAPPED.replace(", X \\= Y", ""), 9, 6)],
+    "text, grouped, plain, kept",
+    [(CAPPED, 3, 6, 3), (CAPPED.replace(", X \\= Y", ""), 6, 9, 6)],
     ids=["distinct-atoms", "repeated-atoms"],
 )
-def test_constraint_cap_counts_the_instances_of_the_plain_join(monkeypatch, symmetric, text, count, kept):
-    # The plain join meets every pair of a atoms; the symmetric one only
-    # the pairs in rank order, each counted for its orbit: 2 instances
-    # when the atoms differ, 1 when they are the same.
+def test_constraint_cap_counts_the_instances_the_join_enumerates(monkeypatch, symmetric, text, grouped, plain, kept):
+    # The cap counts the instances the join meets.  The plain join meets
+    # every pair of a atoms; the symmetric one only the pairs in rank
+    # order, each set of candidates once.
     ground_mod = importlib.import_module("alp.ground")
+    count = grouped if symmetric else plain
     if not symmetric:
         monkeypatch.setattr(ground_mod, "_symmetric_groups", lambda con, plan: [])
     monkeypatch.setattr(ground_mod, "_CONSTRAINT_CAP", count)
@@ -695,11 +698,13 @@ def test_three_move_rule_enumerates_each_set_of_moves_once(monkeypatch):
         emitted.clear()
         plain.expand_constraints()
     assert emitted[label] == 123_480  # 6 orderings of each set of moves
-    # The cap still counts the instances of the plain join, across the
-    # constraints build_theory instantiates and those dump expands: at
-    # one below the total, build_theory and solve go through, and dump
+    # The cap counts the instances the grouped join enumerates, across
+    # the constraints build_theory instantiates and those dump expands:
+    # at one below the total, build_theory and solve go through, and dump
     # stops at the constraint where a full grounding stops, the last
     # goal, which comes after the three-move rule.
+    emitted.clear()
+    theory.expand_constraints()
     total = sum(n for lbl, n in emitted.items() if lbl.startswith("constraint "))
     monkeypatch.setattr(ground_mod, "_CONSTRAINT_CAP", total)
     theory_for(text).dump()
@@ -765,6 +770,16 @@ def test_override_adds_missing_constant():
     prog = apply_const_overrides(parse_text("p(1).\n", "t"), {"k": 5})
     table = eval_declarations(prog.decls)
     assert table.constants["k"] == 5
+
+
+@pytest.mark.parametrize("value", [INT_MAX + 1, INT_MIN - 1, 10**20])
+def test_override_outside_the_integer_range_is_refused(value):
+    # no integer literal can state such a fact, so no override can either
+    prog = parse_text("k(5).\n", "t")
+    with pytest.raises(GroundError, match=re.escape(f"override k={value} is outside the range {INT_MIN}..{INT_MAX}")):
+        apply_const_overrides(prog, {"k": value})
+    for value in (INT_MIN, INT_MAX):
+        assert str(apply_const_overrides(prog, {"k": value}).definitions[0]) == f"k({value})."
 
 
 def test_atom_table_interns_once():

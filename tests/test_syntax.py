@@ -1,9 +1,15 @@
 """Core model: printing, normalization, predicate classification."""
 
+import time
+
 import pytest
 
+from alp import cli
+from alp.ground import build_theory
 from alp.parser import parse_text
+from alp.solver import solve
 from alp.syntax import (
+    MAX_ALTERNATIVES,
     AndGroup,
     ArithExpr,
     Atom,
@@ -87,6 +93,55 @@ def test_normalize_idempotent():
     prog = parse_text("p :- (a ; b).\na.\nb.\nq ; r <- p.\nq :- a.\nr :- b.\n", "t")
     once = normalize(prog)
     assert normalize(once) == once
+
+
+def groups(n, width, op, atom="p"):
+    """n groups of width copies of atom, joined by op, as a head or body."""
+    return ", ".join(["(" + f" {op} ".join([atom] * width) + ")"] * n)
+
+
+def grouped(statement):
+    """statement, on line 2, in a program whose one solution is {p}."""
+    return f"abducible p/0.\n{statement}\nq :- p.\nq <- true.\n"
+
+
+# At the bound: 10 ** 4 body alternatives, and 100 head times 100 body
+# alternatives.  Past it: 2 ** 20 body alternatives, and 110 head times
+# 100 body alternatives, each factor far under the bound.
+AT_THE_BOUND = [
+    f"q :- {groups(4, 10, ';')}.",
+    f"{groups(1, 10, ',', 'q')} ; {groups(1, 10, ',', 'q')} <- {groups(2, 10, ';')}.",
+]
+PAST_THE_BOUND = [
+    f"q :- {groups(20, 2, ';')}.",
+    f"{groups(1, 10, ',', 'q')} ; {groups(1, 11, ',', 'q')} <- {groups(2, 10, ';')}.",
+]
+
+
+@pytest.mark.parametrize("statement", PAST_THE_BOUND, ids=["20-body-groups", "heads-times-body"])
+def test_too_many_alternatives_are_a_positioned_error(tmp_path, capsys, statement):
+    text = grouped(statement)
+    what = f"groups multiply out to more than {MAX_ALTERNATIVES} alternatives"
+    start = time.perf_counter()
+    with pytest.raises(ProgramError, match=what) as err:
+        normalize(parse_text(text, "groups"))
+    (diag,) = err.value.diagnostics
+    assert (diag.span.line, diag.span.column) == (2, 1)
+    path = tmp_path / "groups.alp"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["solve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{path}:2:1: {what}")
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("statement", AT_THE_BOUND, ids=["body-groups", "heads-times-body"])
+def test_a_statement_at_the_alternatives_bound_still_solves(statement):
+    program = parse_text(grouped(statement), "groups")
+    norm = normalize(program)
+    assert len(norm.definitions) + len(norm.constraints) == MAX_ALTERNATIVES + 2
+    theory = build_theory(program)
+    assert [theory.render_delta(s) for s in solve(theory).solutions] == [["p."]]
 
 
 def test_classify_kinds():
