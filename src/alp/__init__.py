@@ -17,7 +17,6 @@ from .ground import (
     GroundTheory,
     apply_const_overrides,
     build_theory,
-    ground,
 )
 from .parser import load_program, parse_text, pretty_print
 from .solver import (
@@ -77,7 +76,6 @@ __all__ = [
     "apply_const_overrides",
     "build_theory",
     "check_delta",
-    "ground",
     "load_program",
     "normalize",
     "parse_text",

@@ -99,6 +99,7 @@ from .syntax import (
     literal_variables,
     normalize,
     term_variables,
+    walk_literals,
 )
 
 Value = int | str
@@ -122,10 +123,6 @@ def value_key(v: Value):
     return (1, 0, v)
 
 
-def render_value(v: Value) -> str:
-    return str(v)
-
-
 # ---------------------------------------------------------------------------
 # ground atoms and theories
 
@@ -138,7 +135,7 @@ class GroundAtom:
     def __str__(self) -> str:
         if not self.args:
             return self.pred
-        return f"{self.pred}({','.join(render_value(a) for a in self.args)})"
+        return f"{self.pred}({','.join(map(str, self.args))})"
 
     @property
     def sort_key(self):
@@ -247,11 +244,6 @@ def _clause(heads, pos, neg) -> tuple[int, ...] | None:
     lits += [2 * a + 1 for a in pos]
     lits += [2 * a for a in neg]
     return _key(lits)
-
-
-def clause_key(gc: GroundConstraint) -> tuple[int, ...] | None:
-    """A ground constraint as a clause (see _clause)."""
-    return _clause(gc.heads, gc.pos, gc.neg)
 
 
 class ConstraintClause(NamedTuple):
@@ -396,25 +388,11 @@ def _eval_const_expr(t: Term, env: dict[str, Term], memo: dict[str, int], visiti
         memo[name] = val
         return val
     if isinstance(t, ArithExpr):
-        vals = [_eval_const_expr(a, env, memo, visiting, span) for a in t.args]
-        return _apply_arith(t.op, vals, t.span or span)
+        out = _ARITH[t.op](*(_eval_const_expr(a, env, memo, visiting, span) for a in t.args))
+        if INT_MIN <= out <= INT_MAX:
+            return out
+        raise _error("integer overflow in arithmetic", t.span or span)
     raise _error("variables are not allowed in constant expressions", getattr(t, "span", None) or span)
-
-
-def _apply_arith(op: str, vals: list[int], span) -> int:
-    if op == "abs":
-        out = abs(vals[0])
-    elif op == "+":
-        out = vals[0] + vals[1]
-    elif op == "-":
-        out = vals[0] - vals[1]
-    elif op == "*":
-        out = vals[0] * vals[1]
-    else:
-        raise GroundError(f"unknown arithmetic operator {op}")
-    if out < INT_MIN or out > INT_MAX:
-        raise _error("integer overflow in arithmetic", span)
-    return out
 
 
 def eval_declarations(decls: Declarations) -> DomainTable:
@@ -807,20 +785,13 @@ def _plan_rule(body: tuple[Literal, ...], head_vars: set[str], span, label: str)
             span,
         )
     for lit in negs:
-        loose = sorted(v for v in _atom_vars(lit.atom) if v not in bound)
+        loose = sorted(v for v in literal_variables(lit) if v not in bound)
         if loose:
             raise _error(f"unbounded variable {loose[0]} in negative literal {lit} in {label}", span)
     loose = sorted(v for v in head_vars if v not in bound)
     if loose:
         raise _error(f"unbounded variable {loose[0]} in the head of {label}", span)
     return _Plan(steps, negs, span, label)
-
-
-def _atom_vars(atom: Atom) -> set[str]:
-    out: set[str] = set()
-    for a in atom.args:
-        out |= term_variables(a)
-    return out
 
 
 class _Candidates:
@@ -1413,6 +1384,7 @@ def _symmetric_groups(con: Constraint, plan: _Plan) -> list[tuple[int, ...]]:
     error or when the heads mix builtins and atoms (see above).
     """
     atoms = [lit.atom for lit in con.body if isinstance(lit, Pos)]
+    atom_vars = [literal_variables(lit) for lit in con.body if isinstance(lit, Pos)]
     head_builtins = sum(isinstance(h, Builtin) for h in con.heads)
     if (
         len(atoms) < 2
@@ -1439,7 +1411,7 @@ def _symmetric_groups(con: Constraint, plan: _Plan) -> list[tuple[int, ...]]:
         moved = {u for u, v in sigma.items() if u != v}
         if (
             moved & generated
-            or any(moved & _atom_vars(atoms[k]) for k in range(len(atoms)) if k not in (i, j))
+            or any(moved & atom_vars[k] for k in range(len(atoms)) if k not in (i, j))
             or forms(sigma) != unmoved
         ):
             continue
@@ -1779,7 +1751,7 @@ def _ordered_plan(atoms: list[Atom], tests: list[Builtin], order: list[int], pla
     bound: set[str] = set()
     for k in order:
         body.append(Pos(atoms[k]))
-        bound |= _atom_vars(atoms[k])
+        bound |= literal_variables(body[-1])
         waiting = []
         for t in pending:
             (body if literal_variables(t) <= bound else waiting).append(t)
@@ -1809,49 +1781,29 @@ def _unknown_bounds(body: tuple[Literal, ...]) -> dict:
     return dict.fromkeys(set().union(*map(literal_variables, body)))
 
 
+def _ints(t: Term | Range):
+    """The integer literals in a term or a range, left to right."""
+    if isinstance(t, IntConst):
+        yield t.value
+    elif isinstance(t, ArithExpr):
+        for a in t.args:
+            yield from _ints(a)
+    elif isinstance(t, Range):
+        yield from _ints(t.lo)
+        yield from _ints(t.hi)
+
+
 def _int_hull(program: Program, domains: DomainTable, universe=()) -> tuple[int, int] | None:
-    ints: list[int] = list(domains.constants.values())
-    for vals in domains.domains.values():
-        if vals:
-            ints.append(vals[0])
-            ints.append(vals[-1])
-
-    def scan_term(t: Term):
-        if isinstance(t, IntConst):
-            ints.append(t.value)
-        elif isinstance(t, ArithExpr):
-            for a in t.args:
-                scan_term(a)
-
-    def scan_lit(lit):
-        if isinstance(lit, (Pos, Neg)):
-            for a in lit.atom.args:
-                scan_term(a)
-        else:
-            scan_term(lit.lhs)
-            if isinstance(lit.rhs, Range):
-                scan_term(lit.rhs.lo)
-                scan_term(lit.rhs.hi)
-            else:
-                scan_term(lit.rhs)
-
-    for cl in program.definitions:
-        for a in cl.head.args:
-            scan_term(a)
-        for lit in cl.body:
-            scan_lit(lit)
-    for con in program.constraints:
-        for lit in con.heads:
-            scan_lit(lit)
-        for lit in con.body:
-            scan_lit(lit)
-    for ga in universe:
-        for v in ga.args:
-            if isinstance(v, int):
-                ints.append(v)
-    if not ints:
-        return None
-    return min(ints), max(ints)
+    """The least interval holding every integer literal of the program,
+    every constant, every domain and every integer of a universe atom;
+    None when there is none."""
+    ints = list(domains.constants.values())
+    ints += [v for vals in domains.domains.values() for v in (vals[0], vals[-1])]
+    for lit in walk_literals(program):
+        for t in lit.atom.args if isinstance(lit, (Pos, Neg)) else (lit.lhs, lit.rhs):
+            ints += _ints(t)
+    ints += [v for ga in universe for v in ga.args if isinstance(v, int)]
+    return (min(ints), max(ints)) if ints else None
 
 
 def _within_hull(args: tuple[Value, ...], hull: tuple[int, int] | None) -> bool:
@@ -1941,11 +1893,12 @@ def _close_definitions(
 ):
     """Least closure of the definition layer over possible extensions.
 
-    Returns the ground clause instances plus the per-predicate possible
-    sets (args tuple -> atom id).  Clause instances are deduplicated per
-    rule and ground body.  The first round runs every rule; each later
-    round joins only through the atoms that the round before it added
-    (see above), until a round adds no atom.
+    Returns the ground clauses, each distinct one once, in order of
+    first occurrence, and the last round's _Candidates.  That round
+    added no atom, so its lists are the final possible sets, and the
+    indexes it built stay valid.  The first round runs every rule; each
+    later round joins only through the atoms that the round before it
+    added (see above), until a round adds no atom.
     """
     possible: dict[tuple[str, int], dict[tuple, int]] = {
         key: {} for key, kind in kinds.items() if kind is PredKind.DEFINED
@@ -1954,7 +1907,7 @@ def _close_definitions(
     seen: set[tuple] = set()
     intern = table.intern_args
 
-    def emit_clause(idx: int, cl: Clause, plan: _Plan):
+    def emit_clause(cl: Clause, plan: _Plan):
         bounds = _unknown_bounds(cl.body)
         negs = [(n.atom.pred, _compile_args(n.atom, constants, bounds)) for n in plan.negs]
         pred = cl.head.pred
@@ -1965,7 +1918,7 @@ def _close_definitions(
             neg_ids = tuple([intern(neg_pred, neg(binding)) for neg_pred, neg in negs])
             args = head(binding)
             head_id = intern(pred, args)
-            key = (idx, head_id, pos_ids, neg_ids)
+            key = (head_id, pos_ids, neg_ids)
             if key in seen:
                 return
             seen.add(key)
@@ -1978,7 +1931,7 @@ def _close_definitions(
 
         return emit
 
-    emits = [emit_clause(idx, cl, plans[idx]) for idx, cl in enumerate(definitions)]
+    emits = [emit_clause(cl, plan) for cl, plan in zip(definitions, plans)]
     # per plan: each growing literal's index among the positive literals, and its key
     growing = [
         [(k, lit.atom.key) for k, lit in enumerate(step[1] for step in plan.steps if step[0] == "pos")
@@ -1995,7 +1948,7 @@ def _close_definitions(
             elif any(start[key] < sizes[key] for _, key in grow):
                 _delta_join(plan, candidates, constants, emit, grow, start)({}, ())
         if all(len(ext) == sizes[key] for key, ext in possible.items()):
-            return clauses, possible
+            return clauses, candidates
         start = sizes
 
 
@@ -2041,12 +1994,12 @@ def base_model(program: Program, domains: DomainTable) -> BaseModel:
     dependent = _abducible_dependent(program, kinds)
     fragment = [cl for cl in program.definitions if cl.head.key not in dependent]
     plans = [
-        _plan_rule(cl.body, _atom_vars(cl.head), cl.span, f"clause {cl}") for cl in fragment
+        _plan_rule(cl.body, literal_variables(Pos(cl.head)), cl.span, f"clause {cl}") for cl in fragment
     ]
     domains_constants = domains.constants
     table = AtomTable()
     hull = _int_hull(program, domains)
-    clauses, _possible = _close_definitions(
+    clauses, _candidates = _close_definitions(
         fragment, plans, kinds, table, {}, domains_constants, hull
     )
     truth, _trace = wfs.well_founded(
@@ -2162,7 +2115,7 @@ def collect_forced(program: Program, kinds: dict, constants: dict[str, int]) -> 
             continue
         if kinds.get(head.atom.key) is not PredKind.ABDUCIBLE:
             continue
-        if _atom_vars(head.atom):
+        if literal_variables(head):
             raise _error(f"unbounded variable in unconditional constraint {con}", con.span)
         ga = GroundAtom(head.atom.pred, _compile_args(head.atom, constants, {})({}))
         if ga not in seen:
@@ -2245,13 +2198,11 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
 
     definitions = list(program.definitions)
     plans = [
-        _plan_rule(cl.body, _atom_vars(cl.head), cl.span, f"clause {cl}") for cl in definitions
+        _plan_rule(cl.body, literal_variables(Pos(cl.head)), cl.span, f"clause {cl}") for cl in definitions
     ]
-    clauses, possible = _close_definitions(
+    clauses, candidates = _close_definitions(
         definitions, plans, kinds, table, abd_candidates, constants, hull
     )
-
-    candidates = _Candidates(abd_candidates, possible)
     rules: list[ConstraintRule] = []
 
     def planned():

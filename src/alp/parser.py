@@ -52,6 +52,8 @@ from .syntax import (
     SymConst,
     Term,
     Var,
+    term_variables,
+    walk_literals,
 )
 
 KEYWORDS = frozenset(
@@ -463,7 +465,7 @@ class _Parser:
         self.eat_punct("==")
         expr = self.parse_term()
         self.eat_punct(".")
-        if isinstance(expr, Var) or _contains_var(expr):
+        if term_variables(expr):
             raise _Bail(Diagnostic(kw.span, f"constant {name.text} must be a variable-free expression"))
         return ConstantDecl(name.text, expr, span=kw.span)
 
@@ -478,7 +480,7 @@ class _Parser:
         self.eat_punct("..")
         hi = self.parse_term()
         self.eat_punct(".")
-        if _contains_var(lo) or _contains_var(hi):
+        if term_variables(lo) or term_variables(hi):
             raise _Bail(Diagnostic(kw.span, f"domain {name.text} bounds must be variable-free"))
         return DomainDecl(name.text, lo, hi, span=kw.span)
 
@@ -535,14 +537,6 @@ class _Bail(Exception):
 
 class _TooDeep(_Bail):
     """A term or body group nested deeper than MAX_TERM_DEPTH."""
-
-
-def _contains_var(t: Term) -> bool:
-    if isinstance(t, Var):
-        return True
-    if isinstance(t, ArithExpr):
-        return any(_contains_var(a) for a in t.args)
-    return False
 
 
 def parse_program(tokens: list[Token], diagnostics: list[Diagnostic] | None = None) -> Program:
@@ -619,8 +613,6 @@ def _lint_arities(program: Program) -> list[Diagnostic]:
     in a language this small a second arity is almost always a typo, and
     the declaration checks depend on names being unambiguous.
     """
-    from .syntax import _walk_literals
-
     seen: dict[str, int] = {}
     diags: list[Diagnostic] = []
     flagged: set[tuple[str, int]] = set()
@@ -635,7 +627,7 @@ def _lint_arities(program: Program) -> list[Diagnostic]:
                     f"and declared with arity {decl.arity}",
                 )
             )
-    for lit, _where in _walk_literals(program):
+    for lit in walk_literals(program):
         if not isinstance(lit, (Pos, Neg)):
             continue
         atom = lit.atom

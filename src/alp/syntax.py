@@ -23,9 +23,6 @@ from math import prod
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
 
-ARITH_OPS = ("+", "-", "*", "abs")
-COMPARISON_OPS = ("=", "\\=", "<", ">", "=<", ">=")
-
 
 # ---------------------------------------------------------------------------
 # source positions and errors
@@ -434,14 +431,15 @@ def normalize(program: Program) -> Program:
 
     A clause whose body mentions disjunction becomes one clause per
     alternative; a constraint additionally splits on conjunctive head
-    groups.  Sugar-free programs come back structurally identical, and
+    groups.  Of identical alternatives of one statement only the first
+    is kept.  Sugar-free programs come back structurally identical, and
     the operation is idempotent.  A statement that would split into more
     than MAX_ALTERNATIVES is a ProgramError at its span.
     """
     definitions: list[Clause] = []
     for cl in program.definitions:
         _check_alternatives(_body_count(cl.body), cl.span)
-        alts = _body_alternatives(cl.body)
+        alts = list(dict.fromkeys(_body_alternatives(cl.body)))
         if len(alts) == 1 and alts[0] == cl.body:
             definitions.append(cl)
         else:
@@ -451,8 +449,8 @@ def normalize(program: Program) -> Program:
     for con in program.constraints:
         n_heads = prod(len(item.items) for item in con.heads if isinstance(item, AndGroup))
         _check_alternatives(n_heads * _body_count(con.body), con.span)
-        body_alts = _body_alternatives(con.body)
-        head_alts = _head_alternatives(con.heads)
+        body_alts = list(dict.fromkeys(_body_alternatives(con.body)))
+        head_alts = list(dict.fromkeys(_head_alternatives(con.heads)))
         if (
             len(body_alts) == 1
             and len(head_alts) == 1
@@ -476,8 +474,9 @@ class PredKind(enum.Enum):
     DEFINED = "defined"
 
 
-def _walk_literals(program: Program):
-    """Yield (literal, where) for every literal in the program body or head."""
+def walk_literals(program: Program):
+    """Yield every literal of the program: each clause head as a Pos,
+    then its body, and each constraint's heads, then its body."""
 
     def items(seq):
         for item in seq:
@@ -490,14 +489,11 @@ def _walk_literals(program: Program):
                 yield item
 
     for cl in program.definitions:
-        yield Pos(cl.head), "head"
-        for lit in items(cl.body):
-            yield lit, "body"
+        yield Pos(cl.head)
+        yield from items(cl.body)
     for con in program.constraints:
-        for lit in items(con.heads):
-            yield lit, "chead"
-        for lit in items(con.body):
-            yield lit, "body"
+        yield from items(con.heads)
+        yield from items(con.body)
 
 
 def classify_predicates(program: Program) -> dict[tuple[str, int], PredKind]:
@@ -535,7 +531,7 @@ def classify_predicates(program: Program) -> dict[tuple[str, int], PredKind]:
             continue
         kinds.setdefault(key, PredKind.DEFINED)
 
-    for lit, _where in _walk_literals(program):
+    for lit in walk_literals(program):
         if isinstance(lit, Builtin):
             continue
         key = lit.atom.key

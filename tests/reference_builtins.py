@@ -10,8 +10,8 @@ raises, with the same message and diagnostic span.
 
 from __future__ import annotations
 
-from alp.ground import _DOMAIN_CAP, Value, _apply_arith, _error
-from alp.syntax import Builtin, IntConst, Range, SymConst, Term, Var
+from alp.ground import _DOMAIN_CAP, Value, _error
+from alp.syntax import INT_MAX, INT_MIN, Builtin, IntConst, Range, SymConst, Term, Var
 
 
 class _Unbound(Exception):
@@ -52,7 +52,17 @@ def _eval_int(t: Term, binding: dict[str, Value], constants: dict[str, int]) -> 
             return constants[t.name]
         raise _error(f"type error: symbol {t.name} used in arithmetic", t.span)
     vals = [_eval_int(a, binding, constants) for a in t.args]
-    return _apply_arith(t.op, vals, t.span)
+    if t.op == "abs":
+        out = abs(vals[0])
+    elif t.op == "+":
+        out = vals[0] + vals[1]
+    elif t.op == "-":
+        out = vals[0] - vals[1]
+    else:
+        out = vals[0] * vals[1]
+    if not INT_MIN <= out <= INT_MAX:
+        raise _error("integer overflow in arithmetic", t.span)
+    return out
 
 
 def eval_builtin(

@@ -35,8 +35,8 @@ def close_definitions(
 ):
     """Least closure of the definition layer, by naive rounds.
 
-    Returns the ground clauses and the possible sets (args -> atom id),
-    as alp.ground._close_definitions does.  When rounds is a list, each
+    Returns the ground clauses and the last round's _Candidates, as
+    alp.ground._close_definitions does.  When rounds is a list, each
     round appends the table's size and every possible set's size as the
     round begins."""
     possible = {key: {} for key, kind in kinds.items() if kind is PredKind.DEFINED}
@@ -44,7 +44,7 @@ def close_definitions(
     seen: set[tuple] = set()
     grew = True
 
-    def emit_clause(idx, cl, plan):
+    def emit_clause(cl, plan):
         bounds = _unknown_bounds(cl.body)
         negs = [(n.atom.pred, _compile_args(n.atom, constants, bounds)) for n in plan.negs]
         head = _compile_args(cl.head, constants, bounds)
@@ -54,7 +54,7 @@ def close_definitions(
             neg_ids = tuple([table.intern(GroundAtom(pred, neg(binding))) for pred, neg in negs])
             head_atom = GroundAtom(cl.head.pred, head(binding))
             head_id = table.intern(head_atom)
-            key = (idx, head_id, pos_ids, neg_ids)
+            key = (head_id, pos_ids, neg_ids)
             if key in seen:
                 return
             seen.add(key)
@@ -69,7 +69,7 @@ def close_definitions(
 
         return emit
 
-    emits = [emit_clause(idx, cl, plans[idx]) for idx, cl in enumerate(definitions)]
+    emits = [emit_clause(cl, plan) for cl, plan in zip(definitions, plans)]
     while grew:
         grew = False
         if rounds is not None:
@@ -77,4 +77,4 @@ def close_definitions(
         candidates = _Candidates(abd_candidates, possible)
         for plan, emit in zip(plans, emits):
             _enumerate_plan(plan, candidates, constants, emit)
-    return clauses, possible
+    return clauses, candidates

@@ -83,21 +83,21 @@ def outcome(text):
 
 def reference_outcome(monkeypatch, text):
     """outcome(text) with naive rounds, and for each closure run (the
-    base model's, then ground's) its rounds log and possible sets."""
+    base model's, then ground's) its rounds log and last candidates."""
     runs = []
 
     def reference(*args):
         rounds: list = []
-        clauses, possible = close_definitions(*args, rounds=rounds)
-        runs.append((rounds, possible))
-        return clauses, possible
+        clauses, candidates = close_definitions(*args, rounds=rounds)
+        runs.append((rounds, candidates))
+        return clauses, candidates
 
     with monkeypatch.context() as m:
         m.setattr(GROUND, "_close_definitions", reference)
         return outcome(text), runs
 
 
-def events(clauses, rounds, possible):
+def events(clauses, rounds, candidates):
     """Which of the cases the semi-naive rounds must get right a closure
     met, from the naive run's rounds log:
     - "earlier-delta": a clause whose last growing atom was possible
@@ -108,8 +108,8 @@ def events(clauses, rounds, possible):
     - "late-negative": a positive body atom that was interned (by a
       negative literal) before the round that made it possible."""
     born = {}  # possible atom id -> the round that added it
-    for key, ext in possible.items():
-        for i, atom_id in enumerate(ext.values()):
+    for key in rounds[0][1]:
+        for i, (_args, atom_id) in enumerate(candidates.lists[key]):
             born[atom_id] = next(r for r in range(len(rounds) - 1) if i < rounds[r + 1][1][key])
     heads = set(born)
     found = set()
@@ -137,8 +137,8 @@ def test_semi_naive_closure_matches_naive_rounds(monkeypatch):
         if isinstance(expected[0], str):
             errors += 1
             continue
-        rounds, possible = runs[1]  # ground's, after the base model's
-        for case in events(expected[0], rounds, possible):
+        rounds, candidates = runs[1]  # ground's, after the base model's
+        for case in events(expected[0], rounds, candidates):
             met[case] += 1
     # seen at seed 1986: 12 errors; 157, 56, 123 and 76 programs
     floors = {"earlier-delta": 120, "both-derived": 40, "hull-cut": 90, "late-negative": 55}

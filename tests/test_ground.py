@@ -17,9 +17,12 @@ from alp.ground import (
     GroundAtom,
     GroundClause,
     GroundConstraint,
+    _int_hull,
     _plan_rule,
     _symmetric_groups,
+    abducible_universe,
     apply_const_overrides,
+    base_model,
     build_theory,
     eval_declarations,
 )
@@ -359,6 +362,48 @@ def test_derived_out_of_hull_heads_are_kept_but_not_expanded():
     # hull is [0,1] at most, so p(2) may appear as a derived head once
     # but p(3) requires feeding p(2) back in, which the hull forbids
     assert "p(3)" not in rendered
+
+
+# One integer in each place the hull reads, each at most 8 here.  The
+# universe atom a(8) is 2 * 2 * 2, a value the program text never holds.
+HULL_PLACES = {
+    "constant": "constant k == {}.",
+    "domain": "domain d == 0..{}.",
+    "head arithmetic": "h(X + {}) :- s(X).",
+    "negative literal": "g :- s(X), not h({}).",
+    "builtin side": "g :- s(X), X < {}.",
+    "range bound": "g :- s(X), X in 0..{}.",
+    "constraint head": "h({}) <- p.",
+}
+HULL_BASE = dict(zip(HULL_PLACES, range(1, 8)))
+
+
+def hull_of(values, seed=2):
+    text = "abducible p/0.\nabducible a/1.\nt(X) <- a(X).\n"
+    text += "".join(line.format(values[place]) + "\n" for place, line in HULL_PLACES.items())
+    text += f"s({seed}).\nt(Y) :- s(X), Y = X * X * X.\n"
+    program = normalize(parse_text(text, "t"))
+    domains = eval_declarations(program.decls)
+    universe = abducible_universe(program, domains, base_model(program, domains))
+    return _int_hull(program, domains, universe)
+
+
+def test_integer_hull_spans_the_integers_of_a_program():
+    assert hull_of(HULL_BASE) == (0, 8)
+    symbols = parse_text("abducible p(c).\nc(x).\nq(y) :- p(X), c(X).\nfalse <- not q(y).\n", "t")
+    assert _int_hull(normalize(symbols), eval_declarations(symbols.decls)) is None
+
+
+@pytest.mark.parametrize("place", [*HULL_PLACES, "universe atom"])
+def test_integer_hull_reads_every_place(place):
+    # 1000 in one place only; the universe atom a(1000) comes from s(10)
+    values = {**HULL_BASE, place: 1000} if place in HULL_PLACES else HULL_BASE
+    assert hull_of(values, seed=10 if place == "universe atom" else 2) == (0, 1000)
+
+
+def test_identical_ground_clauses_of_two_rules_are_kept_once():
+    theory = theory_for("abducible a/1.\nt(1).\nt(X) <- a(X).\nq(X) :- a(X).\nq(1) :- a(1).\nfalse <- not q(1).\n")
+    assert [theory.render_clause(c) for c in theory.clauses] == ["t(1).", "q(1) :- a(1)."]
 
 
 def test_negation_never_binds():
@@ -780,6 +825,13 @@ def test_override_outside_the_integer_range_is_refused(value):
         apply_const_overrides(prog, {"k": value})
     for value in (INT_MIN, INT_MAX):
         assert str(apply_const_overrides(prog, {"k": value}).definitions[0]) == f"k({value})."
+
+
+def test_alp_ground_is_the_module():
+    import alp.ground as g
+
+    assert g is importlib.import_module("alp.ground")
+    assert g.build_theory is build_theory
 
 
 def test_atom_table_interns_once():

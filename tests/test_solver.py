@@ -17,10 +17,10 @@ from alp.ground import (
     GroundClause,
     GroundConstraint,
     GroundTheory,
+    _clause,
     _constraint_clauses,
     apply_const_overrides,
     build_theory,
-    clause_key,
 )
 from alp.parser import parse_text, pretty_print
 from alp.solver import (
@@ -146,14 +146,14 @@ class FixedRule:
 
     def each_instance(self, found, count):
         for gc in self.instances:
-            found(clause_key(gc), gc.heads, gc.pos, gc.neg)
+            found(_clause(gc.heads, gc.pos, gc.neg), gc.heads, gc.pos, gc.neg)
 
     def expand(self, seen, keep, count):
         for gc in self.instances:
             keep(gc)
 
     def first_with(self, clause):
-        return next((gc for gc in self.instances if clause_key(gc) == clause), None)
+        return next((gc for gc in self.instances if _clause(gc.heads, gc.pos, gc.neg) == clause), None)
 
 
 def hand_built(atoms, clauses, instances, universe, forced):
@@ -854,7 +854,7 @@ def test_root_conflicts_on_grounded_constraint_clauses_name_their_first_instance
             if idx is None or not 0 <= idx < search.n_constraint_clauses:
                 continue
             clause = search.clauses[idx]
-            first = next(gc for gc in theory.expand_constraints() if clause_key(gc) == clause)
+            first = next(gc for gc in theory.expand_constraints() if _clause(gc.heads, gc.pos, gc.neg) == clause)
             reason = "constraints are contradictory before any hypothesis: " + theory.render_constraint(first)
             assert solve(theory).unsat_reason == reason, f"{family.__name__} {i}:\n{text}"
             met["conflicts"] += 1

@@ -95,9 +95,9 @@ def test_normalize_idempotent():
     assert normalize(once) == once
 
 
-def groups(n, width, op, atom="p"):
-    """n groups of width copies of atom, joined by op, as a head or body."""
-    return ", ".join(["(" + f" {op} ".join([atom] * width) + ")"] * n)
+def groups(n, items, op):
+    """n groups of the items, joined by op, as a head or body."""
+    return ", ".join(["(" + f" {op} ".join(items) + ")"] * n)
 
 
 def grouped(statement):
@@ -105,16 +105,21 @@ def grouped(statement):
     return f"abducible p/0.\n{statement}\nq :- p.\nq <- true.\n"
 
 
+P, Q = ["p"] * 10, ["q"] * 10
+R = [f"r({i})" for i in range(10)]
+P_R = [f"p, r({i})" for i in range(10)]
+
 # At the bound: 10 ** 4 body alternatives, and 100 head times 100 body
-# alternatives.  Past it: 2 ** 20 body alternatives, and 110 head times
-# 100 body alternatives, each factor far under the bound.
+# alternatives, all distinct over the facts r(0..9).  Past it: 2 ** 20
+# body alternatives, and 110 head times 100 body alternatives, each
+# factor far under the bound.
 AT_THE_BOUND = [
-    f"q :- {groups(4, 10, ';')}.",
-    f"{groups(1, 10, ',', 'q')} ; {groups(1, 10, ',', 'q')} <- {groups(2, 10, ';')}.",
+    f"q :- {groups(4, P_R, ';')}.",
+    f"{groups(1, R, ',')} ; {groups(1, R, ',')} <- {groups(2, P_R, ';')}.",
 ]
 PAST_THE_BOUND = [
-    f"q :- {groups(20, 2, ';')}.",
-    f"{groups(1, 10, ',', 'q')} ; {groups(1, 11, ',', 'q')} <- {groups(2, 10, ';')}.",
+    f"q :- {groups(20, ['p'] * 2, ';')}.",
+    f"{groups(1, Q, ',')} ; {groups(1, Q + ['q'], ',')} <- {groups(2, P, ';')}.",
 ]
 
 
@@ -137,11 +142,26 @@ def test_too_many_alternatives_are_a_positioned_error(tmp_path, capsys, statemen
 
 @pytest.mark.parametrize("statement", AT_THE_BOUND, ids=["body-groups", "heads-times-body"])
 def test_a_statement_at_the_alternatives_bound_still_solves(statement):
-    program = parse_text(grouped(statement), "groups")
+    program = parse_text(grouped(statement) + "r(X) :- X in 0..9.\n", "groups")
     norm = normalize(program)
-    assert len(norm.definitions) + len(norm.constraints) == MAX_ALTERNATIVES + 2
+    assert len(norm.definitions) + len(norm.constraints) == MAX_ALTERNATIVES + 3
     theory = build_theory(program)
     assert [theory.render_delta(s) for s in solve(theory).solutions] == [["p."]]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [f"q :- {groups(4, P, ';')}.", f"{groups(1, Q, ',')} ; {groups(1, Q, ',')} <- {groups(2, P, ';')}."],
+    ids=["body-groups", "heads-times-body"],
+)
+def test_identical_alternatives_are_built_once(statement):
+    program = normalize(parse_text(grouped(statement), "groups"))
+    assert len(program.definitions) + len(program.constraints) == 3
+    if statement.startswith("q :-"):
+        assert str(program.definitions[0]) == "q :- p, p, p, p."
+        assert build_theory(program).dump().startswith("% atoms=2 clauses=2 ")
+    else:
+        assert str(program.constraints[0]) == "q ; q <- p, p."
 
 
 def test_classify_kinds():
