@@ -5,10 +5,12 @@ import gc
 import hashlib
 import importlib
 import importlib.resources as res
+import importlib.util
 import random
 import re
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -794,6 +796,39 @@ def test_ground_output_is_pinned(capsys, name, extra, digest):
     # digests of the output before constraint bodies were pruned
     assert cli.main(["ground", str(res.files("alp") / "programs" / name), *extra]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def bench_hamcycle_text(seed):
+    """The benchmark's hamcycle program for one seed, from bench/hamcycle.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "hamcycle.py"
+    spec = importlib.util.spec_from_file_location("bench_hamcycle", path)
+    hamcycle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hamcycle)
+    return hamcycle.program_text(hamcycle.generate_graph(seed))
+
+
+def test_ground_output_of_the_bench_hamcycle_is_pinned(capsys, tmp_path):
+    # its two functional hc rules, Y1 = Y2 <- hc(X,Y1), hc(X,Y2) and its
+    # mirror, have builtin heads: dump prints every instance of them
+    path = tmp_path / "hamcycle.alp"
+    path.write_text(bench_hamcycle_text(1), encoding="utf-8")
+    assert cli.main(["ground", str(path)]) == 0
+    digest = "263718280618873adb09c678a793acdeb96c1ea105836a616d150e95771e9c52"
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [
+        (lambda: apply_const_overrides(parse_text(bundled("queens.alp"), "queens.alp"), {"size": 10}), 1_680),
+        (lambda: parse_text(bench_hamcycle_text(1), "hamcycle.alp"), 2_040),
+    ],
+    ids=["queens-10", "hamcycle-1"],
+)
+def test_expanded_constraints_are_pinned(text, count):
+    # every ground constraint, whether the theory stores its clause or
+    # leaves its rule to the search
+    assert len(build_theory(text()).expand_constraints()) == count
 
 
 # -- overrides --------------------------------------------------------------
