@@ -53,10 +53,14 @@ the true atoms of a model, the search's root unsat_reason over the
 atoms of the conflicting clause, and GroundTheory.expand_constraints,
 which dump and ``alp ground`` print, over all candidates.  One kind of
 rule is not instantiated at all: a denial with no negative literal and
-three or more positive ones, all over abducible predicates, whose
-builtins are tests that cannot raise (_is_lazy).  That is blocks'
-three-move rule, whose instances grow with the cube of the candidates;
-the search runs its join from each atom it makes true.
+two or more positive ones, all over abducible predicates, whose
+builtins are tests that cannot raise (_is_lazy).  A constraint whose
+heads are all builtin tests counts as the denial with those tests
+negated in its body (_as_denial), as queens'
+``C1 = C2 <- position(R,C1), position(R,C2).`` does.  Such rules are
+queens' two-queen rules and blocks' three-move rule among them, whose
+instances grow with the square or the cube of the candidates; the
+search runs their joins from the atoms it makes true.
 """
 
 from __future__ import annotations
@@ -1219,22 +1223,24 @@ def _solved_bucket(split, probe, solved: _Solved, rank) -> Callable:
     return bucket
 
 
-def _selector(bucket, cut=None, value=None, open_=False):
+def _selector(bucket, cut=None, cell=None, open_=False):
     """The selector of a positive literal: a function from the binding
     and pos_ids to the candidates the literal takes there, in order.
 
     Those are bucket(binding, pos_ids), cut(those, pos_ids) when cut is
-    given, and then, when value is given, only the atoms that value
-    makes true (value[2 * id] == 1), or with open_ those it does not make
+    given, and then, when cell is given and holds an assignment value
+    at the call (cell[0] is not None), only the atoms that value makes
+    true (value[2 * id] == 1), or with open_ those it does not make
     false (value[2 * id] != 0).  A candidate filtered out costs one
     lookup, before it binds anything."""
-    if cut is None and value is None:
+    if cut is None and cell is None:
         return bucket
 
     def select(binding, pos_ids):
         cands = bucket(binding, pos_ids)
         if cut is not None:
             cands = cut(cands, pos_ids)
+        value = None if cell is None else cell[0]
         if value is None:
             return cands
         if open_:
@@ -1430,33 +1436,60 @@ def _symmetric_groups(con: Constraint, plan: _Plan) -> list[tuple[int, ...]]:
 # grounder's candidate indexes, and stores the clauses of its instances
 # only.  A reader that needs an instance re-runs the rule's join over
 # the atoms that matter to it (see ConstraintRule).  A denial over
-# abducibles with three or more positive literals, such as blocks'
-# three-move rule, is not instantiated at all: its instances grow with
-# the cube of the candidates, while the search only ever makes a few of
-# its atoms true, and the search runs the join from each atom it makes
-# true.  This is how SLDNFA (Denecker & De Schreye, 1998) treats a
-# denial, resolving it against each abduced atom, and how lazy
-# grounding treats a constraint in ASP (Weinzierl, 2017).
+# abducibles with two or more positive literals, such as queens'
+# diagonal rule or blocks' three-move rule, is not instantiated at all:
+# its instances grow with the square or the cube of the candidates,
+# while the search only ever makes some of its atoms true, and the
+# search runs the join from each atom it makes true.  A constraint
+# whose heads are all builtin tests, such as queens'
+# ``C1 = C2 <- position(R,C1), position(R,C2).``, is such a denial
+# too, with the tests negated in its body (_as_denial).  This is how
+# SLDNFA (Denecker & De Schreye, 1998) treats a denial, resolving it
+# against each abduced atom, and how lazy grounding treats a constraint
+# in ASP (Weinzierl, 2017).
 
 
 class _StopJoin(Exception):
     """Raised from an emit to end a join; args[0] is what it found."""
 
 
-def _is_lazy(con: Constraint, kinds: dict, candidates: _Candidates, constants: dict[str, int]) -> bool:
-    """Whether ground leaves con's rule lazy: a constraint without
-    heads whose body has no negative literal and three or more positive
-    ones, all over abducible predicates, and whose builtins are tests
-    that cannot raise.
+# each test's negation, which holds exactly where the test is false
+_NEGATED = {"=": "\\=", "\\=": "=", "<": ">=", ">=": "<", ">": "=<", "=<": ">"}
+
+
+def _as_denial(con: Constraint) -> Constraint | None:
+    """con as a denial: con itself when it has no heads, the denial
+    with con's heads negated at the end of its body when they are all
+    builtin tests, and None otherwise.
+
+    An instance of con is violated when its body holds and every head
+    is false, which is when the denial's body holds; so both have the
+    same violated instances, and with them the same clauses."""
+    if not con.heads:
+        return con
+    if not all(isinstance(h, Builtin) and h.op in _NEGATED for h in con.heads):
+        return None
+    tests = tuple(Builtin(_NEGATED[h.op], h.lhs, h.rhs, span=h.span) for h in con.heads)
+    return Constraint((), con.body + tests, span=con.span)
+
+
+def _is_lazy(denial: Constraint, kinds: dict, candidates: _Candidates, constants: dict[str, int]) -> bool:
+    """Whether ground leaves the rule of a constraint whose denial form
+    (_as_denial) is denial lazy: a body with no negative literal and
+    two or more positive ones, all over abducible predicates, whose
+    builtins are tests that cannot raise.
 
     A builtin qualifies when its variables all occur in positive
     literals and it compiles safe (_Term.safe) against bounds that span
     every column its variables occur in.  Every plan that reorders the
     body then runs it as a test, on values from those columns, so no
     join order can meet a GroundError that instantiating the rule in
-    body order would not; and there is none of those either."""
-    atoms = [lit.atom for lit in con.body if isinstance(lit, Pos)]
-    if con.heads or len(atoms) < 3 or any(isinstance(lit, Neg) for lit in con.body):
+    body order would not; and there is none of those either.  A head
+    test negated into the body reads the values that it reads as a head
+    and raises where it does, so the rule is lazy only when its heads
+    cannot raise either."""
+    atoms = [lit.atom for lit in denial.body if isinstance(lit, Pos)]
+    if len(atoms) < 2 or any(isinstance(lit, Neg) for lit in denial.body):
         return False
     if any(kinds.get(atom.key) is not PredKind.ABDUCIBLE for atom in atoms):
         return False
@@ -1474,7 +1507,7 @@ def _is_lazy(con: Constraint, kinds: dict, candidates: _Candidates, constants: d
                 bounds[arg.name] = column
     return all(
         literal_variables(lit) <= bounds.keys() and _compile_test(lit, constants, bounds).safe
-        for lit in con.body
+        for lit in denial.body
         if isinstance(lit, Builtin)
     )
 
@@ -1483,15 +1516,19 @@ def _is_lazy(con: Constraint, kinds: dict, candidates: _Candidates, constants: d
 class ConstraintRule:
     """A source constraint as the theory keeps it: its plan, its
     symmetric groups and the grounder's candidate indexes, constants and
-    atom table.  lazy is set when ground did not instantiate it (see
-    _is_lazy): ``false <- a1, ..., an, tests`` with n >= 3 atoms over
-    abducibles.
+    atom table.  denial is set when ground did not instantiate it (see
+    _is_lazy), and lazy is then true: it is the denial form of con
+    (_as_denial), ``false <- a1, ..., an, tests`` with n >= 2 atoms over
+    abducibles, which the search propagates.
 
-    Every reader runs the plan through _compile_join with the emit of
-    _emitter, meeting the instances in the order ground meets them.
-    first_with and first_true give the first instance of some kind,
-    with every literal taking the atoms that can be part of it only; the
-    search propagates a lazy denial through propagators and unit_atoms.
+    Every reader runs the plan, the plan of con as written, with the
+    emit of _emitter, meeting the instances in the order ground meets
+    them; each of the two joins it runs is compiled once, on first use,
+    and reads what it is given through cells.  each_instance and expand
+    take every candidate.  first_with and first_true give the first
+    instance of some kind, with every literal taking the atoms that can
+    be part of it only.  The search propagates a lazy rule through
+    propagators and unit_atoms, which join over the denial's body.
     """
 
     origin: int
@@ -1501,15 +1538,20 @@ class ConstraintRule:
     candidates: _Candidates
     constants: dict[str, int]
     atoms: AtomTable
-    lazy: bool
+    denial: Constraint | None
 
-    def _emitter(self, found, count: list[int] | None = None):
-        """The emit of the rule's join: found(clause, heads, pos_ids,
-        neg_ids) for each instance that no true builtin head satisfies,
-        heads holding the (atom id, wanted) disjuncts that are atoms and
-        clause as _clause gives it; head and negative atoms are interned
-        as met.  count[0], when count is given, counts the instances the
-        join enumerates, and the join ends past _CONSTRAINT_CAP."""
+    @property
+    def lazy(self) -> bool:
+        return self.denial is not None
+
+    def _emitter(self, out: list):
+        """The emit of the rule's join.  At each call out[0] is found and
+        out[1] is count: found(clause, heads, pos_ids, neg_ids) for each
+        instance that no true builtin head satisfies, heads holding the
+        (atom id, wanted) disjuncts that are atoms and clause as _clause
+        gives it; head and negative atoms are interned as met.  count[0],
+        when count is not None, counts the instances the join
+        enumerates, and the join ends past _CONSTRAINT_CAP."""
         plan = self.plan
         bounds = _unknown_bounds(self.con.body)
         negs = [(n.atom.pred, _compile_args(n.atom, self.constants, bounds)) for n in plan.negs]
@@ -1522,6 +1564,7 @@ class ConstraintRule:
         intern = self.atoms.intern_args
 
         def emit(binding, pos_ids):
+            found, count = out
             if count is not None:
                 count[0] += 1
                 if count[0] > _CONSTRAINT_CAP:
@@ -1541,10 +1584,38 @@ class ConstraintRule:
 
         return emit
 
+    @cached_property
+    def _join(self) -> tuple[list, Callable]:
+        """(out, start): the join over every candidate, whose emit reads
+        out as _emitter does."""
+        out = [None, None]
+        start = _compile_join(self.plan, self.candidates, self.constants, self._emitter(out), self.groups)
+        return out, start
+
+    @cached_property
+    def _true_join(self) -> tuple[list, list, Callable]:
+        """(out, cell, start): the join whose literals take only the atoms
+        that the assignment in cell[0] makes true, its emit reading out
+        as _emitter does."""
+        out = [None, None]
+        cell = [None]
+
+        def make_selector(k, bucket, cut):
+            return _selector(bucket, cut, cell)
+
+        emit = self._emitter(out)
+        start = _compile_join(self.plan, self.candidates, self.constants, emit, self.groups, make_selector)
+        return out, cell, start
+
     def each_instance(self, found, count: list[int]) -> None:
         """Run the join over every candidate: found as _emitter calls it,
         for each instance, counted in count."""
-        _enumerate_plan(self.plan, self.candidates, self.constants, self._emitter(found, count), self.groups)
+        out, start = self._join
+        out[:] = found, count
+        try:
+            start({}, ())
+        finally:
+            out[:] = None, None
 
     def expand(self, seen: set, keep, count: list[int]) -> None:
         """keep(gc) for each instance, in join order, whose set of head
@@ -1585,23 +1656,29 @@ class ConstraintRule:
             if clause is None or c == clause:
                 raise _StopJoin(GroundConstraint(heads, pos_ids, neg_ids, origin))
 
-        def make_selector(k, bucket, cut):
-            return _selector(bucket, cut, value)
-
-        emit = self._emitter(found)
+        out, cell, start = self._true_join
+        out[:] = found, None
+        cell[0] = value
         try:
-            _compile_join(self.plan, self.candidates, self.constants, emit, self.groups, make_selector)({}, ())
+            start({}, ())
         except _StopJoin as stop:
             return stop.args[0]
+        finally:
+            out[:] = None, None
+            cell[0] = None
         return None
+
+    def _denial_parts(self) -> tuple[list[Atom], list[Builtin]]:
+        """The positive atoms and the tests of the denial's body."""
+        body = self.denial.body
+        return [lit.atom for lit in body if isinstance(lit, Pos)], [lit for lit in body if isinstance(lit, Builtin)]
 
     def unit_atoms(self) -> list[int]:
         """The atoms a such that putting a at every positive literal gives
         an instance, whose clause is then the unit "a is false": the
-        join of the rule with all its literals merged into one
+        join of the denial with all its literals merged into one
         (_merge)."""
-        atoms = [lit.atom for lit in self.con.body if isinstance(lit, Pos)]
-        tests = [lit for lit in self.con.body if isinstance(lit, Builtin)]
+        atoms, tests = self._denial_parts()
         merged = _merge(atoms, tests, range(len(atoms)))
         if merged is None:
             return []
@@ -1611,7 +1688,7 @@ class ConstraintRule:
         return units
 
     def propagators(self, value, imply) -> dict[int, list]:
-        """The runs that propagate the rule when an atom becomes true.
+        """The runs that propagate the denial when an atom becomes true.
 
         Maps each candidate atom to (cell, candidate, start) triples:
         with cell[0] set to the candidate, start({}, ()) runs a join
@@ -1621,7 +1698,10 @@ class ConstraintRule:
         imply(binding, pos_ids) for every instance it completes, with
         the last literal's atom last in pos_ids.  That atom is either
         true, and the instance is violated, or unassigned, and the
-        instance implies it false.
+        instance implies it false.  With value None, the last literal
+        takes every candidate: for a denial of two atoms, which has no
+        middle literal, the run then gives every instance holding the
+        atom, whatever the assignment.
 
         There is a join for each first literal and each set of literals
         that the last one stands for (_seed_plans).  Take an instance
@@ -1635,6 +1715,7 @@ class ConstraintRule:
         (unit_atoms).
         """
         triggers: dict[int, list] = {}
+        value_cell = None if value is None else [value]
         for plan, groups in self._seed_plans():
             n_pos = sum(step[0] == "pos" for step in plan.steps)
             cell: list = [None]
@@ -1646,7 +1727,7 @@ class ConstraintRule:
                 if k == 0:
                     seeds.extend(bucket({}, ()))  # the candidates this literal admits
                     return lambda binding, pos_ids: cell
-                return _selector(bucket, cut, value, open_=k == n_pos - 1)
+                return _selector(bucket, cut, value_cell, open_=k == n_pos - 1)
 
             start = _compile_join(plan, self.candidates, self.constants, imply, groups, make_selector)
             for cand in seeds:
@@ -1666,9 +1747,9 @@ class ConstraintRule:
         first literal of its group, and of each group only the first
         literals, after the seed, are open.  Each group's middle
         literals are enumerated in rank order, as ground enumerates
-        them."""
-        atoms = [lit.atom for lit in self.con.body if isinstance(lit, Pos)]
-        tests = [lit for lit in self.con.body if isinstance(lit, Builtin)]
+        them.  A swap of con's body and heads is one of the denial's
+        body, since negating a test commutes with renaming it."""
+        atoms, tests = self._denial_parts()
         members: dict[int, list[int]] = {k: [k] for k in range(len(atoms))}
         for group in self.groups:
             for k in group:
@@ -2168,8 +2249,9 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
     """Instantiate a normalized program over its abducible universe.
 
     Each source constraint becomes a ConstraintRule.  The join of each
-    one that _is_lazy refuses runs once, and the theory keeps the
-    distinct clauses of its instances (_constraint_clauses).  A
+    one that is not lazy (_as_denial, _is_lazy) runs once, and the
+    theory keeps the distinct clauses of its instances
+    (_constraint_clauses).  A
     constraint body with interchangeable literals is enumerated once per
     permutation orbit, with the literals' candidates in rank order (see
     _symmetric_groups); the first instance of each clause is among
@@ -2212,8 +2294,10 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
             head_vars = set().union(*map(literal_variables, con.heads))
             plan = _plan_rule(con.body, head_vars, con.span, f"constraint {con}")
             groups = _symmetric_groups(con, plan)
-            lazy = _is_lazy(con, kinds, candidates, constants)
-            rules.append(ConstraintRule(origin, con, plan, groups, candidates, constants, table, lazy))
+            denial = _as_denial(con)
+            if denial is not None and not _is_lazy(denial, kinds, candidates, constants):
+                denial = None
+            rules.append(ConstraintRule(origin, con, plan, groups, candidates, constants, table, denial))
             yield rules[-1]
 
     constraints = _constraint_clauses(planned())

@@ -12,7 +12,9 @@ propagation runs on a clause database built from two sources:
 
 and on the constraints the grounder left unground (lazy denials, see
 alp.ground.ConstraintRule), which propagate through the grounder's
-join, run from each atom that becomes true.  check_delta and the root
+join, run from an atom that becomes true: a denial of two atoms once
+per atom, the first time it is true, which gives the atom's binary
+clauses, and a longer one every time.  check_delta and the root
 unsat_reason re-run a rule's join to name a constraint instance.
 
 Binary clauses propagate through per-literal implication lists, longer
@@ -195,16 +197,19 @@ class _Search:
     definition layer, deduplicated against them, with origins[i] the
     defined atom.
 
-    The theory's lazy denials have no clauses.  Each is compiled into
-    joins (see _add_lazy_denials) that run when one of its atoms
-    becomes true and do what the clauses of its instances would do:
-    make an atom false when every other atom of an instance is true,
-    or report a conflict when all are.  _fixpoint alternates them with
-    clause propagation, and the argument there shows that the search
-    meets the same nodes as over every instance.  A conflict in the
-    rule of origin r is reported as the index len(clauses) + r, and
-    describe_origin names the rule's first instance whose atoms are all
-    true.
+    The theory's lazy denials have no clauses.  A denial of two atoms
+    gets the binary clauses of its instances as its atoms become true:
+    the first time atom a is true, _propagate joins a's partners once
+    (_pair) and adds a clause (not a, not b) for each partner b.  A
+    longer denial is compiled into joins (see _add_lazy_denials) that
+    run each time one of its atoms becomes true and do what the clauses
+    of its instances would do: make an atom false when every other atom
+    of an instance is true, or report a conflict when all are.
+    _fixpoint alternates them with clause propagation, and the argument
+    there shows that the search meets the same nodes as over every
+    instance.  A conflict in the rule of origin r is reported as the
+    index len(clauses) + r, and describe_origin names the rule's first
+    instance whose atoms are all true.
 
     The loop tables come from one pass over the strongly connected
     components of the definition layer's dependency graph (head to
@@ -231,7 +236,8 @@ class _Search:
     watch is appended to the array of its new literal.  Implication
     lists hold literals, which are shared with the clause tuples; a
     binary clause that is falsified is named through binary, which maps
-    each one to its index.
+    each one to its index, or a pair of a lazy denial to the conflict
+    index of its rule.
 
     When the definition layer has loop atoms, unit propagation is
     followed by falsifying unfounded loop atoms, with one source body
@@ -304,6 +310,8 @@ class _Search:
         self.source = [-1] * self.n_atoms
         self.source_log: list[tuple[int, int, int]] = []  # (trail length, atom, old source)
         self.triggers: dict[int, list] = {}
+        self.unpaired: list[list | None] = [None] * n_lits
+        self.found: list[tuple[int, int]] = []  # (partner, conflict index) that _pair collects
         self.denial_units: list[tuple[int, int]] = []
         self._add_lazy_denials(theory)
 
@@ -327,14 +335,31 @@ class _Search:
         run when atom a becomes true (ConstraintRule.propagators), and
         denial_units the atoms that an instance alone makes false, each
         with the conflict index of its rule, len(clauses) + its origin.
-        The closures hold the assignment, not the search, so they make
-        no reference cycle."""
+
+        A denial of two atoms has no middle literal, so the partners
+        that its instances give an atom do not depend on the
+        assignment.  Its joins, whose open literal takes every
+        candidate (propagators with no value), are kept in unpaired[2 * a]
+        and run once, the first time a becomes true (see _pair).  The
+        closures hold the assignment and the list that collects
+        partners, not the search, so they make no reference cycle."""
         value = self.value
         trail = self.trail
         stats = self.stats
         triggers = self.triggers
+        unpaired = self.unpaired
+        found = self.found
         for rule in (rule for rule in theory.rules if rule.lazy):
             conflict = len(self.clauses) + rule.origin
+            self.denial_units += [(a, conflict) for a in rule.unit_atoms()]
+            if sum(isinstance(lit, Pos) for lit in rule.denial.body) == 2:
+
+                def pair(binding, pos_ids, conflict=conflict):
+                    found.append((pos_ids[-1], conflict))
+
+                for a, runs in rule.propagators(None, pair).items():
+                    unpaired[2 * a] = (unpaired[2 * a] or []) + runs
+                continue
 
             def imply(binding, pos_ids, conflict=conflict):
                 a = pos_ids[-1]
@@ -347,7 +372,31 @@ class _Search:
 
             for a, runs in rule.propagators(value, imply).items():
                 triggers.setdefault(2 * a, []).extend(runs)
-            self.denial_units += [(a, conflict) for a in rule.unit_atoms()]
+
+    def _pair(self, lit: int):
+        """Run the joins of unpaired[lit], lit = 2a being true for the
+        first time, and drop them: each partner b that they give a, not
+        yet paired with it, becomes the binary clause (not a, not b).
+        So 2b+1 joins implied[2a+1] and 2a+1 joins implied[2b+1], and
+        binary maps the pair to the conflict index of the rule that gave
+        it; _propagate then reads implied[2a+1] as it does for any
+        binary clause."""
+        found = self.found
+        for cell, cand, start in self.unpaired[lit]:
+            cell[0] = cand
+            start({}, ())
+        self.unpaired[lit] = None
+        implied = self.implied
+        binary = self.binary
+        not_a = lit + 1
+        for b, conflict in found:
+            not_b = 2 * b + 1
+            key = (not_a, not_b) if not_a < not_b else (not_b, not_a)
+            if key not in binary:
+                binary[key] = conflict
+                implied[not_a].append(not_b)
+                implied[not_b].append(not_a)
+        found.clear()
 
     def _add_completion(self, bodies: dict[int, dict[tuple, int]], known: set[tuple[int, ...]]):
         """Add the completion of the definition layer, from each head's
@@ -561,15 +610,23 @@ class _Search:
         """Propagate the trail from position head on, through the clauses
         and the lazy denials, to their common fixpoint or a conflict.
 
-        Without lazy denials this is _propagate.  With them, the two
-        take turns: _propagate runs the clauses to their fixpoint, then
-        each atom that it made true is given to the joins of triggers,
-        which make atoms false or meet a conflict; the atoms they made
-        false go back to _propagate, and so on until neither adds a
-        literal.  Unit propagation reaches one fixpoint whatever order
-        it assigns literals in, and reaches a conflict in every order if
-        in any, and the joins imply exactly what the clauses of the
-        rules' instances would (ConstraintRule.propagators): so the search
+        Without lazy denials of three or more atoms, which have
+        triggers, this is _propagate.  With them, the two take turns:
+        _propagate runs the clauses to their fixpoint, then each atom
+        that it made true is given to the joins of triggers, which make
+        atoms false or meet a conflict; the atoms they made false go
+        back to _propagate, and so on until neither adds a literal.
+
+        The clause (not a, not b) of a denial of two atoms is added by
+        _pair when a or b is first true, and _propagate runs _pair for a
+        literal before it reads the literal's implication list.  So the
+        clause is in implied[2a+1] when a is true, and in implied[2b+1]
+        when b is, and wherever the clause would propagate, it does.
+
+        Unit propagation reaches one fixpoint whatever order it assigns
+        literals in, and reaches a conflict in every order if in any,
+        and the joins imply exactly what the clauses of the rules'
+        instances would (ConstraintRule.propagators): so the search
         meets the same fixpoints and the same conflicting nodes as it
         would over every instance, and only the number of literals
         assigned before a conflict, in propagations, can differ.  The
@@ -601,7 +658,8 @@ class _Search:
     def _propagate(self, head: int) -> int | None:
         """Propagate the trail from position head on through the clauses;
         a conflict leaves the rest of the queue unprocessed, for the
-        caller to undo."""
+        caller to undo.  An atom true for the first time first gets the
+        binary clauses of its lazy denials of two atoms (_pair)."""
         value = self.value
         trail = self.trail
         push = trail.append
@@ -611,10 +669,14 @@ class _Search:
         watch0 = self.watch0
         watch1 = self.watch1
         clauses = self.clauses
+        unpaired = self.unpaired
         implications = 0
         conflict = None
         while head < len(trail):
-            false_lit = trail[head] ^ 1
+            true_lit = trail[head]
+            if unpaired[true_lit] is not None:  # its atom is true for the first time
+                self._pair(true_lit)
+            false_lit = true_lit ^ 1
             head += 1
             for lit in implied[false_lit]:
                 val = value[lit]

@@ -198,13 +198,18 @@ def test_base_model_must_be_two_valued():
 
 
 def test_queens_ground_counts_scale():
+    # ground constraints as dump lists them, and the clauses the theory
+    # stores: those of the typing rules, since the three two-queen rules
+    # are lazy
     t4 = theory_for(bundled("queens.alp"), "q4")
     # size defaults to 8 in the bundled file
-    assert (t4.n_atoms, len(t4.clauses), len(t4.constraints)) == (89, 81, 864)
+    assert (t4.n_atoms, len(t4.clauses), len(t4.expand_constraints())) == (89, 81, 864)
+    assert len(t4.constraints) == 136
 
     prog = apply_const_overrides(parse_text(bundled("queens.alp"), "q"), {"size": 4})
     t = build_theory(prog)
-    assert (t.n_atoms, len(t.clauses), len(t.constraints)) == (29, 25, 112)
+    assert (t.n_atoms, len(t.clauses), len(t.expand_constraints())) == (29, 25, 112)
+    assert len(t.constraints) == 36
     assert len(t.universe) == 16 and not t.forced
 
 
@@ -212,7 +217,8 @@ def test_queens_diagonal_test_runs_on_few_candidates(monkeypatch):
     # abs(R2-R1) = abs(C2-C1) is answered by probing the two columns on
     # each row that it allows, not by trying every second queen: about
     # n**3 runs of the test instead of n**4 / 2.  The bound is a count,
-    # so it holds on any machine; the test runs 1,012 times here.
+    # so it holds on any machine; the test runs 1,012 times here.  The
+    # rule is lazy, so its join runs when dump expands it.
     ground_mod = importlib.import_module("alp.ground")
     compile_test = ground_mod._compile_test
     calls = Counter()
@@ -232,7 +238,8 @@ def test_queens_diagonal_test_runs_on_few_candidates(monkeypatch):
     monkeypatch.setattr(ground_mod, "_compile_test", counting)
     n = 12
     theory = build_theory(apply_const_overrides(parse_text(bundled("queens.alp"), "q"), {"size": n}))
-    assert len(theory.constraints) == 2896
+    assert not calls
+    assert len(theory.expand_constraints()) == 2896
     assert list(calls) == ["abs(R2-R1) = abs(C2-C1)"]
     assert 0 < calls.total() <= n**3
 
@@ -468,9 +475,10 @@ CAPPED = (
     ],
 )
 def test_grounding_caps_report_the_rule(monkeypatch, tmp_path, capsys, cap, value, line, column, what):
+    # the denial is lazy: its instances are counted where dump expands it
     monkeypatch.setattr(importlib.import_module("alp.ground"), cap, value)
     with pytest.raises(GroundError, match=re.escape(what)) as info:
-        theory_for(CAPPED, "capped.alp")
+        theory_for(CAPPED, "capped.alp").dump()
     (diag,) = info.value.diagnostics
     assert (diag.span.line, diag.span.column) == (line, column)
 
@@ -518,16 +526,25 @@ def test_atom_cap_crossed_in_a_later_round_reports_the_rule(monkeypatch, tmp_pat
 def test_constraint_cap_counts_the_instances_the_join_enumerates(monkeypatch, symmetric, text, grouped, plain, kept):
     # The cap counts the instances the join meets.  The plain join meets
     # every pair of a atoms; the symmetric one only the pairs in rank
-    # order, each set of candidates once.
+    # order, each set of candidates once.  The denial is lazy, so dump
+    # meets them; instantiated, build_theory does.
     ground_mod = importlib.import_module("alp.ground")
     count = grouped if symmetric else plain
     if not symmetric:
         monkeypatch.setattr(ground_mod, "_symmetric_groups", lambda con, plan: [])
     monkeypatch.setattr(ground_mod, "_CONSTRAINT_CAP", count)
-    assert len(theory_for(text, "capped.alp").constraints) == kept
+    assert len(theory_for(text, "capped.alp").expand_constraints()) == kept
     monkeypatch.setattr(ground_mod, "_CONSTRAINT_CAP", count - 1)
+    theory = theory_for(text, "capped.alp")
     with pytest.raises(GroundError, match=f"exceeded {count - 1} constraint instances"):
-        theory_for(text, "capped.alp")
+        theory.expand_constraints()
+    with monkeypatch.context() as m:
+        m.setattr(ground_mod, "_is_lazy", lambda *args: False)
+        m.setattr(ground_mod, "_CONSTRAINT_CAP", count)
+        assert len(theory_for(text, "capped.alp").constraints) == kept
+        m.setattr(ground_mod, "_CONSTRAINT_CAP", count - 1)
+        with pytest.raises(GroundError, match=f"exceeded {count - 1} constraint instances"):
+            theory_for(text, "capped.alp")
 
 
 # -- symmetric constraint bodies --------------------------------------------
@@ -718,22 +735,22 @@ def test_three_move_rule_enumerates_each_set_of_moves_once(monkeypatch):
     # set of moves once.
     ground_mod = importlib.import_module("alp.ground")
     emitted = Counter()
-    real = ground_mod._enumerate_plan
+    real = ground_mod._compile_join
 
-    def spy(plan, candidates, constants, emit, groups=()):
+    def spy(plan, candidates, constants, emit, groups=(), make_selector=None):
         def counted(binding, pos_ids):
             emitted[plan.label] += 1
             emit(binding, pos_ids)
 
-        real(plan, candidates, constants, counted, groups)
+        return real(plan, candidates, constants, counted, groups, make_selector)
 
-    monkeypatch.setattr(ground_mod, "_enumerate_plan", spy)
+    monkeypatch.setattr(ground_mod, "_compile_join", spy)
     text = bundled("blocks.alp")
     theory = theory_for(text)
     rules = [str(con) for con in normalize(parse_text(text, "b")).constraints]
     three_move = next(o for o, rule in enumerate(rules) if rule.count("move(") == 3)
     label = f"constraint {rules[three_move]}"
-    assert [rule.origin for rule in theory.rules if rule.lazy] == [three_move]
+    assert three_move in [rule.origin for rule in theory.rules if rule.lazy]
     assert emitted[label] == 0
     assert not any(c.origin == three_move for c in theory.constraints)
     kept = sum(c.origin == three_move for c in theory.expand_constraints())

@@ -44,14 +44,26 @@ def eager_theory(monkeypatch, text, name="t"):
         return theory_for(text, name)
 
 
+BUILTIN_HEADS = (
+    "X = Y <- a(X), a(Y).",
+    "X < Y ; Y < X <- b(X,1), b(Y,2).",
+    "Y1 = Y2 <- b(X,Y1), b(X,Y2).",
+    "X \\= Y <- a(X), b(Y,1), a(Y).",
+    "X =< 2 ; X > Y <- b(X,Y), a(X).",
+    "X >= 3 <- b(X,1).",
+)
+
+
 def random_denial_program(rng):
     """Abducibles a/1 and b/2 over small domains, a definition layer with
-    negation, up to three instantiated constraints and forced atoms, and
-    one to three positive denials of three or four literals over a and
-    b: symmetric bodies, repeated and shared variables, constant
-    arguments, and \\=, < and = tests.  Constraints with an abducible
-    head make atoms true together with the atom that implies them, so
-    that an instance can have its last two atoms made true at once."""
+    negation, up to three instantiated constraints and forced atoms, one
+    to three positive denials of three or four literals over a and b,
+    then at most one of two literals and up to two constraints whose
+    heads are all builtin tests: symmetric bodies, repeated and shared
+    variables, constant arguments, and \\=, < and = tests.  Constraints
+    with an abducible head make atoms true together with the atom that
+    implies them, so that an instance can have its last two atoms made
+    true at once."""
     lines = [
         "domain d == 1..3.",
         "domain e == 1..2.",
@@ -71,8 +83,14 @@ def random_denial_program(rng):
     lines += rng.sample(eager, rng.randint(0, 3))
     forced = ("a(2) <- true.", "a(3) <- true.", "b(1,1) <- true.", "b(3,2) <- true.")
     lines += rng.sample(forced, rng.choice((0, 0, 1, 2, 3)))
-    for _ in range(rng.randint(1, 3)):
-        k = rng.choice((3, 3, 3, 4))
+    longer = rng.randint(1, 3)
+    for j in range(longer + 1):
+        if j < longer:
+            k = rng.choice((3, 3, 3, 4))
+        elif rng.random() < 0.5:
+            continue
+        else:
+            k = 2
         body = []
         names = []
         for i in range(k):
@@ -97,6 +115,7 @@ def random_denial_program(rng):
             body.append(rng.choice((f"{x} \\= {y}", f"{x} < {y}", f"{x} = {y}")))
         rng.shuffle(body)
         lines.append(f"false <- {', '.join(body)}.")
+    lines += rng.sample(BUILTIN_HEADS, rng.choice((0, 0, 0, 1, 1, 2)))
     return "\n".join(lines) + "\n"
 
 
@@ -123,15 +142,19 @@ def test_lazy_denials_behave_as_their_ground_instances(monkeypatch):
     # the presence of a root conflict, and check_delta on every solution
     # and on perturbed deltas, of each random program kept lazy and
     # grounded in full.  The floors sit at about half of what this seed
-    # gives: 314 lazy denials, 139 with a symmetric group, 231 with a
+    # gave before the programs drew denials of two literals and builtin
+    # heads: 314 lazy denials, 139 with a symmetric group, 231 with a
     # test, 31 with a unit instance, 178 with a constant argument; 127
     # programs whose lazy denials have instances with a repeated atom;
     # 36 root conflicts, and 11 decisions that make every atom of a lazy
     # denial's instance true; 462 deltas violating a lazy denial first
-    # and 1,082 an instantiated constraint; 7,929 solutions.
+    # and 1,082 an instantiated constraint; 7,929 solutions.  Now it
+    # gives 513, 156, 262, 72, 296; 123; 57 and 8; 547 and 858; 5,476
+    # solutions; and 211 lazy denials of two atoms and 84 lazy rules
+    # with builtin heads, whose floors sit at about half of that.
     met = dict.fromkeys(
         ("lazy", "groups", "tests", "units", "repeated atoms", "constants", "root conflict",
-         "lazy conflict", "violated lazy", "violated eager", "solutions"), 0
+         "lazy conflict", "violated lazy", "violated eager", "solutions", "pairs", "builtin heads"), 0
     )
     propagate = _Search.propagate
 
@@ -152,6 +175,8 @@ def test_lazy_denials_behave_as_their_ground_instances(monkeypatch):
         assert lazy.expand_constraints() == eager.expand_constraints(), label
         met["lazy"] += len(lazy_rules(lazy))
         for rule in lazy_rules(lazy):
+            met["pairs"] += sum(isinstance(lit, Pos) for lit in rule.con.body) == 2
+            met["builtin heads"] += bool(rule.con.heads)
             met["groups"] += bool(rule.groups)
             met["units"] += bool(rule.unit_atoms())
             met["tests"] += any(isinstance(lit, Builtin) for lit in rule.con.body)
@@ -182,16 +207,60 @@ def test_lazy_denials_behave_as_their_ground_instances(monkeypatch):
     floors = {
         "lazy": 150, "groups": 70, "tests": 110, "units": 15, "repeated atoms": 60, "constants": 85,
         "root conflict": 18, "lazy conflict": 5, "violated lazy": 230, "violated eager": 540,
-        "solutions": 3900,
+        "solutions": 3900, "pairs": 100, "builtin heads": 40,
     }
     assert all(met[case] >= floor for case, floor in floors.items()), met
 
 
+def test_each_atom_pairs_once_and_never_when_false_at_the_root(monkeypatch):
+    # An atom's partners in the denials of two atoms are joined the first
+    # time the atom is true (_Search._pair), so at most once per search,
+    # and never for a candidate that root propagation made false, which
+    # no node makes true.  Every queen becomes true in the search for all
+    # boards of size 8, so it ends with every queen paired, and its rules,
+    # all of two atoms, leave it no trigger.
+    pair, root = _Search._pair, _Search.propagate_pending
+    searches = []
+
+    def spy_pair(search, lit):
+        search.__dict__.setdefault("paired", []).append(lit >> 1)
+        return pair(search, lit)
+
+    def spy_root(search):
+        conflict = root(search)
+        waiting = [lit >> 1 for lit, runs in enumerate(search.unpaired) if runs is not None]
+        search.root_false = {a for a in waiting if search.value[2 * a] == 0}
+        searches.append(search)
+        return conflict
+
+    monkeypatch.setattr(_Search, "_pair", spy_pair)
+    monkeypatch.setattr(_Search, "propagate_pending", spy_root)
+    rng = random.Random(25)
+    texts = [random_denial_program(rng) for _ in range(60)]
+    texts.append(bundled("blocks.alp"))
+    for text in texts:
+        solve(theory_for(text))
+    queens = build_theory(parse_text(bundled("queens.alp"), "q"))
+    assert len(solve(queens).solutions) == 92
+    assert len(searches[-1].paired) == 64 and not any(searches[-1].unpaired)
+    assert not searches[-1].triggers
+    paired = root_false = 0
+    for search in searches:
+        atoms = search.__dict__.get("paired", [])
+        assert len(atoms) == len(set(atoms))
+        assert search.root_false.isdisjoint(atoms)
+        paired += len(atoms)
+        root_false += len(search.root_false)
+    # this seed pairs 286 atoms, and leaves 104 false at the root unpaired
+    assert paired >= 140 and root_false >= 50, (paired, root_false)
+
+
 def test_blocks_compiles_few_constraint_clauses():
-    # the three-move rule's 20,580 instances stay unground: the search's
-    # clauses from constraints are the other rules' 2,841
+    # the three-move rule's 20,580 instances stay unground, and so do
+    # those of the two denials of two moves: the search's clauses from
+    # constraints are the other rules' 1,860
     theory = theory_for(bundled("blocks.alp"))
-    assert len(theory.constraints) == 2_841 and len(lazy_rules(theory)) == 1
+    assert len(theory.constraints) == 1_860 and len(lazy_rules(theory)) == 3
     assert len(theory.expand_constraints()) == 23_421
     assert _Search(theory, SolveOptions(), SolveStats()).n_constraint_clauses < 3_000
 
