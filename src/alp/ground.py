@@ -2251,11 +2251,10 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
     Each source constraint becomes a ConstraintRule.  The join of each
     one that is not lazy (_as_denial, _is_lazy) runs once, and the
     theory keeps the distinct clauses of its instances
-    (_constraint_clauses).  A
-    constraint body with interchangeable literals is enumerated once per
-    permutation orbit, with the literals' candidates in rank order (see
-    _symmetric_groups); the first instance of each clause is among
-    those.
+    (_constraint_clauses).  A constraint body with interchangeable
+    literals is enumerated once per permutation orbit, with the
+    literals' candidates in rank order (see _symmetric_groups); the
+    first instance of each clause is among those.
     """
     kinds = classify_predicates(program)
     constants = domains.constants

@@ -3,10 +3,8 @@
 import collections
 import dataclasses
 import importlib.resources
-import importlib.util
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
@@ -37,7 +35,7 @@ from alp.solver import (
 from alp.syntax import ArithExpr, Atom, IntConst, ProgramError, SolveError, SymConst, Var
 from alp.wfs import TRUE, is_two_valued, well_founded
 from reference_completion import ReferenceSearch
-from test_ground import random_program, symmetric_program
+from test_ground import bench_hamcycle_text, random_program, symmetric_program
 
 
 def theory_for(text, name="t"):
@@ -1053,12 +1051,8 @@ def test_check_delta_builds_no_clause_database(monkeypatch):
 
 
 def bench_hamcycle_theory(seed):
-    """The benchmark's hamcycle program for one seed, from bench/hamcycle.py."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "hamcycle.py"
-    spec = importlib.util.spec_from_file_location("bench_hamcycle", path)
-    hamcycle = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(hamcycle)
-    return theory_for(hamcycle.program_text(hamcycle.generate_graph(seed)))
+    """The benchmark's hamcycle program for one seed, grounded."""
+    return theory_for(bench_hamcycle_text(seed))
 
 
 @pytest.mark.parametrize(
