@@ -23,8 +23,8 @@ single run reports every error it can find.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .syntax import (
     INT_MAX,
@@ -95,8 +95,7 @@ _NEG_COMPLEMENT = {"=": "\\=", "\\=": "=", "<": ">=", ">=": "<", ">": "=<", "=<"
 MAX_TERM_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "var" | "int" | "punct" | "kw" | "eof"
     text: str
     span: SourceSpan
@@ -171,7 +170,9 @@ def tokenize(text: str, filename: str = "<input>") -> tuple[list[Token], list[Di
 
 class _Parser:
     def __init__(self, tokens: list[Token], diags: list[Diagnostic]):
-        self.tokens = tokens
+        # tokens ends in its eof, which next never passes; one more eof
+        # after it lets peek(1) index the list without a bound check
+        self.tokens = tokens + tokens[-1:]
         self.pos = 0
         self.diags = diags
         self.depth = 0  # of the last term parsed
@@ -179,7 +180,7 @@ class _Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]

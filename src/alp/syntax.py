@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import prod
+from typing import NamedTuple
 
 # Machine integer range; arithmetic outside it is an error rather than a
 # silent wrap.
@@ -28,8 +29,7 @@ INT_MAX = 2**63 - 1
 # source positions and errors
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Position of a token or node in its source text."""
 
     file: str
