@@ -53,14 +53,19 @@ the true atoms of a model, the search's root unsat_reason over the
 atoms of the conflicting clause, and GroundTheory.expand_constraints,
 which dump and ``alp ground`` print, over all candidates.  One kind of
 rule is not instantiated at all: a denial with no negative literal and
-two or more positive ones, all over abducible predicates, whose
+two or more positive ones, over abducible or defined predicates, whose
 builtins are tests that cannot raise (_is_lazy).  A constraint whose
 heads are all builtin tests counts as the denial with those tests
 negated in its body (_as_denial), as queens'
 ``C1 = C2 <- position(R,C1), position(R,C2).`` does.  Such rules are
-queens' two-queen rules and blocks' three-move rule among them, whose
-instances grow with the square or the cube of the candidates; the
-search runs their joins from the atoms it makes true.
+queens' two-queen rules, blocks' three-move rule and its two rules over
+``on/3`` among them, whose instances grow with the square or the cube
+of the candidates; the search runs their joins from the atoms it makes
+true.  A constraint derives nothing, so the search needs its instances
+only around the atoms that become true, defined ones included: a
+defined literal takes the in-hull candidates that instantiating the
+rule would take, and the search gives the joins every atom it makes
+true, at the root as below it (see alp.solver._Search._fixpoint).
 """
 
 from __future__ import annotations
@@ -1473,11 +1478,14 @@ def _as_denial(con: Constraint) -> Constraint | None:
     return Constraint((), con.body + tests, span=con.span)
 
 
-def _is_lazy(denial: Constraint, kinds: dict, candidates: _Candidates, constants: dict[str, int]) -> bool:
+def _is_lazy(denial: Constraint, candidates: _Candidates, constants: dict[str, int]) -> bool:
     """Whether ground leaves the rule of a constraint whose denial form
     (_as_denial) is denial lazy: a body with no negative literal and
-    two or more positive ones, all over abducible predicates, whose
-    builtins are tests that cannot raise.
+    two or more positive ones, whose builtins are tests that cannot
+    raise.  The positive literals may be over abducible or defined
+    predicates, atoms true in the base model included: a literal's
+    candidates are the same whether ground joins them once or the
+    search does from the atoms it makes true.
 
     A builtin qualifies when its variables all occur in positive
     literals and it compiles safe (_Term.safe) against bounds that span
@@ -1490,8 +1498,6 @@ def _is_lazy(denial: Constraint, kinds: dict, candidates: _Candidates, constants
     cannot raise either."""
     atoms = [lit.atom for lit in denial.body if isinstance(lit, Pos)]
     if len(atoms) < 2 or any(isinstance(lit, Neg) for lit in denial.body):
-        return False
-    if any(kinds.get(atom.key) is not PredKind.ABDUCIBLE for atom in atoms):
         return False
     bounds: dict[str, tuple | None] = {}
     for atom in atoms:
@@ -1518,8 +1524,8 @@ class ConstraintRule:
     symmetric groups and the grounder's candidate indexes, constants and
     atom table.  denial is set when ground did not instantiate it (see
     _is_lazy), and lazy is then true: it is the denial form of con
-    (_as_denial), ``false <- a1, ..., an, tests`` with n >= 2 atoms over
-    abducibles, which the search propagates.
+    (_as_denial), ``false <- a1, ..., an, tests`` with n >= 2 atoms,
+    which the search propagates.
 
     Every reader runs the plan, the plan of con as written, with the
     emit of _emitter, meeting the instances in the order ground meets
@@ -1698,10 +1704,9 @@ class ConstraintRule:
         imply(binding, pos_ids) for every instance it completes, with
         the last literal's atom last in pos_ids.  That atom is either
         true, and the instance is violated, or unassigned, and the
-        instance implies it false.  With value None, the last literal
-        takes every candidate: for a denial of two atoms, which has no
-        middle literal, the run then gives every instance holding the
-        atom, whatever the assignment.
+        instance implies it false.  A denial of two atoms has no middle
+        literal, so its run gives every instance holding the atom whose
+        other atom value does not make false.
 
         There is a join for each first literal and each set of literals
         that the last one stands for (_seed_plans).  Take an instance
@@ -1715,7 +1720,7 @@ class ConstraintRule:
         (unit_atoms).
         """
         triggers: dict[int, list] = {}
-        value_cell = None if value is None else [value]
+        value_cell = [value]
         for plan, groups in self._seed_plans():
             n_pos = sum(step[0] == "pos" for step in plan.steps)
             cell: list = [None]
@@ -2294,7 +2299,7 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
             plan = _plan_rule(con.body, head_vars, con.span, f"constraint {con}")
             groups = _symmetric_groups(con, plan)
             denial = _as_denial(con)
-            if denial is not None and not _is_lazy(denial, kinds, candidates, constants):
+            if denial is not None and not _is_lazy(denial, candidates, constants):
                 denial = None
             rules.append(ConstraintRule(origin, con, plan, groups, candidates, constants, table, denial))
             yield rules[-1]

@@ -200,14 +200,15 @@ class _Search:
     The theory's lazy denials have no clauses.  A denial of two atoms
     gets the binary clauses of its instances as its atoms become true:
     the first time atom a is true, _propagate joins a's partners once
-    (_pair) and adds a clause (not a, not b) for each partner b.  A
-    longer denial is compiled into joins (see _add_lazy_denials) that
-    run each time one of its atoms becomes true and do what the clauses
-    of its instances would do: make an atom false when every other atom
-    of an instance is true, or report a conflict when all are.
+    (_pair) and adds a clause (not a, not b) for each partner b not
+    paired before.  A longer denial is compiled into joins (see
+    _add_lazy_denials) that run each time one of its atoms becomes true
+    and do what the clauses of its instances would do: make an atom
+    false when every other atom of an instance is true, or report a
+    conflict when all are.  The atoms may be abducible or defined.
     _fixpoint alternates them with clause propagation, and the argument
     there shows that the search meets the same nodes as over every
-    instance.  A conflict in the rule of origin r is reported as the
+    instance, but in the one case it names.  A conflict in the rule of origin r is reported as the
     index len(clauses) + r, and describe_origin names the rule's first
     instance whose atoms are all true.
 
@@ -311,6 +312,7 @@ class _Search:
         self.source_log: list[tuple[int, int, int]] = []  # (trail length, atom, old source)
         self.triggers: dict[int, list] = {}
         self.unpaired: list[list | None] = [None] * n_lits
+        self.pairing = bytearray(b"\x01") * (2 * self.n_atoms)  # pairing[2a] = 0: a is paired
         self.found: list[tuple[int, int]] = []  # (partner, conflict index) that _pair collects
         self.denial_units: list[tuple[int, int]] = []
         self._add_lazy_denials(theory)
@@ -338,11 +340,13 @@ class _Search:
 
         A denial of two atoms has no middle literal, so the partners
         that its instances give an atom do not depend on the
-        assignment.  Its joins, whose open literal takes every
-        candidate (propagators with no value), are kept in unpaired[2 * a]
-        and run once, the first time a becomes true (see _pair).  The
-        closures hold the assignment and the list that collects
-        partners, not the search, so they make no reference cycle."""
+        assignment.  Its joins are kept in unpaired[2 * a] and run once,
+        the first time a becomes true (see _pair).  They read pairing
+        as their assignment, which makes false only the atoms paired
+        already, so their open literal takes the atoms not yet paired.
+        The closures hold the assignment, pairing and the list that
+        collects partners, not the search, so they make no reference
+        cycle."""
         value = self.value
         trail = self.trail
         stats = self.stats
@@ -357,7 +361,7 @@ class _Search:
                 def pair(binding, pos_ids, conflict=conflict):
                     found.append((pos_ids[-1], conflict))
 
-                for a, runs in rule.propagators(None, pair).items():
+                for a, runs in rule.propagators(self.pairing, pair).items():
                     unpaired[2 * a] = (unpaired[2 * a] or []) + runs
                 continue
 
@@ -375,17 +379,24 @@ class _Search:
 
     def _pair(self, lit: int):
         """Run the joins of unpaired[lit], lit = 2a being true for the
-        first time, and drop them: each partner b that they give a, not
-        yet paired with it, becomes the binary clause (not a, not b).
-        So 2b+1 joins implied[2a+1] and 2a+1 joins implied[2b+1], and
-        binary maps the pair to the conflict index of the rule that gave
-        it; _propagate then reads implied[2a+1] as it does for any
-        binary clause."""
+        first time, drop them and mark a paired: each partner b that
+        they give a, not yet in a binary clause with it, becomes the
+        binary clause (not a, not b).  So 2b+1 joins implied[2a+1] and
+        2a+1 joins implied[2b+1], and binary maps the pair to the
+        conflict index of the rule that gave it; _propagate then reads
+        implied[2a+1] as it does for any binary clause.
+
+        The joins skip the partners paired already.  When such a b was
+        paired, its joins met every instance holding b, the one with a
+        among them, since a was not paired then; so the clause is in
+        already, and each pair is met once, from its atom paired
+        first."""
         found = self.found
         for cell, cand, start in self.unpaired[lit]:
             cell[0] = cand
             start({}, ())
         self.unpaired[lit] = None
+        self.pairing[lit] = 0
         implied = self.implied
         binary = self.binary
         not_a = lit + 1
@@ -623,6 +634,19 @@ class _Search:
         clause is in implied[2a+1] when a is true, and in implied[2b+1]
         when b is, and wherever the clause would propagate, it does.
 
+        The joins see every true atom, whatever its predicate, as the
+        clauses would.  A lazy denial may read defined atoms, those true
+        in the base model among them, such as blocks' block(B).  The
+        search makes an atom true only by pushing its literal onto the
+        trail: a decision, an implication, or at the root a unit clause,
+        which propagate_pending assigns before it calls _fixpoint(0).
+        That call walks the whole root trail, so the atoms of the units,
+        a fact's unit completion clause among them, and every atom they
+        imply through the completion are given to the joins and paired
+        too.  And _propagate pairs each literal of the trail, and the
+        loop below runs the triggers of each, before the fixpoint is
+        reached.
+
         Unit propagation reaches one fixpoint whatever order it assigns
         literals in, and reaches a conflict in every order if in any,
         and the joins imply exactly what the clauses of the rules'
@@ -632,7 +656,14 @@ class _Search:
         assigned before a conflict, in propagations, can differ.  The
         denials are no support clauses, so branching (see solutions)
         does not change either, nor do nodes, pruned, checks, models or
-        the order of the solutions."""
+        the order of the solutions.  One case differs: a grounded
+        denial's clause hides an equal completion clause from branching,
+        as the completion is deduplicated against the constraint clauses
+        (_add_clauses).  A support clause of three or more literals
+        equals a denial's clause only when each body of its head is one
+        negative literal and the denial reads the head and those atoms,
+        as ``h :- not a.  h :- not b.  false <- h, a, b.`` does; left
+        lazy, that support clause branches."""
         conflict = self._propagate(head)
         triggers = self.triggers
         if not triggers:
@@ -925,7 +956,11 @@ class _Search:
         assignment M satisfies every constraint clause and the
         completion, so M is a supported model of definitions plus delta.
         No instance of a lazy denial has every atom true in M either,
-        or propagation would have met the conflict (see _fixpoint).
+        whether its atoms are abducible or defined: each true atom went
+        onto the trail, at the root or below it, and was paired and
+        given to the triggers there; so the instance's binary clause, or
+        the join run for the last of its atoms to become true, would
+        have met the conflict (see _fixpoint).
         It is also a stable model, as no nonempty set U of true atoms is
         unfounded (Van Gelder, Ross & Schlipf, 1991).  Take the lowest
         component U meets: off a loop component, a true atom's true body

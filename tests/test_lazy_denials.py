@@ -1,4 +1,5 @@
-"""Long positive denials over abducibles, kept unground (lazy rules).
+"""Positive denials over abducible and defined atoms, kept unground
+(lazy rules).
 
 ground keeps such a rule as its plan, and the search propagates it from
 the atoms it makes true; check_delta, the root's unsat_reason and dump
@@ -56,14 +57,16 @@ BUILTIN_HEADS = (
 
 def random_denial_program(rng):
     """Abducibles a/1 and b/2 over small domains, a definition layer with
-    negation, up to three instantiated constraints and forced atoms, one
-    to three positive denials of three or four literals over a and b,
-    then at most one of two literals and up to two constraints whose
-    heads are all builtin tests: symmetric bodies, repeated and shared
-    variables, constant arguments, and \\=, < and = tests.  Constraints
-    with an abducible head make atoms true together with the atom that
-    implies them, so that an instance can have its last two atoms made
-    true at once."""
+    negation and a predicate c true in the base model, up to three
+    constraints from a fixed list and forced atoms, one to three
+    positive denials of three or four literals over a and b, then at
+    most one of two literals, up to two constraints whose heads are all
+    builtin tests and at most one denial over defined atoms
+    (defined_denial): symmetric bodies, repeated and shared variables,
+    constant arguments, and \\=, < and = tests.  Constraints with an
+    abducible head make atoms true together with the atom that implies
+    them, so that an instance can have its last two atoms made true at
+    once."""
     lines = [
         "domain d == 1..3.",
         "domain e == 1..2.",
@@ -71,6 +74,7 @@ def random_denial_program(rng):
         "abducible b(d, e).",
         "p(X) :- b(X,Y), not a(X).",
         "q(X) :- a(X), not p(X).",
+        "c(X) :- X in 1..2.",
     ]
     eager = [
         "false <- a(X), b(X,2).",
@@ -116,7 +120,46 @@ def random_denial_program(rng):
         rng.shuffle(body)
         lines.append(f"false <- {', '.join(body)}.")
     lines += rng.sample(BUILTIN_HEADS, rng.choice((0, 0, 0, 1, 1, 2)))
+    for _ in range(rng.randint(0, 1)):
+        lines.append(defined_denial(rng, rng.choice(tuple(DEFINED_POOLS))))
     return "\n".join(lines) + "\n"
+
+
+# The literals a denial over defined atoms draws from: p and q depend on
+# the abducibles, c is true in the base model at 1 and 2 (see
+# random_denial_program), and a mixed denial also reads a or b.
+DEFINED_POOLS = {
+    "defined": ("p({x})", "q({x})"),
+    "mixed": ("p({x})", "q({x})", "a({x})", "b({x},{y})"),
+    "base": ("c({x})", "p({x})", "q({x})", "a({x})", "b({x},{y})"),
+}
+
+
+def defined_denial(rng, kind):
+    """A positive denial of two or three literals drawn from
+    DEFINED_POOLS[kind]: a mixed one holds a defined and an abducible
+    literal, and one of kind base holds c, with shared variables,
+    constants and up to one test."""
+    pool = DEFINED_POOLS[kind]
+    k = rng.choice((2, 2, 3))
+    shapes = [rng.choice(pool) for _ in range(k)]
+    if kind == "mixed":
+        shapes[:2] = [rng.choice(pool[:2]), rng.choice(pool[2:])]
+    elif kind == "base":
+        shapes[0] = pool[0]
+    body = []
+    names = set()
+    for i, shape in enumerate(shapes):
+        x = rng.choice(("X", "X", f"X{i}", "1"))
+        y = rng.choice(("Y", f"Y{i}", "2"))
+        body.append(shape.format(x=x, y=y))
+        used = (x, y) if "{y}" in shape else (x,)
+        names.update(v for v in used if not v.isdigit())
+    if names and rng.random() < 0.5:
+        x, y = rng.choice(sorted(names)), rng.choice(sorted(names) + ["2"])
+        body.append(rng.choice((f"{x} \\= {y}", f"{x} < {y}")))
+    rng.shuffle(body)
+    return f"false <- {', '.join(body)}."
 
 
 def perturbed(rng, theory, delta):
@@ -148,13 +191,19 @@ def test_lazy_denials_behave_as_their_ground_instances(monkeypatch):
     # programs whose lazy denials have instances with a repeated atom;
     # 36 root conflicts, and 11 decisions that make every atom of a lazy
     # denial's instance true; 462 deltas violating a lazy denial first
-    # and 1,082 an instantiated constraint; 7,929 solutions.  Now it
-    # gives 513, 156, 262, 72, 296; 123; 57 and 8; 547 and 858; 5,476
+    # and 1,082 an instantiated constraint; 7,929 solutions.  With those
+    # it gave 513, 156, 262, 72, 296; 123; 57 and 8; 547 and 858; 5,476
     # solutions; and 211 lazy denials of two atoms and 84 lazy rules
-    # with builtin heads, whose floors sit at about half of that.
+    # with builtin heads, whose floors sit at about half of that.  Since
+    # the programs also draw denials over defined atoms it gives 667, 178,
+    # 340, 78, 363; 133; 52 and 21; 702 and 720; 4,331 solutions; 322 and
+    # 92; and 59 lazy denials over p and q alone, 41 that mix them with a
+    # or b, and 26 that read c, true in the base model, whose floors sit
+    # at about half of that.
     met = dict.fromkeys(
         ("lazy", "groups", "tests", "units", "repeated atoms", "constants", "root conflict",
-         "lazy conflict", "violated lazy", "violated eager", "solutions", "pairs", "builtin heads"), 0
+         "lazy conflict", "violated lazy", "violated eager", "solutions", "pairs", "builtin heads",
+         "defined only", "mixed", "base-true"), 0
     )
     propagate = _Search.propagate
 
@@ -175,6 +224,10 @@ def test_lazy_denials_behave_as_their_ground_instances(monkeypatch):
         assert lazy.expand_constraints() == eager.expand_constraints(), label
         met["lazy"] += len(lazy_rules(lazy))
         for rule in lazy_rules(lazy):
+            preds = {lit.atom.pred for lit in rule.denial.body if isinstance(lit, Pos)}
+            met["defined only"] += preds <= {"p", "q"}
+            met["mixed"] += bool(preds & {"p", "q"}) and bool(preds & {"a", "b"})
+            met["base-true"] += "c" in preds
             met["pairs"] += sum(isinstance(lit, Pos) for lit in rule.con.body) == 2
             met["builtin heads"] += bool(rule.con.heads)
             met["groups"] += bool(rule.groups)
@@ -207,7 +260,7 @@ def test_lazy_denials_behave_as_their_ground_instances(monkeypatch):
     floors = {
         "lazy": 150, "groups": 70, "tests": 110, "units": 15, "repeated atoms": 60, "constants": 85,
         "root conflict": 18, "lazy conflict": 5, "violated lazy": 230, "violated eager": 540,
-        "solutions": 3900, "pairs": 100, "builtin heads": 40,
+        "solutions": 3900, "pairs": 100, "builtin heads": 40, "defined only": 30, "mixed": 20, "base-true": 13,
     }
     assert all(met[case] >= floor for case, floor in floors.items()), met
 
@@ -255,12 +308,43 @@ def test_each_atom_pairs_once_and_never_when_false_at_the_root(monkeypatch):
     assert paired >= 140 and root_false >= 50, (paired, root_false)
 
 
+def test_each_pair_is_met_once(monkeypatch):
+    # _pair's joins skip the partners paired already, so the search for
+    # all boards of size 10 meets each of its 1,470 pairs of queens
+    # once; meeting each from both of its queens gave 2,940 partners.
+    # The clauses, and so the propagations, are those of meeting them
+    # twice.
+    class Partners(list):
+        met = 0
+
+        def append(self, partner):
+            Partners.met += 1
+            super().append(partner)
+
+    searches = []
+    add = _Search._add_lazy_denials
+
+    def spy(search, theory):
+        search.found = Partners()  # the list that the joins append to
+        searches.append(search)
+        add(search, theory)
+
+    monkeypatch.setattr(_Search, "_add_lazy_denials", spy)
+    text = bundled("queens.alp").replace("size(8)", "size(10)")
+    report = solve(theory_for(text))
+    assert len(report.solutions) == 724 and report.stats.propagations == 96_055
+    (search,) = searches
+    pairs = [key for key, origin in search.binary.items() if origin >= len(search.clauses)]
+    assert len(pairs) == 1_470 and Partners.met == 1_470
+
+
 def test_blocks_compiles_few_constraint_clauses():
     # the three-move rule's 20,580 instances stay unground, and so do
-    # those of the two denials of two moves: the search's clauses from
-    # constraints are the other rules' 1,860
+    # those of the two denials of two moves and of the two denials over
+    # the defined on/3: the search's clauses from constraints are the
+    # other rules' 474
     theory = theory_for(bundled("blocks.alp"))
-    assert len(theory.constraints) == 1_860 and len(lazy_rules(theory)) == 3
+    assert len(theory.constraints) == 474 and len(lazy_rules(theory)) == 5
     assert len(theory.expand_constraints()) == 23_421
     assert _Search(theory, SolveOptions(), SolveStats()).n_constraint_clauses < 3_000
 
@@ -299,8 +383,15 @@ def test_a_lazy_denial_past_the_cap_solves_but_does_not_dump(monkeypatch, tmp_pa
         # a unit instance: a(2) at every literal
         ("domain d == 1..3.\nabducible a(d).\na(2) <- true.\nfalse <- a(X), a(Y), a(Z), X = 2.\n",
          "false <- a(2), a(2), a(2)."),
+        # over defined atoms, facts whose units are true at the root
+        ("abducible a/0.\np.\nq.\nfalse <- q, p.\n", "false <- q, p."),
+        # c(1) and c(2) are true in the base model
+        ("domain d == 1..3.\nabducible a(d).\nc(X) :- X in 1..2.\na(2) <- true.\nfalse <- a(X), c(X).\n",
+         "false <- a(2), c(2)."),
+        ("domain d == 1..3.\nabducible a(d).\nc(X) :- X in 1..2.\np(X) :- a(X).\na(1) <- true.\na(3) <- true.\n"
+         "false <- p(X), p(Y), c(X), X < Y.\n", "false <- p(1), p(3), c(1)."),
     ],
-    ids=["propositional", "ordered", "unit"],
+    ids=["propositional", "ordered", "unit", "defined", "base-true", "base-true and defined"],
 )
 def test_a_root_conflict_in_a_lazy_denial_names_it(monkeypatch, tmp_path, capsys, text, instance):
     theory = theory_for(text)
