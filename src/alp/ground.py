@@ -66,6 +66,16 @@ only around the atoms that become true, defined ones included: a
 defined literal takes the in-hull candidates that instantiating the
 rule would take, and the search gives the joins every atom it makes
 true, at the root as below it (see alp.solver._Search._fixpoint).
+
+Nor are the typing constraints that built the universe, such as
+queens' ``row(R) <- position(R,C).``, instantiated when the universe
+satisfies them (_satisfied_typing): every candidate of the abducible
+lies in the universe, whose atoms have each slot's value in the base
+extension of every typing predicate on the slot, so every instance
+has a head true in every model.  Such a rule is never violated and
+never propagates, and its instances grow with the universe; only the
+readers that name instances (expand_constraints, and first_instance
+for a clause) run its join.
 """
 
 from __future__ import annotations
@@ -273,11 +283,11 @@ class GroundTheory:
 
     rules[o] is the ConstraintRule of source constraint o, whose origin
     is o.  constraints, the one stored form of the ground constraints,
-    holds the clauses of the rules that are not lazy (see
-    _constraint_clauses); a reader that needs an instance re-runs its
-    rule's join.  The theory must not be changed once built: it caches
-    definition_arrays, the one thing compiled from it that it keeps;
-    each solve compiles its own search.
+    holds the clauses of the rules that are neither lazy nor satisfied
+    by the universe (see _constraint_clauses); a reader that needs an
+    instance re-runs its rule's join.  The theory must not be changed
+    once built: it caches definition_arrays, the one thing compiled
+    from it that it keeps; each solve compiles its own search.
     """
 
     atoms: AtomTable
@@ -339,12 +349,14 @@ class GroundTheory:
         """The first constraint of expand_constraints() whose clause is
         constraints[ci]'s; with value given (value[lit] == 1 for a true
         literal), the first that value violates, constraints[ci] being the
-        first clause it falsifies (None: none).  No rule that is not lazy
-        gives that clause before its origin, so only the lazy denials
-        before that rule are searched before it (first_with, first_true)."""
+        first clause it falsifies (None: none).  No stored rule gives that
+        clause before its origin, so only the rules before it that ground
+        left unground are searched before it (first_with, first_true):
+        the lazy denials, and for a clause the typing constraints that
+        the universe satisfies, which no model violates."""
         clause, origin, _denial = (None, len(self.rules), None) if ci is None else self.constraints[ci]
         for rule in self.rules[:origin]:
-            if rule.lazy:
+            if rule.lazy or (rule.satisfied and value is None):
                 gc = rule.first_with(clause) if value is None else rule.first_true(value)
                 if gc is not None:
                     return gc
@@ -1525,7 +1537,9 @@ class ConstraintRule:
     atom table.  denial is set when ground did not instantiate it (see
     _is_lazy), and lazy is then true: it is the denial form of con
     (_as_denial), ``false <- a1, ..., an, tests`` with n >= 2 atoms,
-    which the search propagates.
+    which the search propagates.  satisfied is set for a typing
+    constraint that every model satisfies (_satisfied_typing): ground
+    does not instantiate it either, and nothing propagates it.
 
     Every reader runs the plan, the plan of con as written, with the
     emit of _emitter, meeting the instances in the order ground meets
@@ -1545,6 +1559,7 @@ class ConstraintRule:
     constants: dict[str, int]
     atoms: AtomTable
     denial: Constraint | None
+    satisfied: bool
 
     @property
     def lazy(self) -> bool:
@@ -2104,10 +2119,16 @@ def base_model(program: Program, domains: DomainTable) -> BaseModel:
     return BaseModel(out, undefined)
 
 
-def _typing_positions(program: Program, pred: str, arity: int) -> dict[int, list[str]]:
-    """Typing constraints ``d(Vi) <- p(V1,...,Vn)`` keyed by argument slot."""
-    out: dict[int, list[str]] = {}
-    for con in program.constraints:
+def _typing_positions(program: Program, pred: str, arity: int) -> dict[int, list[tuple[int, str]]]:
+    """The typing constraints ``d(Vi) <- p(V1,...,Vn)`` of pred/arity,
+    keyed by argument slot: (origin, d) for each, origin indexing
+    program.constraints.  The variables of the body are distinct, so a
+    body such as ``p(X,X)`` types nothing.  This is the one reading of
+    the typing form: abducible_universe bounds each slot by the base
+    extensions of its typing predicates, and ground leaves the rules
+    that the universe satisfies unground (_satisfied_typing)."""
+    out: dict[int, list[tuple[int, str]]] = {}
+    for origin, con in enumerate(program.constraints):
         if len(con.heads) != 1 or len(con.body) != 1:
             continue
         head = con.heads[0]
@@ -2125,7 +2146,7 @@ def _typing_positions(program: Program, pred: str, arity: int) -> dict[int, list
         hv = head.atom.args[0]
         if not isinstance(hv, Var) or hv.name not in names:
             continue
-        out.setdefault(names.index(hv.name), []).append(head.atom.pred)
+        out.setdefault(names.index(hv.name), []).append((origin, head.atom.pred))
     return out
 
 
@@ -2136,8 +2157,12 @@ def abducible_universe(
 
     Argument domains come from the declaration when it lists them, and
     otherwise from typing constraints ``d(Vi) <- p(...,Vi,...)`` whose
-    typing predicate d is abducible independent; several typing
-    constraints on one slot intersect.  The program is normalized.
+    typing predicate d is abducible independent (_typing_positions):
+    slot i takes the values v with d(v) true in the base model, and
+    several typing constraints on one slot intersect.  So every typing
+    constraint's head is true in the base model at every universe atom
+    of an abducible without a declared domain (see _satisfied_typing).
+    The program is normalized.
     """
     atoms: list[GroundAtom] = []
     for decl in program.decls.abducibles:
@@ -2161,7 +2186,7 @@ def abducible_universe(
                         decl.span,
                     )
                 values: set[Value] | None = None
-                for d in preds:
+                for _origin, d in preds:
                     if d in base.undefined_preds:
                         raise _error(
                             f"typing predicate {d} for {decl.pred}/{decl.arity} is not "
@@ -2183,6 +2208,38 @@ def abducible_universe(
         atoms.extend(GroundAtom(decl.pred, t) for t in tuples)
     atoms.sort(key=lambda a: a.sort_key)
     return atoms
+
+
+def _satisfied_typing(
+    program: Program, table: AtomTable, universe: set[int], forced: tuple[int, ...]
+) -> set[int]:
+    """The origins of the typing constraints that every model satisfies,
+    which ground leaves unground: those (_typing_positions) of each
+    abducible p without a declared domain none of whose forced atoms
+    lies outside the universe.  The caller also asks that the universe
+    hold no integer outside the hull that the base model was grounded
+    over.
+
+    Take an instance ``d(ti) <- p(t)`` of such a rule.  The join gives
+    p(t) the candidates of p, which are universe atoms here, so d(ti) is
+    true in the base model (abducible_universe).  d is abducible
+    independent, so d(ti) depends on the definitions of the base model
+    alone, which ground instantiates again over the same hull, and it
+    is true in the well-founded model of the definitions plus any
+    delta: the instance holds in every model.  check_delta accepts only
+    deltas inside universe and forced atoms, and the search branches on
+    no other atom, so no reader can meet the instance violated.  A
+    forced atom p(s) outside the universe is different: d(si) may be
+    false, and the instance then refutes every delta
+    (``d(1). d(2). d(X) <- p(X). p(3) <- true.``), so its rules are
+    grounded."""
+    outside = {(table.atom(i).pred, len(table.atom(i).args)) for i in forced if i not in universe}
+    out: set[int] = set()
+    for decl in program.decls.abducibles:
+        if decl.arg_domains is None and decl.arity and (decl.pred, decl.arity) not in outside:
+            for typing in _typing_positions(program, decl.pred, decl.arity).values():
+                out.update(origin for origin, _d in typing)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -2225,16 +2282,17 @@ def _over_cap(plan: _Plan) -> GroundError:
 
 
 def _constraint_clauses(rules: Iterable[ConstraintRule]) -> list[ConstraintClause]:
-    """The clauses of the instances of the rules that are not lazy, each
-    distinct one once, in order of first occurrence, with the origin of
-    the first rule giving it and the denial flag ORed over every
-    instance giving it; tautologies are dropped.  One count of the
-    instances the joins enumerate runs over the rules, against
-    _CONSTRAINT_CAP."""
+    """The clauses of the instances of the rules that are neither lazy
+    nor satisfied by the universe, each distinct one once, in order of
+    first occurrence, with the origin of the first rule giving it and
+    the denial flag ORed over every instance giving it; tautologies are
+    dropped.  One count of the instances the joins enumerate runs over
+    those rules, against _CONSTRAINT_CAP; the rules left out are not
+    enumerated, so they count only where a reader expands them."""
     kept: dict[tuple[int, ...], ConstraintClause] = {}
     count = [0]
     for rule in rules:
-        if rule.lazy:
+        if rule.lazy or rule.satisfied:
             continue
 
         def found(clause, heads, pos_ids, neg_ids, origin=rule.origin):
@@ -2254,12 +2312,17 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
     """Instantiate a normalized program over its abducible universe.
 
     Each source constraint becomes a ConstraintRule.  The join of each
-    one that is not lazy (_as_denial, _is_lazy) runs once, and the
-    theory keeps the distinct clauses of its instances
-    (_constraint_clauses).  A constraint body with interchangeable
-    literals is enumerated once per permutation orbit, with the
-    literals' candidates in rank order (see _symmetric_groups); the
-    first instance of each clause is among those.
+    one that is neither lazy (_as_denial, _is_lazy) nor a typing
+    constraint that the universe satisfies (_satisfied_typing) runs
+    once, and the theory keeps the distinct clauses of its instances
+    (_constraint_clauses).  The typing constraints count as satisfied
+    only when the universe holds no integer outside the hull that the
+    base model was grounded over: the hull then stays the same, and so
+    do the base model's definitions as ground instantiates them again.
+    A constraint body with interchangeable literals is enumerated once
+    per permutation orbit, with the literals' candidates in rank order
+    (see _symmetric_groups); the first instance of each clause is among
+    those.
     """
     kinds = classify_predicates(program)
     constants = domains.constants
@@ -2281,6 +2344,9 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
             abd_candidates[(atom.pred, len(atom.args))].append((atom.args, i))
 
     hull = _int_hull(program, domains, universe)
+    satisfied = set()
+    if hull == _int_hull(program, domains):  # the hull the base model was grounded over
+        satisfied = _satisfied_typing(program, table, universe_set, forced_ids)
 
     definitions = list(program.definitions)
     plans = [
@@ -2301,7 +2367,9 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
             denial = _as_denial(con)
             if denial is not None and not _is_lazy(denial, candidates, constants):
                 denial = None
-            rules.append(ConstraintRule(origin, con, plan, groups, candidates, constants, table, denial))
+            rules.append(
+                ConstraintRule(origin, con, plan, groups, candidates, constants, table, denial, origin in satisfied)
+            )
             yield rules[-1]
 
     constraints = _constraint_clauses(planned())

@@ -208,9 +208,11 @@ class _Search:
     conflict when all are.  The atoms may be abducible or defined.
     _fixpoint alternates them with clause propagation, and the argument
     there shows that the search meets the same nodes as over every
-    instance, but in the one case it names.  A conflict in the rule of origin r is reported as the
+    instance.  A conflict in the rule of origin r is reported as the
     index len(clauses) + r, and describe_origin names the rule's first
-    instance whose atoms are all true.
+    instance whose atoms are all true.  The typing rules that the
+    universe satisfies (alp.ground._satisfied_typing) have neither
+    clauses nor joins: no instance of theirs is ever violated.
 
     The loop tables come from one pass over the strongly connected
     components of the definition layer's dependency graph (head to
@@ -321,16 +323,17 @@ class _Search:
 
     def _add_clauses(self, theory: GroundTheory):
         """Build clauses, origins and is_denial: the theory's constraint
-        clauses as they are, then the completion.  The set known, which
-        the completion is deduplicated against, is local, so it is freed
-        on return, before __init__ builds the watch arrays: alive beside
-        them, it would raise the peak memory of solve."""
+        clauses as they are, then the completion.  known, which the
+        completion is deduplicated against, maps each clause so far to
+        whether it is a constraint's denial clause.  It is local, so it
+        is freed on return, before __init__ builds the watch arrays:
+        alive beside them, it would raise the peak memory of solve."""
         self.clauses: list[tuple[int, ...]] = [record.clause for record in theory.constraints]
         self.origins: list[int] = [record.origin for record in theory.constraints]
         self.is_denial: list[bool] = [record.denial for record in theory.constraints]
         self.n_constraint_clauses = len(self.clauses)
         bodies = self._find_loops(theory.clauses)
-        self._add_completion(bodies, set(self.clauses))
+        self._add_completion(bodies, dict(zip(self.clauses, self.is_denial)))
 
     def _add_lazy_denials(self, theory: GroundTheory):
         """Compile the lazy denials: triggers[2 * a] lists the joins to
@@ -409,7 +412,7 @@ class _Search:
                 implied[not_b].append(not_a)
         found.clear()
 
-    def _add_completion(self, bodies: dict[int, dict[tuple, int]], known: set[tuple[int, ...]]):
+    def _add_completion(self, bodies: dict[int, dict[tuple, int]], known: dict[tuple[int, ...], bool]):
         """Add the completion of the definition layer, from each head's
         distinct bodies (see _find_loops).  A fact head is a unit clause.
         Otherwise each body stands for its one literal or for a fresh
@@ -418,19 +421,28 @@ class _Search:
         support clause.
 
         The clauses are those that adding each one through _key and the
-        set known of the clauses so far would give, in the same order, but
-        a clause holding a fresh dj skips both.  No clause made before dj
-        holds it, and of those made later only its head's support clause may.
-        So the clauses of one body, (lit, ¬dj) for each literal,
-        (¬lits..., dj) and (2h, ¬dj), are new but for repeats among
-        themselves: a repeated literal, the head clause when the head is
-        a positive body atom (it is then one of the (lit, ¬dj)), and the
-        body clause when it is a tautology, the body holding an atom
-        and its negation.  They are appended sorted, since dj is the
+        clauses known so far would give, in the same order, but a clause
+        holding a fresh dj skips both, and a support clause of three or
+        more literals that repeats a denial's clause is added again (see
+        below).  No clause made before dj holds it, and of those made
+        later only its head's support clause may.  So the clauses of one
+        body, (lit, ¬dj) for each literal, (¬lits..., dj) and (2h, ¬dj),
+        are new but for repeats among themselves: a repeated literal,
+        the head clause when the head is a positive body atom (it is
+        then one of the (lit, ¬dj)), and the body clause when it is a
+        tautology, the body holding an atom and its negation.  They are appended sorted, since dj is the
         greatest variable so far.  A support clause holding a fresh dj
         may equal only a body clause of its own head, and only when it
         holds one dj: that dj's body clause.  The other clauses hold
-        atoms only and may repeat a constraint clause or one another."""
+        atoms only and may repeat a constraint clause or one another.
+
+        A denial's clause is no support clause, so a support clause
+        equal to one would branch (see solutions) when the denial is
+        lazy and not when it is grounded: ``h :- not a.  h :- not b.
+        false <- h, a, b.`` searched its solutions in two orders.  The
+        repeat keeps it a support clause either way; it holds the
+        literals of the denial's clause, so it changes no fixpoint and
+        no conflict, only branching."""
         clauses = self.clauses
         origins = self.origins
         first = len(clauses)
@@ -440,7 +452,7 @@ class _Search:
             it is a tautology (None, see alp.ground._key) or in already."""
             if key is None or key in known:
                 return
-            known.add(key)
+            known[key] = False
             clauses.append(key)
             origins.append(origin)
 
@@ -473,7 +485,11 @@ class _Search:
                     self._add_loop_body(head, dj, pos)
             key = _key(support)
             if not fresh:
-                add(key, head)
+                if known.get(key) and len(key) > 2:  # a denial's clause: see above
+                    clauses.append(key)
+                    origins.append(head)
+                else:
+                    add(key, head)
             elif key is not None and not (fresh == 1 and key == body_clause):
                 clauses.append(key)
                 origins.append(head)
@@ -656,14 +672,10 @@ class _Search:
         assigned before a conflict, in propagations, can differ.  The
         denials are no support clauses, so branching (see solutions)
         does not change either, nor do nodes, pruned, checks, models or
-        the order of the solutions.  One case differs: a grounded
-        denial's clause hides an equal completion clause from branching,
-        as the completion is deduplicated against the constraint clauses
-        (_add_clauses).  A support clause of three or more literals
-        equals a denial's clause only when each body of its head is one
-        negative literal and the denial reads the head and those atoms,
-        as ``h :- not a.  h :- not b.  false <- h, a, b.`` does; left
-        lazy, that support clause branches."""
+        the order of the solutions.  That holds where a support clause
+        equals a grounded denial's clause too, as in ``h :- not a.
+        h :- not b.  false <- h, a, b.``: the completion keeps the
+        support clause, lazy or grounded (_add_completion)."""
         conflict = self._propagate(head)
         triggers = self.triggers
         if not triggers:

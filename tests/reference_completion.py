@@ -3,9 +3,11 @@ clause database against.
 
 ReferenceSearch is alp.solver._Search with the completion of the
 definition layer compiled the plain way: every completion clause goes
-through alp.ground._key and the dedup set, whatever it holds; each
-head's bodies are collected in a list that is searched before each
-append; and the loops are found in four passes over the ground clauses.
+through alp.ground._key and the dedup against the clauses known so far,
+whatever it holds, but a support clause of three or more literals that
+repeats a constraint's denial clause is kept again; each head's bodies
+are collected in a list that is searched before each append; and the
+loops are found in four passes over the ground clauses.
 _Search must build the same clauses, origins, denial flags, variables,
 implication and watch arrays, support clauses, units and loop tables.
 """
@@ -24,7 +26,10 @@ class ReferenceSearch(_Search):
         def add(key, origin):
             if key is None or key in known:
                 return
-            known.add(key)
+            known[key] = False
+            append(key, origin)
+
+        def append(key, origin):
             self.clauses.append(key)
             self.origins.append(origin)
             self.is_denial.append(False)
@@ -58,7 +63,11 @@ class ReferenceSearch(_Search):
                 support.append(dj)
                 if head in self.loop_atoms:
                     self._add_loop_body(head, dj, pos)
-            add(_key(support), head)
+            key = _key(support)
+            if known.get(key) and len(key) > 2:  # a constraint's denial clause
+                append(key, head)
+            else:
+                add(key, head)
         for a in range(self.n_atoms):
             if a not in bodies_by_head and a not in self.candidates:
                 add((2 * a + 1,), a)

@@ -340,11 +340,13 @@ def test_each_pair_is_met_once(monkeypatch):
 
 def test_blocks_compiles_few_constraint_clauses():
     # the three-move rule's 20,580 instances stay unground, and so do
-    # those of the two denials of two moves and of the two denials over
-    # the defined on/3: the search's clauses from constraints are the
-    # other rules' 474
+    # those of the two denials of two moves, of the two denials over
+    # the defined on/3 and of the five typing rules, which the universe
+    # satisfies: the search's clauses from constraints are the other
+    # rules' 12
     theory = theory_for(bundled("blocks.alp"))
-    assert len(theory.constraints) == 474 and len(lazy_rules(theory)) == 5
+    assert len(theory.constraints) == 12 and len(lazy_rules(theory)) == 5
+    assert sum(rule.satisfied for rule in theory.rules) == 5
     assert len(theory.expand_constraints()) == 23_421
     assert _Search(theory, SolveOptions(), SolveStats()).n_constraint_clauses < 3_000
 
@@ -405,6 +407,25 @@ def test_a_root_conflict_in_a_lazy_denial_names_it(monkeypatch, tmp_path, capsys
     assert cli.main(["solve", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "no solutions\n" and err == reason + "\n"
+
+
+def test_a_grounded_denial_keeps_the_support_clause_it_repeats(monkeypatch):
+    # (not h, not a, not b) is both the clause of the denial and the
+    # support clause of h.  Grounded, the denial's clause is no support
+    # clause, and the completion repeats it as one, so the search
+    # branches on it as it does when the denial is lazy.
+    text = (
+        "abducible a/0. abducible b/0. abducible c/0. abducible d/0.\n"
+        "h :- not a. h :- not b. g :- c, d. g :- a, c. g :- b, d.\nfalse <- h, a, b.\n"
+    )
+    lazy, eager = theory_for(text), eager_theory(monkeypatch, text)
+    assert lazy_rules(lazy) and not lazy_rules(eager) and len(eager.constraints) == 1
+    searches = [_Search(theory, SolveOptions(), SolveStats()) for theory in (lazy, eager)]
+    assert len(searches[0].support) == len(searches[1].support) == 4
+    lazy_report, eager_report = solve(lazy), solve(eager)
+    assert len(lazy_report.solutions) == 16
+    assert lazy_report.solutions == eager_report.solutions
+    assert lazy_report.stats.nodes == eager_report.stats.nodes == 30
 
 
 NEGATIVE_LOOP = (
