@@ -2078,15 +2078,16 @@ def _abducible_dependent(program: Program, kinds: dict) -> set[tuple[str, int]]:
 class BaseModel:
     """Well-founded evaluation of the abducible-independent definitions.
 
-    extensions holds the true instances per predicate; undefined_preds
-    names predicates with at least one undefined instance, whose
+    extensions holds the true instances per predicate, keyed by (name,
+    arity), and holds no abducible dependent predicate; undefined_preds
+    keys the predicates with at least one undefined instance, whose
     extensions cannot be trusted for typing.  Undefinedness here is not
     an error by itself: it resurfaces per candidate as NotTwoValued when
     those atoms matter.
     """
 
-    extensions: dict[str, list[tuple[Value, ...]]]
-    undefined_preds: set[str]
+    extensions: dict[tuple[str, int], list[tuple[Value, ...]]]
+    undefined_preds: set[tuple[str, int]]
 
 
 def base_model(program: Program, domains: DomainTable) -> BaseModel:
@@ -2106,14 +2107,14 @@ def base_model(program: Program, domains: DomainTable) -> BaseModel:
     truth, _trace = wfs.well_founded(
         [(c.head, c.pos, c.neg) for c in clauses], (), len(table)
     )
-    out: dict[str, list[tuple[Value, ...]]] = {}
-    undefined: set[str] = set()
+    out: dict[tuple[str, int], list[tuple[Value, ...]]] = {}
+    undefined: set[tuple[str, int]] = set()
     for i in range(len(table)):
+        atom = table.atom(i)
         if truth[i] == wfs.TRUE:
-            atom = table.atom(i)
-            out.setdefault(atom.pred, []).append(atom.args)
+            out.setdefault((atom.pred, len(atom.args)), []).append(atom.args)
         elif truth[i] == wfs.UNDEF:
-            undefined.add(table.atom(i).pred)
+            undefined.add((atom.pred, len(atom.args)))
     for pred in out:
         out[pred].sort(key=lambda args: tuple(value_key(v) for v in args))
     return BaseModel(out, undefined)
@@ -2156,13 +2157,14 @@ def abducible_universe(
     """Candidate ground atoms for every declared abducible, sorted.
 
     Argument domains come from the declaration when it lists them, and
-    otherwise from typing constraints ``d(Vi) <- p(...,Vi,...)`` whose
-    typing predicate d is abducible independent (_typing_positions):
-    slot i takes the values v with d(v) true in the base model, and
-    several typing constraints on one slot intersect.  So every typing
-    constraint's head is true in the base model at every universe atom
-    of an abducible without a declared domain (see _satisfied_typing).
-    The program is normalized.
+    otherwise from typing constraints ``d(Vi) <- p(...,Vi,...)``
+    (_typing_positions): slot i takes the values v with d(v) true in the
+    base model, and several typing constraints on one slot intersect.
+    The base model is keyed by name and arity, and holds d/1 only when
+    d/1 is abducible independent and two-valued; any other typing
+    predicate is an error.  So every typing constraint's head is true in
+    the base model at every universe atom of an abducible without a
+    declared domain (see _satisfied_typing).  The program is normalized.
     """
     atoms: list[GroundAtom] = []
     for decl in program.decls.abducibles:
@@ -2187,19 +2189,19 @@ def abducible_universe(
                     )
                 values: set[Value] | None = None
                 for _origin, d in preds:
-                    if d in base.undefined_preds:
+                    if (d, 1) in base.undefined_preds:
                         raise _error(
                             f"typing predicate {d} for {decl.pred}/{decl.arity} is not "
                             "two-valued in the base definitions",
                             decl.span,
                         )
-                    if d not in base.extensions:
+                    if (d, 1) not in base.extensions:
                         raise _error(
                             f"typing predicate {d} for {decl.pred}/{decl.arity} depends on "
                             "abducibles or is empty",
                             decl.span,
                         )
-                    ext = {t[0] for t in base.extensions[d]}
+                    ext = {t[0] for t in base.extensions[d, 1]}
                     values = ext if values is None else values & ext
                 per_arg.append(sorted(values, key=value_key))
         tuples = [()]
@@ -2211,28 +2213,39 @@ def abducible_universe(
 
 
 def _satisfied_typing(
-    program: Program, table: AtomTable, universe: set[int], forced: tuple[int, ...]
+    program: Program,
+    domains: DomainTable,
+    hull: tuple[int, int] | None,
+    table: AtomTable,
+    universe: set[int],
+    forced: tuple[int, ...],
 ) -> set[int]:
     """The origins of the typing constraints that every model satisfies,
-    which ground leaves unground: those (_typing_positions) of each
-    abducible p without a declared domain none of whose forced atoms
-    lies outside the universe.  The caller also asks that the universe
-    hold no integer outside the hull that the base model was grounded
-    over.
+    which ground leaves unground, given the universe that
+    abducible_universe built, the hull ground instantiates over and the
+    forced atoms.  No origin when the hull is wider than the one the
+    base model was grounded over; otherwise those (_typing_positions) of
+    each abducible p without a declared domain none of whose forced
+    atoms lies outside the universe.
 
     Take an instance ``d(ti) <- p(t)`` of such a rule.  The join gives
     p(t) the candidates of p, which are universe atoms here, so d(ti) is
-    true in the base model (abducible_universe).  d is abducible
-    independent, so d(ti) depends on the definitions of the base model
-    alone, which ground instantiates again over the same hull, and it
-    is true in the well-founded model of the definitions plus any
-    delta: the instance holds in every model.  check_delta accepts only
-    deltas inside universe and forced atoms, and the search branches on
-    no other atom, so no reader can meet the instance violated.  A
-    forced atom p(s) outside the universe is different: d(si) may be
+    true in the base model: abducible_universe took slot i from the
+    base extension of d/1, which it has only when d/1 is abducible
+    independent.  So d(ti) depends on the definitions of the base model
+    alone.  ground instantiates them again over the same hull, where
+    they give the same model, so d(ti) is true in the well-founded
+    model of the definitions plus any delta: the instance holds in
+    every model.  A universe atom with an integer past the base model's
+    hull widens ground's hull; a definition can then derive more, and
+    d(ti) be false.  check_delta accepts only deltas inside universe and
+    forced atoms, and the search branches on no other atom, so no reader
+    can meet the instance violated.  A forced atom p(s) outside the universe is different: d(si) may be
     false, and the instance then refutes every delta
     (``d(1). d(2). d(X) <- p(X). p(3) <- true.``), so its rules are
     grounded."""
+    if hull != _int_hull(program, domains):  # the hull the base model was grounded over
+        return set()
     outside = {(table.atom(i).pred, len(table.atom(i).args)) for i in forced if i not in universe}
     out: set[int] = set()
     for decl in program.decls.abducibles:
@@ -2315,11 +2328,7 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
     one that is neither lazy (_as_denial, _is_lazy) nor a typing
     constraint that the universe satisfies (_satisfied_typing) runs
     once, and the theory keeps the distinct clauses of its instances
-    (_constraint_clauses).  The typing constraints count as satisfied
-    only when the universe holds no integer outside the hull that the
-    base model was grounded over: the hull then stays the same, and so
-    do the base model's definitions as ground instantiates them again.
-    A constraint body with interchangeable literals is enumerated once
+    (_constraint_clauses).  A constraint body with interchangeable literals is enumerated once
     per permutation orbit, with the literals' candidates in rank order
     (see _symmetric_groups); the first instance of each clause is among
     those.
@@ -2331,22 +2340,16 @@ def ground(program: Program, domains: DomainTable, universe: list[GroundAtom]) -
     forced_atoms = collect_forced(program, kinds, constants)
     forced_ids = tuple(table.intern(a) for a in forced_atoms)
 
-    abd_candidates: dict[tuple[str, int], list[tuple[tuple[Value, ...], int]]] = {}
-    for decl in program.decls.abducibles:
-        abd_candidates[(decl.pred, decl.arity)] = []
-    for i in universe_ids:
-        atom = table.atom(i)
-        abd_candidates[(atom.pred, len(atom.args))].append((atom.args, i))
+    abd_candidates: dict[tuple[str, int], list[tuple[tuple[Value, ...], int]]] = {
+        (decl.pred, decl.arity): [] for decl in program.decls.abducibles
+    }
     universe_set = set(universe_ids)
-    for i in forced_ids:
-        if i not in universe_set:
-            atom = table.atom(i)
-            abd_candidates[(atom.pred, len(atom.args))].append((atom.args, i))
+    for i in universe_ids + tuple(i for i in forced_ids if i not in universe_set):
+        atom = table.atom(i)
+        abd_candidates[atom.pred, len(atom.args)].append((atom.args, i))
 
     hull = _int_hull(program, domains, universe)
-    satisfied = set()
-    if hull == _int_hull(program, domains):  # the hull the base model was grounded over
-        satisfied = _satisfied_typing(program, table, universe_set, forced_ids)
+    satisfied = _satisfied_typing(program, domains, hull, table, universe_set, forced_ids)
 
     definitions = list(program.definitions)
     plans = [

@@ -9,6 +9,7 @@ against the same program with the marking switched off, which grounds
 every typing rule, as the parent of the marking did.
 """
 
+import dataclasses
 import importlib
 import random
 
@@ -31,9 +32,14 @@ def theory_for(text, name="t"):
 
 def grounded_theory(monkeypatch, text, name="t"):
     """theory_for(text) with every typing rule instantiated."""
+    return grounded_build(monkeypatch, parse_text(text, name))
+
+
+def grounded_build(monkeypatch, program):
+    """build_theory(program) with every typing rule instantiated."""
     with monkeypatch.context() as m:
         m.setattr(GROUND, "_satisfied_typing", lambda *args: set())
-        return theory_for(text, name)
+        return build_theory(program)
 
 
 def satisfied(theory):
@@ -208,6 +214,33 @@ def test_a_universe_past_the_base_hull_keeps_its_typing_rules():
     assert [theory.atoms.render(i) for i in theory.universe] == ["p(6)"]
     assert not satisfied(theory) and len(theory.constraints) == 1
     assert solve(theory).solutions == [()]
+
+
+def with_definitions(text, extra):
+    """The program of text with the definitions of extra added.  The
+    parser refuses a name used at two arities, but build_theory takes
+    any Program, so the base model keys its extensions by name and
+    arity."""
+    program, more = parse_text(text, "t"), parse_text(extra, "t")
+    return dataclasses.replace(program, definitions=program.definitions + more.definitions)
+
+
+def test_a_typing_predicate_is_read_at_arity_one(monkeypatch):
+    # d/2 is true at (1,1) and (2,2), and d/1 depends on a: the universe
+    # takes nothing from d/2, so d/1 is refused as a typing predicate,
+    # with the typing rule satisfied or grounded.
+    dependent = with_definitions(
+        "abducible p/1. abducible a/0. e(1). e(2). d(X) :- e(X), a. d(X) <- p(X).\n", "d(1,1). d(2,2).\n"
+    )
+    for build in (build_theory, lambda program: grounded_build(monkeypatch, program)):
+        with pytest.raises(GroundError, match="typing predicate d for p/1 depends on abducibles"):
+            build(dependent)
+    # d(5) is false, and the universe holds p(1) only, not p(5) from d(5,5)
+    mixed = with_definitions("abducible p/1. d(1). d(X) <- p(X).\n", "d(5,5).\n")
+    theory, grounded = build_theory(mixed), grounded_build(monkeypatch, mixed)
+    assert len(satisfied(theory)) == 1
+    assert [theory.atoms.render(i) for i in theory.universe] == ["p(1)"]
+    assert solve(theory).solutions == solve(grounded).solutions == [(), (theory.universe[0],)]
 
 
 TYPED = "t(X) :- X in 1..4.\nabducible p/1.\nt(X) <- p(X).\n"
