@@ -48,15 +48,16 @@ same clauses.
 
 Each source constraint is kept as a ConstraintRule, its plan over the
 grounder's candidate indexes, and every reader that needs an instance
-re-runs that join over the atoms that matter to it: check_delta over
-the true atoms of a model, the search's root unsat_reason over the
-atoms of the conflicting clause, and GroundTheory.expand_constraints,
-which dump and ``alp ground`` print, over all candidates.  One kind of
-rule is not instantiated at all: a denial with no negative literal and
-two or more positive ones, over abducible or defined predicates, whose
-builtins are tests that cannot raise (_is_lazy).  A constraint whose
-heads are all builtin tests counts as the denial with those tests
-negated in its body (_as_denial), as queens'
+re-runs that join over the atoms that matter to it: check_delta, which
+reads no stored clause, over the true atoms of a model, the search's
+root unsat_reason over the atoms of the conflicting clause, and
+GroundTheory.expand_constraints, which dump and ``alp ground`` print,
+over all candidates.  One kind of rule is not instantiated at all: a
+denial with no negative literal and two or more positive ones, over
+abducible or defined predicates, whose builtins are tests that cannot
+raise (_is_lazy).  A constraint whose heads are all builtin tests
+counts as the denial with those tests negated in its body
+(_as_denial), as queens'
 ``C1 = C2 <- position(R,C1), position(R,C2).`` does.  Such rules are
 queens' two-queen rules, blocks' three-move rule and its two rules over
 ``on/3`` among them, whose instances grow with the square or the cube
@@ -74,8 +75,8 @@ lies in the universe, whose atoms have each slot's value in the base
 extension of every typing predicate on the slot, so every instance
 has a head true in every model.  Such a rule is never violated and
 never propagates, and its instances grow with the universe; only the
-readers that name instances (expand_constraints, and first_instance
-for a clause) run its join.
+readers of instances (expand_constraints, first_instance and
+check_delta) run its join.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ from . import wfs
 from .syntax import (
     INT_MAX,
     INT_MIN,
+    NEGATED,
     ArithExpr,
     Atom,
     Builtin,
@@ -284,8 +286,9 @@ class GroundTheory:
     rules[o] is the ConstraintRule of source constraint o, whose origin
     is o.  constraints, the one stored form of the ground constraints,
     holds the clauses of the rules that are neither lazy nor satisfied
-    by the universe (see _constraint_clauses); a reader that needs an
-    instance re-runs its rule's join.  The theory must not be changed
+    by the universe (see _constraint_clauses), which the search is built
+    from; a reader that needs an instance re-runs its rule's join, and
+    check_delta reads the rules alone.  The theory must not be changed
     once built: it caches definition_arrays, the one thing compiled
     from it that it keeps; each solve compiles its own search.
     """
@@ -345,22 +348,21 @@ class GroundTheory:
             rule.expand(seen, out.append, count)
         return out
 
-    def first_instance(self, ci: int | None, value=None) -> GroundConstraint | None:
+    def first_instance(self, ci: int) -> GroundConstraint | None:
         """The first constraint of expand_constraints() whose clause is
-        constraints[ci]'s; with value given (value[lit] == 1 for a true
-        literal), the first that value violates, constraints[ci] being the
-        first clause it falsifies (None: none).  No stored rule gives that
-        clause before its origin, so only the rules before it that ground
-        left unground are searched before it (first_with, first_true):
-        the lazy denials, and for a clause the typing constraints that
-        the universe satisfies, which no model violates."""
-        clause, origin, _denial = (None, len(self.rules), None) if ci is None else self.constraints[ci]
-        for rule in self.rules[:origin]:
-            if rule.lazy or (rule.satisfied and value is None):
-                gc = rule.first_with(clause) if value is None else rule.first_true(value)
-                if gc is not None:
-                    return gc
-        return None if ci is None else self.rules[origin].first_with(clause)
+        constraints[ci]'s: the first instance, over the rules in origin
+        order, whose clause it is (ConstraintRule.first_true), each
+        positive atom a of which has 2a+1 in the clause."""
+        clause = self.constraints[ci].clause
+        value = bytearray(2 * self.n_atoms)
+        for lit in clause:
+            if lit & 1:
+                value[lit - 1] = 1
+        for rule in self.rules:
+            gc = rule.first_true(value, clause)
+            if gc is not None:
+                return gc
+        return None
 
     def dump(self) -> str:
         """Deterministic text form of the whole theory, with every ground
@@ -1470,10 +1472,6 @@ class _StopJoin(Exception):
     """Raised from an emit to end a join; args[0] is what it found."""
 
 
-# each test's negation, which holds exactly where the test is false
-_NEGATED = {"=": "\\=", "\\=": "=", "<": ">=", ">=": "<", ">": "=<", "=<": ">"}
-
-
 def _as_denial(con: Constraint) -> Constraint | None:
     """con as a denial: con itself when it has no heads, the denial
     with con's heads negated at the end of its body when they are all
@@ -1484,9 +1482,9 @@ def _as_denial(con: Constraint) -> Constraint | None:
     same violated instances, and with them the same clauses."""
     if not con.heads:
         return con
-    if not all(isinstance(h, Builtin) and h.op in _NEGATED for h in con.heads):
+    if not all(isinstance(h, Builtin) and h.op in NEGATED for h in con.heads):
         return None
-    tests = tuple(Builtin(_NEGATED[h.op], h.lhs, h.rhs, span=h.span) for h in con.heads)
+    tests = tuple(Builtin(NEGATED[h.op], h.lhs, h.rhs, span=h.span) for h in con.heads)
     return Constraint((), con.body + tests, span=con.span)
 
 
@@ -1541,14 +1539,16 @@ class ConstraintRule:
     constraint that every model satisfies (_satisfied_typing): ground
     does not instantiate it either, and nothing propagates it.
 
-    Every reader runs the plan, the plan of con as written, with the
-    emit of _emitter, meeting the instances in the order ground meets
-    them; each of the two joins it runs is compiled once, on first use,
-    and reads what it is given through cells.  each_instance and expand
-    take every candidate.  first_with and first_true give the first
-    instance of some kind, with every literal taking the atoms that can
-    be part of it only.  The search propagates a lazy rule through
-    propagators and unit_atoms, which join over the denial's body.
+    Every reader runs one join, the plan of con as written with the
+    emit of _emitter, compiled once, on first use, and meeting the
+    instances in the order ground meets them; it reads what it is given
+    through cells.  each_instance and expand take every candidate.
+    first_true, the one reader that looks for an instance, gives the
+    first with a given clause, or the first whose clause an assignment
+    falsifies, with every literal taking only the atoms that can be
+    part of it.  The
+    search propagates a lazy rule through propagators and unit_atoms,
+    which join over the denial's body.
     """
 
     origin: int
@@ -1606,18 +1606,11 @@ class ConstraintRule:
         return emit
 
     @cached_property
-    def _join(self) -> tuple[list, Callable]:
-        """(out, start): the join over every candidate, whose emit reads
-        out as _emitter does."""
-        out = [None, None]
-        start = _compile_join(self.plan, self.candidates, self.constants, self._emitter(out), self.groups)
-        return out, start
-
-    @cached_property
-    def _true_join(self) -> tuple[list, list, Callable]:
-        """(out, cell, start): the join whose literals take only the atoms
-        that the assignment in cell[0] makes true, its emit reading out
-        as _emitter does."""
+    def _join(self) -> tuple[list, list, Callable]:
+        """(out, cell, start): the join whose literals take every
+        candidate when cell[0] is None, and otherwise only the atoms that
+        the assignment in cell[0] makes true, its emit reading out as
+        _emitter does."""
         out = [None, None]
         cell = [None]
 
@@ -1628,10 +1621,10 @@ class ConstraintRule:
         start = _compile_join(self.plan, self.candidates, self.constants, emit, self.groups, make_selector)
         return out, cell, start
 
-    def each_instance(self, found, count: list[int]) -> None:
-        """Run the join over every candidate: found as _emitter calls it,
-        for each instance, counted in count."""
-        out, start = self._join
+    def each_instance(self, found, count: list[int] | None) -> None:
+        """Run the join: found as _emitter calls it, for each instance,
+        counted in count."""
+        out, _cell, start = self._join
         out[:] = found, count
         try:
             start({}, ())
@@ -1654,38 +1647,29 @@ class ConstraintRule:
 
         self.each_instance(found, count)
 
-    def first_with(self, clause: tuple[int, ...]) -> GroundConstraint | None:
-        """The first instance, in join order, whose clause is clause, or
-        None.  Each of its positive atoms a has 2a+1 in clause, so every
-        literal takes only those."""
-        value = bytearray(2 * len(self.atoms))
-        for lit in clause:
-            if lit & 1:
-                value[lit - 1] = 1
-        return self.first_true(value, clause)
-
     def first_true(self, value, clause: tuple[int, ...] | None = None) -> GroundConstraint | None:
-        """The first instance, in join order, whose positive atoms value
-        makes all true (value[2 * a] == 1) and, given clause, whose clause
-        it is; or None.  Of a lazy denial's instances with every atom
-        true, that is the first expand keeps: one before it with the same
-        atoms would be all true too, and the instance of an earlier rule
-        kept in its stead would be all true and come first."""
+        """The first instance, in join order, whose clause is clause, or
+        without one, whose clause value makes wholly false (value[lit] ==
+        0 for every literal); or None.  value[2 * a] == 1 for each
+        positive atom a of such an instance, so every literal takes only
+        those.  A tautology, whose clause is None, is never false.  Of
+        the instances with a false clause, the first is the first that
+        expand keeps: one before it with the same atoms would be false
+        too, and the instance of an earlier rule kept in its stead would
+        be false and come first."""
         origin = self.origin
 
         def found(c, heads, pos_ids, neg_ids):
-            if clause is None or c == clause:
+            if c is not None and (c == clause if clause is not None else all(value[lit] == 0 for lit in c)):
                 raise _StopJoin(GroundConstraint(heads, pos_ids, neg_ids, origin))
 
-        out, cell, start = self._true_join
-        out[:] = found, None
+        cell = self._join[1]
         cell[0] = value
         try:
-            start({}, ())
+            self.each_instance(found, None)
         except _StopJoin as stop:
             return stop.args[0]
         finally:
-            out[:] = None, None
             cell[0] = None
         return None
 
@@ -2079,9 +2063,10 @@ class BaseModel:
     """Well-founded evaluation of the abducible-independent definitions.
 
     extensions holds the true instances per predicate, keyed by (name,
-    arity), and holds no abducible dependent predicate; undefined_preds
-    keys the predicates with at least one undefined instance, whose
-    extensions cannot be trusted for typing.  Undefinedness here is not
+    arity), in atom table order, and holds no abducible dependent
+    predicate; undefined_preds keys the predicates with at least one
+    undefined instance, whose extensions cannot be trusted for typing;
+    abducible_universe reads both.  Undefinedness here is not
     an error by itself: it resurfaces per candidate as NotTwoValued when
     those atoms matter.
     """
@@ -2115,8 +2100,6 @@ def base_model(program: Program, domains: DomainTable) -> BaseModel:
             out.setdefault((atom.pred, len(atom.args)), []).append(atom.args)
         elif truth[i] == wfs.UNDEF:
             undefined.add((atom.pred, len(atom.args)))
-    for pred in out:
-        out[pred].sort(key=lambda args: tuple(value_key(v) for v in args))
     return BaseModel(out, undefined)
 
 

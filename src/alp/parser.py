@@ -29,6 +29,7 @@ from typing import NamedTuple
 from .syntax import (
     INT_MAX,
     INT_MIN,
+    NEGATED,
     AbducibleDecl,
     AndGroup,
     ArithExpr,
@@ -84,8 +85,6 @@ _PUNCT = [
 ]
 
 _CMP_OPS = frozenset(["=", "\\=", "<", ">", "=<", ">="])
-
-_NEG_COMPLEMENT = {"=": "\\=", "\\=": "=", "<": ">=", ">=": "<", ">": "=<", "=<": ">"}
 
 # The deepest term accepted, each parenthesis, abs and operator around a
 # constant or variable counting one level, and the deepest nesting of
@@ -316,7 +315,7 @@ class _Parser:
             if isinstance(inner, Pos):
                 return Neg(inner.atom, span=tok.span)
             assert isinstance(inner, Builtin)
-            comp = _NEG_COMPLEMENT.get(inner.op)
+            comp = NEGATED.get(inner.op)
             if comp is None:
                 self.fail(f"cannot negate {inner.op}/2", tok)
             return Builtin(comp, inner.lhs, inner.rhs, span=tok.span)

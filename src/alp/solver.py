@@ -105,8 +105,9 @@ def check_delta(theory: GroundTheory, delta: Iterable[int]) -> CheckResult:
     Computes the well-founded model of definitions plus delta, requires
     it to be total, and then tests every ground constraint.  The delta
     must stay inside universe plus forced atoms.  Reads the theory's
-    constraint clauses and definition arrays and re-runs the joins of
-    its rules (see _first_falsified): it compiles no _Search.
+    definition arrays and re-runs the joins of its rules, every one of
+    them (see _first_falsified), not the clauses the search is built
+    from: it compiles no _Search.
     """
     dset = set(delta)
     stray = sorted(dset.difference(theory.universe, theory.forced))
@@ -127,23 +128,17 @@ def _first_falsified(theory: GroundTheory, truth: Sequence[int]) -> GroundConstr
     """The first constraint of theory.expand_constraints() whose clause
     has every literal false under a total truth array; under a total
     model a constraint is violated exactly when its clause is falsified.
-    GroundTheory.first_instance finds it from the first stored clause
-    that truth falsifies, without expanding anything."""
+    That is the first instance, over the rules in origin order, that
+    ConstraintRule.first_true gives, the typing rules that the universe
+    satisfies included: their joins intern no new atom, and no model
+    violates them."""
     true_lit = bytearray(2 * theory.n_atoms)
     true_lit[0::2] = bytes(t == wfs.TRUE for t in truth)
     true_lit[1::2] = bytes(t != wfs.TRUE for t in truth)
-    return theory.first_instance(_first_false_clause(true_lit, theory.constraints), true_lit)
-
-
-def _first_false_clause(true_lit, constraints) -> int | None:
-    """The index of the first of constraints whose clause has no true
-    literal, or None."""
-    for ci, (clause, _origin, _denial) in enumerate(constraints):
-        for lit in clause:
-            if true_lit[lit]:
-                break
-        else:
-            return ci
+    for rule in theory.rules:
+        gc = rule.first_true(true_lit)
+        if gc is not None:
+            return gc
     return None
 
 
@@ -230,8 +225,11 @@ class _Search:
     other watch is implied, or the clause is falsified.  A watch stays
     false only while the other watch is true and was made true at the
     same decision or an earlier one, so backtracking never invalidates
-    a watch and undo_to only unassigns the trail.  Unit clauses are
-    assigned once, at the root, and never undone.
+    a watch and undo_to only unassigns the trail.  The root units are
+    assigned once, at the root, and never undone: units holds (literal,
+    conflict index) pairs, (cl[0], ci) for each unit clause ci (None for
+    the empty clause), then (2a+1, len(clauses) + origin) for each atom
+    a that one instance of a lazy denial makes false (unit_atoms).
 
     watches[l] holds the clauses watching literal l in order, as an
     array of C ints, which unlike a list holds no int object per index.
@@ -276,7 +274,7 @@ class _Search:
         n_lits = 2 * self.nvars
         self.value = [-1] * n_lits
         self.trail: list[int] = []
-        self.units: list[int] = []
+        self.units: list[tuple[int | None, int]] = []  # (literal, conflict index)
         self.implied = implied = [[] for _ in range(n_lits)]
         self.binary: dict[tuple[int, ...], int] = {}  # only conflicts read it
         binary = self.binary
@@ -308,7 +306,7 @@ class _Search:
                         get_cands = itemgetter(*(2 * v for v in cands), 2 * cands[0])
                         self.support.append((itemgetter(*cl), cands, get_cands))
             else:
-                self.units.append(ci)
+                self.units.append((cl[0] if cl else None, ci))
         self.minimal_sets: list[frozenset[int]] = []
         self.source = [-1] * self.n_atoms
         self.source_log: list[tuple[int, int, int]] = []  # (trail length, atom, old source)
@@ -316,7 +314,6 @@ class _Search:
         self.unpaired: list[list | None] = [None] * n_lits
         self.pairing = bytearray(b"\x01") * (2 * self.n_atoms)  # pairing[2a] = 0: a is paired
         self.found: list[tuple[int, int]] = []  # (partner, conflict index) that _pair collects
-        self.denial_units: list[tuple[int, int]] = []
         self._add_lazy_denials(theory)
 
     # -- compiling the theory ---------------------------------------------
@@ -338,8 +335,8 @@ class _Search:
     def _add_lazy_denials(self, theory: GroundTheory):
         """Compile the lazy denials: triggers[2 * a] lists the joins to
         run when atom a becomes true (ConstraintRule.propagators), and
-        denial_units the atoms that an instance alone makes false, each
-        with the conflict index of its rule, len(clauses) + its origin.
+        units gains (2a+1, len(clauses) + origin) for each atom a that
+        an instance of the rule of that origin alone makes false.
 
         A denial of two atoms has no middle literal, so the partners
         that its instances give an atom do not depend on the
@@ -358,7 +355,7 @@ class _Search:
         found = self.found
         for rule in (rule for rule in theory.rules if rule.lazy):
             conflict = len(self.clauses) + rule.origin
-            self.denial_units += [(a, conflict) for a in rule.unit_atoms()]
+            self.units += [(2 * a + 1, conflict) for a in rule.unit_atoms()]
             if sum(isinstance(lit, Pos) for lit in rule.denial.body) == 2:
 
                 def pair(binding, pos_ids, conflict=conflict):
@@ -607,26 +604,16 @@ class _Search:
         return conflict
 
     def propagate_pending(self) -> int | None:
-        """Root propagation: assign every unit clause, then propagate."""
+        """Root propagation: assign every root unit, then propagate."""
         value = self.value
-        for ci in self.units:
-            cl = self.clauses[ci]
-            if not cl or value[cl[0]] == 0:
-                return ci
-            lit = cl[0]
+        for lit, conflict in self.units:
+            if lit is None or value[lit] == 0:
+                return conflict
             if value[lit] == -1:
                 self.stats.propagations += 1
                 value[lit] = 1
                 value[lit ^ 1] = 0
                 self.trail.append(lit)
-        for a, conflict in self.denial_units:
-            if value[2 * a] == 1:
-                return conflict
-            if value[2 * a] == -1:
-                self.stats.propagations += 1
-                value[2 * a] = 0
-                value[2 * a + 1] = 1
-                self.trail.append(2 * a + 1)
         conflict = self._fixpoint(0)
         if conflict is None and self.loop_atoms:
             # No atom has a source yet: all of them are to be sourced.

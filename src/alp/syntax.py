@@ -234,6 +234,11 @@ class Builtin:
         return f"{term_text(self.lhs)} {self.op} {rhs}"
 
 
+# each comparison's negation, which holds exactly where the comparison
+# is false: the parser reads ``not`` on a comparison as it, and the
+# grounder negates builtin heads with it
+NEGATED = {"=": "\\=", "\\=": "=", "<": ">=", ">=": "<", ">": "=<", "=<": ">"}
+
 Literal = Pos | Neg | Builtin
 
 

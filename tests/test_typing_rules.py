@@ -243,6 +243,19 @@ def test_a_typing_predicate_is_read_at_arity_one(monkeypatch):
     assert solve(theory).solutions == solve(grounded).solutions == [(), (theory.universe[0],)]
 
 
+def test_a_negative_or_constant_head_is_no_typing_rule():
+    # not e(X) <- p(X) and e(3) <- p(X) are not of the typing form
+    # d(X) <- p(X): neither bounds p's slot, which d bounds to 1..2, nor
+    # is satisfied.  Both stay ground and prune: e(1) rules out p(1),
+    # and e(3) is false.
+    for rule, solutions in (("not e(X) <- p(X).", [[], ["p(2)"]]), ("e(3) <- p(X).", [[]])):
+        theory = theory_for(f"abducible p/1. d(1). d(2). e(1). d(X) <- p(X). {rule}\n")
+        assert [theory.atoms.render(i) for i in theory.universe] == ["p(1)", "p(2)"], rule
+        assert [str(r.con) for r in satisfied(theory)] == ["d(X) <- p(X)."], rule
+        assert {record.origin for record in theory.constraints} == {1}, rule
+        assert [[theory.atoms.render(a) for a in s] for s in solve(theory).solutions] == solutions, rule
+
+
 TYPED = "t(X) :- X in 1..4.\nabducible p/1.\nt(X) <- p(X).\n"
 
 
